@@ -35,7 +35,9 @@ bench-json:
 # artifact loop: the fresh trace must replay with zero divergence,
 # fully attribute every span, and show zero drift against itself).
 # sample-kv-metrics.json is the trends baseline CI regenerates with
-# identical flags — keep it free of wall-clock members (no --profile).
+# identical flags (keep the two kv command lines in sync) — keep it free
+# of wall-clock members (no --profile).  sample-metrics.json is the
+# baseline CI's diff gate compares a fresh `run --seed 7 --ops 10` to.
 artifacts: build
 	dune exec bin/sbftreg.exe -- run --seed 7 --ops 10 \
 	  --trace-out bench/sample-trace.jsonl --metrics-out bench/sample-metrics.json
@@ -43,7 +45,8 @@ artifacts: build
 	dune exec bin/sbftreg.exe -- diff bench/sample-metrics.json bench/sample-metrics.json
 	dune exec bin/sbftreg.exe -- spans bench/sample-trace.jsonl --min-coverage 0.95 > /dev/null
 	dune exec bin/sbftreg.exe -- kv --shards 8 --keys 32 --clients 6 --ops 2000 --seed 9 \
-	  --trace-level off --metrics-out bench/sample-kv-metrics.json
+	  --trace-level off --window 50 --fault-at 400 --fault-shards 2 \
+	  --metrics-out bench/sample-kv-metrics.json
 	dune exec bin/sbftreg.exe -- trends bench/sample-kv-metrics.json bench/sample-kv-metrics.json
 
 clean:

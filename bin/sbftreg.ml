@@ -207,7 +207,16 @@ let run_cmd =
         in
         pp "write" (Sbft_harness.Stats.summarize w);
         pp "read" (Sbft_harness.Stats.summarize rd);
-        if corrupt then Format.printf "%a@." Sbft_harness.Probe.pp r.probe;
+        (* A one-shard detector bank over the register's history: the
+           telemetry window, clocked from the fault plan's last fault. *)
+        let stab =
+          Sbft_harness.Stabilization.of_history
+            ~window:(if snapshot_every > 0 then snapshot_every else 50)
+            ~after:r.last_fault history
+        in
+        Sbft_harness.Stabilization.finalize stab
+          ~now:(Sbft_sim.Engine.now (Sbft_core.System.engine r.sys));
+        if corrupt then Format.printf "%a@." Sbft_harness.Stabilization.pp stab;
         let profile_report =
           if profile then
             Some (Sbft_sim.Profile.report (Sbft_sim.Engine.profile (Sbft_core.System.engine r.sys)))
@@ -247,7 +256,7 @@ let run_cmd =
             in
             output_string oc
               (J.to_string
-                 (Sbft_harness.Artifacts.metrics_json ~run ~stabilization:r.probe
+                 (Sbft_harness.Artifacts.metrics_json ~run ~stabilization:stab
                     ~regularity:(r.report.checked_reads, violations)
                     ~telemetry:(Sbft_harness.Telemetry.to_json r.telemetry ~history ~stale_reads ())
                     ?profile:(Option.map Sbft_sim.Profile.to_json profile_report)
@@ -318,7 +327,7 @@ let run_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write a JSON metrics snapshot (counters, per-phase latency histograms with \
-             p50/p95/p99, per-node traffic, stabilization probe, convergence telemetry) to FILE.")
+             p50/p95/p99, per-node traffic, stabilization verdict, convergence telemetry) to FILE.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a workload and audit it against MWMR regularity")
@@ -577,9 +586,13 @@ let trends_cmd =
     in
     let history =
       match db with
-      | Some db ->
+      | Some db -> (
           List.iter (fun r -> Trends.append ~db r) runs;
-          Trends.load_db db
+          match Trends.load_db db with
+          | Ok history -> history
+          | Error e ->
+              Printf.eprintf "%s\n" e;
+              exit 1)
       | None -> runs
     in
     if full then
@@ -636,19 +649,10 @@ let trends_cmd =
 let diff_cmd =
   let go a b tolerance full =
     let load path =
-      let ic =
-        try open_in path
-        with Sys_error e ->
-          Printf.eprintf "cannot open %s: %s\n" path e;
-          exit 1
-      in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Sbft_sim.Json.of_string (String.trim s) with
+      match Sbft_sim.Json.of_file path with
       | Ok j -> j
       | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
+          Printf.eprintf "%s\n" msg;
           exit 1
     in
     let rep = Sbft_analysis.Diff.compare ~tolerance (load a) (load b) in
@@ -813,7 +817,7 @@ let labels_cmd =
 let trace_cmd =
   let go seed =
     let cfg = Sbft_core.Config.make ~n:6 ~f:1 ~clients:2 () in
-    let sys = Sbft_core.System.create ~seed ~trace:true cfg in
+    let sys = Sbft_core.System.create ~seed ~trace_level:Sbft_sim.Trace.On cfg in
     let flow =
       Sbft_harness.Flow.attach (Sbft_core.System.network sys)
         ~describe:(fun m -> Format.asprintf "%a" Sbft_core.Msg.pp m)
@@ -1363,7 +1367,7 @@ let kv_cmd =
           (J.to_string
              (Sbft_harness.Artifacts.metrics_json ~run
                 ~regularity:(checked, violations)
-                ~stabilization_online:stab ?alerts
+                ~stabilization:stab ?alerts
                 ?loadgen:
                   (Option.map
                      (fun (spec, o) -> Sbft_harness.Loadgen.to_json ~spec o)
@@ -1489,15 +1493,9 @@ let watch_cmd =
 
 let report_cmd =
   let go metrics_path html_path title =
-    let contents =
-      try In_channel.with_open_text metrics_path In_channel.input_all
-      with Sys_error e ->
-        Printf.eprintf "cannot open %s: %s\n" metrics_path e;
-        exit 1
-    in
-    match Sbft_sim.Json.of_string (String.trim contents) with
+    match Sbft_sim.Json.of_file metrics_path with
     | Error msg ->
-        Printf.eprintf "%s: %s\n" metrics_path msg;
+        Printf.eprintf "%s\n" msg;
         exit 1
     | Ok artifact ->
         Sbft_harness.Report.write_series_report ~path:html_path ?title artifact;
@@ -1818,10 +1816,9 @@ let bench_cmd =
     match baseline_path with
     | None -> ()
     | Some path -> (
-        let contents = In_channel.with_open_text path In_channel.input_all in
-        match Sbft_sim.Json.of_string contents with
+        match Sbft_sim.Json.of_file path with
         | Error e ->
-            Printf.eprintf "cannot parse baseline %s: %s\n" path e;
+            Printf.eprintf "cannot load baseline: %s\n" e;
             exit 2
         | Ok baseline ->
             let cmp = B.compare_to_baseline ~tolerance ~baseline r in

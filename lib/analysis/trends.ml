@@ -25,9 +25,7 @@ let extract json =
 let of_json ~source ?(label = "") json = { source; label; metrics = extract json }
 
 let load_artifact path =
-  match In_channel.with_open_text path In_channel.input_all |> Json.of_string with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok json -> Ok (of_json ~source:(Filename.basename path) ~label:path json)
+  Result.map (of_json ~source:(Filename.basename path) ~label:path) (Json.of_file path)
 
 (* -- the run database: append-only JSONL, one run per line ---------- *)
 
@@ -62,12 +60,20 @@ let append ~db run =
   close_out oc
 
 let load_db db =
-  if not (Sys.file_exists db) then []
+  if not (Sys.file_exists db) then Ok []
   else
-    In_channel.with_open_text db In_channel.input_lines
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.filter_map (fun l ->
-           match Json.of_string l with Ok j -> Some (run_of_json j) | Error _ -> None)
+    match In_channel.with_open_text db In_channel.input_lines with
+    | exception Sys_error e -> Error (if String.starts_with ~prefix:db e then e else db ^ ": " ^ e)
+    | lines ->
+        let rec go lineno acc = function
+          | [] -> Ok (List.rev acc)
+          | l :: rest when String.trim l = "" -> go (lineno + 1) acc rest
+          | l :: rest -> (
+              match Json.of_string l with
+              | Ok j -> go (lineno + 1) (run_of_json j :: acc) rest
+              | Error e -> Error (Printf.sprintf "%s: line %d: %s" db lineno e))
+        in
+        go 1 [] lines
 
 (* -- drift ---------------------------------------------------------- *)
 

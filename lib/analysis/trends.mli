@@ -20,14 +20,15 @@ val of_json : source:string -> ?label:string -> Sbft_sim.Json.t -> run
 
 val load_artifact : string -> (run, string) result
 (** Read one JSON artifact file into a run ([source] = basename,
-    [label] = full path). *)
+    [label] = full path).  [Error] names the file when it cannot be
+    read (e.g. a directory) or parsed. *)
 
 val append : db:string -> run -> unit
 (** Append one run to the JSONL database, creating it if missing. *)
 
-val load_db : string -> run list
-(** All runs in append order; a missing file is an empty database,
-    malformed lines are skipped. *)
+val load_db : string -> (run list, string) result
+(** All runs in append order; a missing file is an empty database.  A
+    malformed line is an [Error] naming the file and the line. *)
 
 val rel_drift : float -> float -> float
 (** [|a - b| / max(|a|, |b|, 1e-9)] — symmetric, and tiny

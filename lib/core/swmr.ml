@@ -1,7 +1,7 @@
 type t = { sys : System.t; writer : int }
 
-let create ?seed ?delay ?trace ?transport cfg =
-  let sys = System.create ?seed ?delay ?trace ?transport cfg in
+let create ?seed ?delay ?trace_level ?transport cfg =
+  let sys = System.create ?seed ?delay ?trace_level ?transport cfg in
   { sys; writer = cfg.Config.n }
 
 let system t = t.sys

@@ -20,7 +20,7 @@ type t
 val create :
   ?seed:int64 ->
   ?delay:Sbft_channel.Delay.t ->
-  ?trace:bool ->
+  ?trace_level:Sbft_sim.Trace.level ->
   ?transport:Sbft_channel.Network.transport ->
   Config.t ->
   t

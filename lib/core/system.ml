@@ -17,12 +17,12 @@ type t = {
   fault_rng : Rng.t;
 }
 
-let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?(trace = false) ?trace_level
+let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
     ?(trace_capacity = 4096) ?sample ?sample_seed ?transport ?engine cfg =
   let engine =
     match engine with
     | Some e -> e
-    | None -> Engine.create ~trace ?trace_level ~trace_capacity ?sample ?sample_seed ~seed ()
+    | None -> Engine.create ?trace_level ~trace_capacity ?sample ?sample_seed ~seed ()
   in
   let net =
     Network.create engine ~endpoints:(Config.endpoints cfg) ~servers:cfg.n ~delay

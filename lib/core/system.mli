@@ -13,7 +13,6 @@ type t
 val create :
   ?seed:int64 ->
   ?delay:Sbft_channel.Delay.t ->
-  ?trace:bool ->
   ?trace_level:Sbft_sim.Trace.level ->
   ?trace_capacity:int ->
   ?sample:float ->
@@ -24,7 +23,7 @@ val create :
   t
 (** Build and wire a deployment. Default seed [42L], default delay
     [Delay.uniform ~max:10], default transport [Direct].
-    [trace]/[trace_level]/[sample]/[sample_seed] configure the engine
+    [trace_level]/[sample]/[sample_seed] configure the engine
     trace (see {!Sbft_sim.Engine.create}); none of them perturb the
     simulation itself.  [trace_capacity] sizes the forensic event ring
     (default 4096 entries; sinks always see every event regardless).

@@ -41,7 +41,9 @@ let histogram_json (h : Metrics.hist_snapshot) =
         ("counts", J.List (Array.to_list (Array.map (fun c -> J.Int c) h.counts)));
       ])
 
-let metrics_json ?(run = []) ?stabilization ?stabilization_online ?alerts ?loadgen ?series
+let schema = "sbft-metrics/2"
+
+let metrics_json ?(run = []) ?stabilization ?alerts ?loadgen ?series
     ?queue_series ?regularity ?telemetry ?shards ?profile ~metrics ~per_node () =
   let counters = List.map (fun (k, v) -> (k, J.Int v)) (Metrics.counters metrics) in
   let histograms = List.map (fun (k, h) -> (k, histogram_json h)) (Metrics.histograms metrics) in
@@ -56,19 +58,14 @@ let metrics_json ?(run = []) ?stabilization ?stabilization_online ?alerts ?loadg
     [ ("counters", J.Obj counters); ("histograms", J.Obj histograms); ("per_node", nodes) ]
   in
   let base =
-    match stabilization with
-    | Some probe -> base @ [ ("stabilization", Probe.to_json probe) ]
-    | None -> base
-  in
-  let base =
     match regularity with
     | Some (checked, violations) ->
         base @ [ ("regularity", J.Obj [ ("checked", J.Int checked); ("violations", J.Int violations) ]) ]
     | None -> base
   in
   let base =
-    match stabilization_online with
-    | Some st -> base @ [ ("stabilization_online", Stabilization.to_json st) ]
+    match stabilization with
+    | Some st -> base @ [ ("stabilization", Stabilization.to_json st) ]
     | None -> base
   in
   let base = match alerts with Some a -> base @ [ ("alerts", Alerts.to_json a) ] | None -> base in
@@ -112,7 +109,8 @@ let metrics_json ?(run = []) ?stabilization ?stabilization_online ?alerts ?loadg
   in
   let base = match shards with Some j -> base @ [ ("shards", j) ] | None -> base in
   let base = match profile with Some j -> base @ [ ("profile", j) ] | None -> base in
-  J.Obj ((if run = [] then [] else [ ("run", J.Obj run) ]) @ base)
+  J.Obj
+    ((("schema", J.String schema) :: (if run = [] then [] else [ ("run", J.Obj run) ])) @ base)
 
 let write_file ~path json =
   let oc = open_out path in

@@ -169,7 +169,7 @@ let series_page ?(title = "sbft streaming run") artifact =
       add "</tbody></table></section>\n"
   | _ -> ());
   (* per-shard sparklines with stabilization markers *)
-  let stab = J.member "stabilization_online" artifact in
+  let stab = J.member "stabilization" artifact in
   let stab_shards = match stab with Some s -> jlist (J.member "shards" s) | None -> [] in
   let stab_for shard =
     List.find_opt (fun s -> jint (J.member "shard" s) = Some shard) stab_shards

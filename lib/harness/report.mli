@@ -20,7 +20,7 @@ val write_file : path:string -> ?title:string -> ?preamble:string -> Table.t lis
 (** {1 Streaming-run report}
 
     [sbftreg report --html] renders a metrics artifact's streaming
-    blocks ([series], [stabilization_online], [alerts]) into a
+    blocks ([series], [stabilization], [alerts]) into a
     standalone page: per-shard sparklines (inline SVG, hand-rolled
     like everything else here), red stabilization markers, and the
     alert log. *)

@@ -83,7 +83,6 @@ type run = {
   reg : Register.t;
   outcome : Workload.outcome;
   report : Regularity.report;
-  probe : Probe.report;
   telemetry : Telemetry.t;
   after : int;
   last_fault : int;
@@ -183,14 +182,12 @@ let execute ?sink ?(level = Trace.On) ?sample ?(profile = false) ?on_system
       Trace.emit tr ~time:(Engine.now engine)
         (Event.Violation { op_id = v.read_id; kind = violation_kind v; detail = v.detail }))
     report.violations;
-  let probe = Probe.analyze ~corruption:0 history in
   Ok
     {
       sys;
       reg;
       outcome;
       report;
-      probe;
       telemetry;
       after;
       last_fault;

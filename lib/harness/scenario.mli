@@ -62,7 +62,6 @@ type run = {
   reg : Register.t;
   outcome : Workload.outcome;
   report : Sbft_spec.Regularity.report;
-  probe : Probe.report;
   telemetry : Telemetry.t;
   after : int;
       (** audit suffix start: first write begun and completed after the

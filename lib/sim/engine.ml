@@ -13,10 +13,7 @@ type t = {
 
 exception Budget_exhausted
 
-let create ?(trace = false) ?trace_level ?(trace_capacity = 4096) ?sample ?sample_seed ~seed () =
-  let level =
-    match trace_level with Some l -> l | None -> if trace then Trace.On else Trace.Off
-  in
+let create ?(trace_level = Trace.Off) ?(trace_capacity = 4096) ?sample ?sample_seed ~seed () =
   {
     clock = 0;
     seq = 0;
@@ -26,7 +23,7 @@ let create ?(trace = false) ?trace_level ?(trace_capacity = 4096) ?sample ?sampl
     heap = Heap.create ();
     master_rng = Rng.create seed;
     metrics = Metrics.create ();
-    trace = Trace.create ~capacity:trace_capacity ?sample ?sample_seed ~level ();
+    trace = Trace.create ~capacity:trace_capacity ?sample ?sample_seed ~level:trace_level ();
     profile = Profile.create ();
   }
 

@@ -10,7 +10,6 @@
 type t
 
 val create :
-  ?trace:bool ->
   ?trace_level:Trace.level ->
   ?trace_capacity:int ->
   ?sample:float ->
@@ -18,10 +17,10 @@ val create :
   seed:int64 ->
   unit ->
   t
-(** Fresh engine at virtual time 0.  [trace] is the legacy boolean
-    toggle (true = {!Trace.On}); [trace_level] overrides it with the
-    full four-level dial, and [sample]/[sample_seed] configure the
-    deterministic sampler used at {!Trace.Sampled} (see {!Trace.create}).
+(** Fresh engine at virtual time 0.  [trace_level] (default
+    {!Trace.Off}) sets the four-level dial, and [sample]/[sample_seed]
+    configure the deterministic sampler used at {!Trace.Sampled} (see
+    {!Trace.create}).
     None of these affect the simulation itself — a run is a pure
     function of [(seed, scheduled work)] at every trace level. *)
 

@@ -244,6 +244,12 @@ let of_string s =
     else Ok v
   with Parse_error msg -> Error msg
 
+let of_file path =
+  let named e = if String.starts_with ~prefix:path e then e else path ^ ": " ^ e in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error (named e)
+  | s -> Result.map_error named (of_string s)
+
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None

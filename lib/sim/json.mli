@@ -25,5 +25,10 @@ val of_string : string -> (t, string) result
 (** Parse one complete JSON value; [Error] carries the offset of the
     first problem. *)
 
+val of_file : string -> (t, string) result
+(** Read and parse one JSON file.  An unreadable path (missing, a
+    directory, no permission) or malformed content is an [Error] whose
+    message names the file — never an exception. *)
+
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)

@@ -231,7 +231,8 @@ let test_telemetry () =
     [ "reads"; "aborts"; "abort_rate"; "writes"; "stale_reads"; "label_occupancy" ];
   (* snapshots emit Server_state events when tracing is on *)
   let traced =
-    Sbft_core.System.create ~seed:5L ~trace:true (Sbft_core.Config.make ~n:6 ~f:1 ~clients:2 ())
+    Sbft_core.System.create ~seed:5L ~trace_level:Sbft_sim.Trace.On
+      (Sbft_core.Config.make ~n:6 ~f:1 ~clients:2 ())
   in
   let _ = Sbft_harness.Telemetry.attach ~snapshot_every:20 traced in
   let reg2 = Sbft_harness.Register.core traced in

@@ -42,7 +42,8 @@ let temp_dir name =
 let check_exit msg expected code = Alcotest.(check int) msg expected code
 
 (* diff: identical artifacts exit 0; a warn-range drift exits 0 but is
-   printed; a beyond-3x drift exits 2. *)
+   printed; a beyond-3x drift exits 2; an unreadable artifact (here a
+   directory) is a typed error naming it, exit 1. *)
 let test_diff_exit_codes () =
   let m = temp "metrics" ".json" in
   check_exit "run produces metrics" 0
@@ -57,7 +58,12 @@ let test_diff_exit_codes () =
     (let low = String.lowercase_ascii (read_file out) in
      replace_once low ~sub:"warn" ~by:"" <> low);
   write_file b {|{"counters":{"x":500}}|};
-  check_exit "beyond 3x tolerance exits 2" 2 (sh "%s diff %s %s >/dev/null 2>&1" exe a b)
+  check_exit "beyond 3x tolerance exits 2" 2 (sh "%s diff %s %s >/dev/null 2>&1" exe a b);
+  let dir = temp_dir "diffdir" in
+  check_exit "a directory artifact exits 1" 1 (sh "%s diff %s %s > %s 2>&1" exe dir b out);
+  Alcotest.(check bool) "the error names the directory" true
+    (let o = read_file out in
+     replace_once o ~sub:dir ~by:"" <> o && replace_once o ~sub:"exception" ~by:"" = o)
 
 (* replay: a clean round trip is silent; a foreign fingerprint warns
    but still replays; a flipped verdict is a regression (exit 2). *)
@@ -177,7 +183,9 @@ let test_spans_exit_codes () =
   check_exit "span-free trace exits 1" 1 (sh "%s spans %s >/dev/null 2>&1" exe empty)
 
 (* trends: identical runs are quiet; a >tolerance drift exits 1; the
-   database accumulates appended runs. *)
+   database accumulates appended runs.  Hostile inputs — a directory
+   posing as a .json artifact, a malformed database line — are typed
+   errors naming the file (and line), exit 1. *)
 let test_trends_exit_codes () =
   let a = temp "trenda" ".json" and b = temp "trendb" ".json" in
   write_file a {|{"counters":{"ops":100},"kv":{"put_ticks":25.0}}|};
@@ -199,7 +207,20 @@ let test_trends_exit_codes () =
     (sh "%s trends %s --db %s >/dev/null 2>&1" exe b db);
   Alcotest.(check int) "db holds both runs" 2
     (List.length
-       (String.split_on_char '\n' (read_file db) |> List.filter (fun l -> l <> "")))
+       (String.split_on_char '\n' (read_file db) |> List.filter (fun l -> l <> "")));
+  let names needle =
+    let o = read_file out in
+    replace_once o ~sub:needle ~by:"" <> o && replace_once o ~sub:"exception" ~by:"" = o
+  in
+  let d = temp_dir "trendsdir" in
+  Sys.mkdir (Filename.concat d "x.json") 0o755;
+  check_exit "a directory named x.json exits 1" 1 (sh "%s trends %s > %s 2>&1" exe d out);
+  Alcotest.(check bool) "the error names x.json" true (names "x.json");
+  let oc = open_out_gen [ Open_append ] 0o644 db in
+  output_string oc "{not json\n";
+  close_out oc;
+  check_exit "a malformed db line exits 1" 1 (sh "%s trends %s --db %s > %s 2>&1" exe a db out);
+  Alcotest.(check bool) "the error names the db line" true (names "line 3")
 
 (* kv -> report pipeline and the live dashboard: a faulted kv run
    writes a streaming artifact, report renders it to HTML, watch emits
@@ -214,7 +235,7 @@ let test_watch_and_report_exit_codes () =
        exe m);
   Alcotest.(check bool) "artifact carries the streaming blocks" true
     (let s = read_file m in
-     replace_once s ~sub:{|"stabilization_online"|} ~by:"" <> s
+     replace_once s ~sub:{|"stabilization"|} ~by:"" <> s
      && replace_once s ~sub:{|"series"|} ~by:"" <> s
      && replace_once s ~sub:{|"alerts"|} ~by:"" <> s);
   let html = temp "kvreport" ".html" in

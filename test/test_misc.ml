@@ -118,7 +118,9 @@ let test_config_accessors () =
   Alcotest.(check bool) "pp renders" true (String.length (Format.asprintf "%a" Config.pp cfg) > 0)
 
 let test_trace_records_deliveries () =
-  let sys = System.create ~seed:13L ~trace:true (Config.make ~n:6 ~f:1 ~clients:2 ()) in
+  let sys =
+    System.create ~seed:13L ~trace_level:Sbft_sim.Trace.On (Config.make ~n:6 ~f:1 ~clients:2 ())
+  in
   System.write sys ~client:6 ~value:1 ();
   System.quiesce sys;
   let entries = Sbft_sim.Trace.entries (Sbft_sim.Engine.trace (System.engine sys)) in

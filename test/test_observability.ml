@@ -1,5 +1,6 @@
-(* Operation spans, the stabilization probe, run artifacts, and the
-   forensic violation dump — the observability layer end to end. *)
+(* Operation spans, the stabilization bank's history feeder, run
+   artifacts, and the forensic violation dump — the observability layer
+   end to end. *)
 
 module H = Sbft_spec.History
 module Sim = Sbft_sim
@@ -7,7 +8,9 @@ module System = Sbft_core.System
 module Config = Sbft_core.Config
 
 let run_small () =
-  let sys = System.create ~seed:21L ~trace:true (Config.make ~n:6 ~f:1 ~clients:2 ()) in
+  let sys =
+    System.create ~seed:21L ~trace_level:Sim.Trace.On (Config.make ~n:6 ~f:1 ~clients:2 ())
+  in
   System.write sys ~client:6 ~value:1
     ~k:(fun () ->
       System.read sys ~client:7
@@ -107,32 +110,45 @@ let test_percentile_edges () =
   let s = Sbft_harness.Stats.summarize xs in
   Alcotest.(check (float 0.0)) "summary carries p99" 5.0 s.p99
 
+(* The single-register feeder of the stabilization bank: completed ops
+   in completion-time order, dirty = aborted read. *)
 let test_probe () =
+  let module Stab = Sbft_harness.Stabilization in
   let h : unit H.t = H.create () in
-  (* a write before the fault, an abort during recovery, then a clean read *)
+  (* a write before the fault, an abort during recovery, then clean
+     reads; the slow read is invoked before the abort but completes
+     last, so feeding in invocation order would revoke the clean
+     streak it completes in *)
   let w = H.begin_write h ~client:6 ~value:1 ~time:10 in
   H.end_write h ~id:w ~time:30 ~ts:None;
+  let slow = H.begin_read h ~client:8 ~time:110 in
   let r1 = H.begin_read h ~client:7 ~time:120 in
   H.end_read h ~id:r1 ~time:150 ~outcome:H.Abort;
   let r2 = H.begin_read h ~client:7 ~time:200 in
   H.end_read h ~id:r2 ~time:220 ~outcome:(H.Value 1);
-  let p = Sbft_harness.Probe.analyze ~corruption:100 h in
-  Alcotest.(check int) "corruption tick" 100 p.corruption_tick;
-  Alcotest.(check (option int)) "last abort" (Some 150) p.last_abort;
-  Alcotest.(check (option int)) "first clean read" (Some 220) p.first_clean_read;
-  Alcotest.(check (option int)) "convergence" (Some 120) p.convergence;
-  (* the JSON form parses back *)
-  (match Sim.Json.of_string (Sim.Json.to_string (Sbft_harness.Probe.to_json p)) with
+  H.end_read h ~id:slow ~time:300 ~outcome:(H.Value 1);
+  let b = Stab.of_history ~window:20 ~after:100 h in
+  Stab.finalize b ~now:400;
+  (* window [140,160) is the last dirty one; 3 clean windows follow *)
+  Alcotest.(check (option int)) "tts from the fault" (Some 60) (Stab.time_to_stabilize b 0);
+  Alcotest.(check (option int)) "fleet mirrors the one shard" (Some 60)
+    (Stab.fleet_time_to_stabilize b);
+  (* the JSON form parses back with the artifact's shape *)
+  (match Sim.Json.of_string (Sim.Json.to_string (Stab.to_json b)) with
   | Ok j ->
-      Alcotest.(check bool) "convergence in json" true
-        (Sim.Json.member "convergence_ticks" j = Some (Sim.Json.Int 120))
-  | Error e -> Alcotest.failf "probe json: %s" e);
-  (* no clean read yet -> no convergence claim *)
+      Alcotest.(check bool) "one shard, stabilized" true
+        (Sim.Json.member "stabilized_shards" j = Some (Sim.Json.Int 1));
+      Alcotest.(check bool) "fleet verdict in json" true
+        (Option.bind (Sim.Json.member "fleet" j) (Sim.Json.member "time_to_stabilize")
+        = Some (Sim.Json.Int 60))
+  | Error e -> Alcotest.failf "stabilization json: %s" e);
+  (* still aborting at the end of the run -> no stabilization claim *)
   let h2 : unit H.t = H.create () in
   let r = H.begin_read h2 ~client:7 ~time:120 in
   H.end_read h2 ~id:r ~time:150 ~outcome:H.Abort;
-  let p2 = Sbft_harness.Probe.analyze ~corruption:100 h2 in
-  Alcotest.(check (option int)) "still aborting" None p2.convergence
+  let b2 = Stab.of_history ~window:20 ~after:100 h2 in
+  Stab.finalize b2 ~now:170;
+  Alcotest.(check (option int)) "still aborting" None (Stab.time_to_stabilize b2 0)
 
 let test_artifacts_json () =
   let m = Sim.Metrics.create () in

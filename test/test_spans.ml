@@ -231,10 +231,11 @@ let test_trends_drift () =
 let test_trends_db () =
   let db = Filename.temp_file "sbft_trends" ".jsonl" in
   Sys.remove db;
-  Alcotest.(check int) "missing db is empty" 0 (List.length (Trends.load_db db));
+  let load db = match Trends.load_db db with Ok runs -> runs | Error e -> Alcotest.fail e in
+  Alcotest.(check int) "missing db is empty" 0 (List.length (load db));
   Trends.append ~db (Trends.of_json ~source:"r1" (metrics_json 100 25.0));
   Trends.append ~db (Trends.of_json ~source:"r2" (metrics_json 100 60.0));
-  (match Trends.latest_drift ~tolerance:0.3 (Trends.load_db db) with
+  (match Trends.latest_drift ~tolerance:0.3 (load db) with
   | Some (prev, cur, [ d ]) ->
       Alcotest.(check string) "prev" "r1" prev.Trends.source;
       Alcotest.(check string) "cur" "r2" cur.Trends.source;
