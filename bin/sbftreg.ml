@@ -562,10 +562,19 @@ let spans_cmd =
     Term.(const go $ path $ json_out $ top $ focus $ by_shard $ min_cov)
 
 (* ------------------------------------------------------------------ *)
-(* trends *)
+(* trends and diff: front-ends over Sbft_analysis.Diff *)
+
+module Diff = Sbft_analysis.Diff
+
+let ok_or_exit = function
+  | Ok x -> x
+  | Error e ->
+      prerr_endline e;
+      exit 1
 
 let trends_cmd =
   let go artifacts db tolerance full =
+    let tol = ok_or_exit (Diff.tolerance tolerance) in
     let expand p =
       if Sys.is_directory p then
         Sys.readdir p |> Array.to_list |> List.sort compare
@@ -574,25 +583,12 @@ let trends_cmd =
       else [ p ]
     in
     let files = List.concat_map expand artifacts in
-    let runs =
-      List.map
-        (fun p ->
-          match Trends.load_artifact p with
-          | Ok r -> r
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 1)
-        files
-    in
+    let runs = List.map (fun p -> ok_or_exit (Trends.load_artifact p)) files in
     let history =
       match db with
-      | Some db -> (
-          List.iter (fun r -> Trends.append ~db r) runs;
-          match Trends.load_db db with
-          | Ok history -> history
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 1)
+      | Some db ->
+          List.iter (fun r -> ok_or_exit (Trends.append ~db r)) runs;
+          ok_or_exit (Trends.load_db db)
       | None -> runs
     in
     if full then
@@ -601,24 +597,19 @@ let trends_cmd =
           Printf.printf "run %d: %s (%d metrics)\n" i r.Trends.source
             (List.length r.Trends.metrics))
         history;
-    match Trends.latest_drift ~tolerance history with
+    match Trends.latest_drift ~tolerance:tol history with
     | None ->
         Printf.printf "%d run(s) on file — need two to compare\n" (List.length history)
-    | Some (prev, cur, drifts) ->
+    | Some (prev, cur, rep) -> (
         Printf.printf "comparing %s -> %s (tolerance %.0f%%)\n" prev.Trends.source
           cur.Trends.source (tolerance *. 100.);
-        if drifts = [] then
-          Printf.printf "no metric drifted beyond tolerance (%d compared)\n"
-            (List.length
-               (List.filter
-                  (fun (k, _) -> List.mem_assoc k prev.Trends.metrics)
-                  cur.Trends.metrics))
-        else begin
-          List.iter (fun d -> Format.printf "%a@." Trends.pp_drift d) drifts;
-          Printf.eprintf "%d metric(s) drifted beyond %.0f%%\n" (List.length drifts)
-            (tolerance *. 100.);
-          exit 1
-        end
+        Format.printf "%a@." Diff.pp rep;
+        match Diff.drifted rep with
+        | [] -> ()
+        | drifts ->
+            Printf.eprintf "%d metric(s) drifted beyond %.0f%%\n" (List.length drifts)
+              (tolerance *. 100.);
+            exit 1)
   in
   let artifacts =
     Arg.(non_empty & pos_all file []
@@ -643,21 +634,13 @@ let trends_cmd =
           shared metric drifts beyond the tolerance")
     Term.(const go $ artifacts $ db $ tolerance $ full)
 
-(* ------------------------------------------------------------------ *)
-(* diff *)
-
 let diff_cmd =
   let go a b tolerance full =
-    let load path =
-      match Sbft_sim.Json.of_file path with
-      | Ok j -> j
-      | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1
-    in
-    let rep = Sbft_analysis.Diff.compare ~tolerance (load a) (load b) in
-    Format.printf "%a@." (if full then Sbft_analysis.Diff.pp_full else Sbft_analysis.Diff.pp) rep;
-    match rep.worst with Sbft_analysis.Diff.Fail -> exit 2 | _ -> ()
+    let tolerance = ok_or_exit (Diff.tolerance tolerance) in
+    let load path = ok_or_exit (Sbft_sim.Json.of_file path) in
+    let rep = Diff.compare ~tolerance (load a) (load b) in
+    Format.printf "%a@." (if full then Diff.pp_full else Diff.pp) rep;
+    if rep.worst = Diff.Fail then exit 2
   in
   let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A" ~doc:"Baseline artifact.") in
   let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"B" ~doc:"Candidate artifact.") in
@@ -1804,8 +1787,9 @@ let corpus_cmd =
 (* bench *)
 
 let bench_cmd =
-  let go quick json_path baseline_path tolerance strict =
+  let go quick json_path baseline_path tolerance =
     let module B = Sbft_harness.Benchmarks in
+    let tol = ok_or_exit (Diff.tolerance tolerance) in
     let r = B.run ~quick () in
     Format.printf "%a@." B.pp r;
     (match json_path with
@@ -1815,47 +1799,31 @@ let bench_cmd =
     | None -> ());
     match baseline_path with
     | None -> ()
-    | Some path -> (
-        match Sbft_sim.Json.of_file path with
-        | Error e ->
-            Printf.eprintf "cannot load baseline: %s\n" e;
-            exit 2
-        | Ok baseline ->
-            let cmp = B.compare_to_baseline ~tolerance ~baseline r in
-            (* a metric absent from the baseline is NOT gated — say so
-               loudly, because a renamed metric looks exactly like this
-               and would otherwise pass as a clean run *)
-            List.iter
-              (fun metric -> Printf.printf "NEW (ungated) %s: no baseline entry\n" metric)
-              cmp.B.ungated;
-            (match cmp.B.regressions with
-            | [] ->
-                Printf.printf "baseline %s: within %.0f%% tolerance\n" path (tolerance *. 100.)
-            | regressions ->
-                List.iter
-                  (fun { B.metric; baseline; current; ratio } ->
-                    Printf.eprintf "REGRESSION %s: %.1f -> %.1f (%.0f%% of baseline)\n" metric
-                      baseline current (ratio *. 100.))
-                  regressions;
-                exit 1);
-            if strict && cmp.B.ungated <> [] then begin
-              Printf.eprintf
-                "strict: %d metric(s) not gated by %s — refresh the baseline to cover them\n"
-                (List.length cmp.B.ungated) path;
-              exit 3
-            end)
+    | Some path ->
+        let baseline =
+          match Sbft_sim.Json.of_file path with
+          | Ok baseline -> baseline
+          | Error e ->
+              Printf.eprintf "cannot load baseline: %s\n" e;
+              exit 2
+        in
+        let rep = B.compare_to_baseline ~tolerance:tol ~baseline r in
+        Printf.printf "baseline %s (tolerance %.0f%%):\n" path (tolerance *. 100.);
+        Format.printf "%a@." Diff.pp rep;
+        let regressions = List.length (Diff.drifted rep) in
+        let ungated = List.length (List.filter (fun (row : Diff.row) -> row.a = None) rep.rows) in
+        if regressions > 0 then begin
+          Printf.eprintf "%d metric(s) regressed against %s\n" regressions path;
+          exit 1
+        end;
+        if ungated > 0 then begin
+          Printf.eprintf "%d metric(s) missing from %s — refresh the baseline to cover them\n"
+            ungated path;
+          exit 3
+        end
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test budgets (sub-second, 1k-op history).")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "Exit 3 when any measured metric is missing from the baseline (printed as NEW \
-             (ungated)) — so CI cannot pass on a renamed or newly added metric without a \
-             baseline refresh.")
   in
   let json_path =
     Arg.(
@@ -1869,8 +1837,9 @@ let bench_cmd =
       & opt (some file) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare against a committed bench JSON; exit 1 if fuzz schedules/sec or checker \
-             throughput regressed beyond the tolerance.")
+            "Compare against a committed bench JSON: exit 1 if a gated rate regressed beyond the \
+             tolerance or an overhead exceeds its 5% budget, 3 if a gated metric is missing from \
+             the baseline.")
   in
   let tolerance =
     Arg.(
@@ -1882,7 +1851,7 @@ let bench_cmd =
        ~doc:
          "Measure hot-path throughput (engine events/sec, fuzz schedules/sec, checker latency) \
           and optionally gate against a committed baseline")
-    Term.(const go $ quick $ json_path $ baseline_path $ tolerance $ strict)
+    Term.(const go $ quick $ json_path $ baseline_path $ tolerance)
 
 let () =
   let doc = "stabilizing Byzantine-fault-tolerant MWMR regular register (IPPS 2015 reproduction)" in

@@ -6,83 +6,99 @@ type row = { path : string; a : float option; b : float option; rel : float; ver
 
 type report = { rows : row list; worst : verdict }
 
+type tolerance = float
+
+let tolerance t =
+  if Float.is_finite t && t >= 0.0 then Stdlib.Ok t
+  else Error (Printf.sprintf "--tolerance must be a finite number >= 0, got %g" t)
+
 let severity = function Ok -> 0 | Warn -> 1 | Fail -> 2
 
 let verdict_str = function Ok -> "ok" | Warn -> "WARN" | Fail -> "FAIL"
 
-(* Which parts of the artifact are comparable scalars.  Histogram bucket
-   arrays, per-node lists and raw telemetry curves are shapes, not
-   scalars — the summary fields cover them. *)
+let label r =
+  match (r.a, r.b) with None, _ -> "NEW" | _, None -> "GONE" | _ -> verdict_str r.verdict
+
+(* Which parts of a metrics artifact are comparable scalars.  Histogram
+   bucket arrays, per-node lists and raw telemetry curves are shapes,
+   not scalars — the summary fields cover them. *)
 let hist_fields = [ "count"; "mean"; "p50"; "p95"; "p99" ]
 
 let comparable path =
   match path with
-  | "regularity.checked" | "regularity.violations" -> true
-  | "run.wall_ticks" -> true
+  | "regularity.checked" | "regularity.violations" | "run.wall_ticks" -> true
   | _ ->
-      let has_prefix p =
-        String.length path > String.length p && String.sub path 0 (String.length p) = p
-      in
-      if has_prefix "counters." then true
-      else if has_prefix "stabilization." then true
-      else if has_prefix "telemetry.summary." then true
-      else if has_prefix "histograms." then
-        List.exists
-          (fun f ->
-            let suffix = "." ^ f in
-            let ls = String.length suffix and lp = String.length path in
-            lp > ls && String.sub path (lp - ls) ls = suffix)
-          hist_fields
-      else false
+      List.exists
+        (fun p -> String.starts_with ~prefix:p path)
+        [ "counters."; "stabilization."; "telemetry.summary." ]
+      || String.starts_with ~prefix:"histograms." path
+         && List.exists (fun f -> String.ends_with ~suffix:("." ^ f) path) hist_fields
 
 (* exact-match keys: a difference is a verdict, not a measurement *)
 let exact path = path = "regularity.violations"
 
-let rec flatten prefix j acc =
-  match j with
-  | J.Obj kvs ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let path = if prefix = "" then k else prefix ^ "." ^ k in
-          flatten path v acc)
-        acc kvs
-  | J.Int i -> if comparable prefix then (prefix, float_of_int i) :: acc else acc
-  | J.Float f -> if comparable prefix then (prefix, f) :: acc else acc
-  | J.Null | J.Bool _ | J.String _ | J.List _ -> acc
+(* Lists are skipped whatever [keep] says: positional entries (per-node
+   rows, bucket arrays, raw samples) churn with topology. *)
+let flatten ~keep j =
+  let rec go prefix j acc =
+    match (j : J.t) with
+    | J.Obj kvs ->
+        List.fold_left
+          (fun acc (k, v) -> go (if prefix = "" then k else prefix ^ "." ^ k) v acc)
+          acc kvs
+    | J.Int i when keep prefix -> (prefix, float_of_int i) :: acc
+    | J.Float f when keep prefix -> (prefix, f) :: acc
+    | _ -> acc
+  in
+  List.rev (go "" j [])
 
-let compare ?(tolerance = 0.2) a b =
-  let fa = flatten "" a [] and fb = flatten "" b [] in
-  let paths =
-    List.sort_uniq String.compare (List.map fst fa @ List.map fst fb)
-  in
-  let rows =
-    List.map
-      (fun path ->
-        let va = List.assoc_opt path fa and vb = List.assoc_opt path fb in
-        match va, vb with
-        | Some x, Some y ->
-            let rel =
-              if x = y then 0.0 else Float.abs (x -. y) /. Float.max (Float.max (Float.abs x) (Float.abs y)) 1e-9
-            in
-            let verdict =
-              if exact path then if x = y then Ok else Fail
-              else if rel <= tolerance then Ok
-              else if rel <= 3.0 *. tolerance then Warn
-              else Fail
-            in
-            { path; a = Some x; b = Some y; rel; verdict }
-        | _ -> { path; a = va; b = vb; rel = 0.0; verdict = Warn })
-      paths
-  in
+let rel a b =
+  if a = b then 0.0
+  else Float.abs (a -. b) /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
+
+let of_rows rows =
   let worst =
     List.fold_left (fun acc r -> if severity r.verdict > severity acc then r.verdict else acc) Ok rows
   in
   { rows; worst }
 
+let both path x y ~tolerance =
+  let rel = rel x y in
+  let verdict =
+    if exact path then if x = y then Ok else Fail
+    else if rel <= tolerance then Ok
+    else if rel <= 3.0 *. tolerance then Warn
+    else Fail
+  in
+  { path; a = Some x; b = Some y; rel; verdict }
+
+let one_side path a b = { path; a; b; rel = 0.0; verdict = Warn }
+
+(* One merge over the two path-sorted lists. *)
+let compare_flat ~tolerance fa fb =
+  let sort = List.sort_uniq (fun (p, _) (q, _) -> String.compare p q) in
+  let rec walk acc fa fb =
+    match (fa, fb) with
+    | [], [] -> List.rev acc
+    | (p, x) :: ra, [] -> walk (one_side p (Some x) None :: acc) ra []
+    | [], (q, y) :: rb -> walk (one_side q None (Some y) :: acc) [] rb
+    | (p, x) :: ra, (q, y) :: rb ->
+        let c = String.compare p q in
+        if c = 0 then walk (both p x y ~tolerance :: acc) ra rb
+        else if c < 0 then walk (one_side p (Some x) None :: acc) ra fb
+        else walk (one_side q None (Some y) :: acc) fa rb
+  in
+  of_rows (walk [] (sort fa) (sort fb))
+
+let compare ?(tolerance = 0.2) a b =
+  compare_flat ~tolerance (flatten ~keep:comparable a) (flatten ~keep:comparable b)
+
+let drifted rep = List.filter (fun r -> r.a <> None && r.b <> None && r.verdict <> Ok) rep.rows
+
 let pp_row fmt r =
   let v = function None -> "-" | Some x -> Printf.sprintf "%g" x in
-  Format.fprintf fmt "%-4s %-44s %12s %12s %7.1f%%" (verdict_str r.verdict) r.path (v r.a)
-    (v r.b) (100.0 *. r.rel)
+  Format.fprintf fmt "%-4s %-44s %12s %12s %7.1f%%" (label r) r.path (v r.a) (v r.b)
+    (100.0 *. r.rel)
 
 let pp_rows fmt rows =
   Format.fprintf fmt "%-4s %-44s %12s %12s %8s@," "" "metric" "a" "b" "delta";

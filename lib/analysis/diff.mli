@@ -1,12 +1,19 @@
-(** Threshold-based comparison of two [--metrics-out] artifacts.
+(** The one artifact comparator: flatten two JSON artifacts to dotted
+    numeric paths and band every path by relative difference.
 
-    [sbftreg diff a.json b.json] answers "did this run behave like
-    that one?" — run-vs-run for regression hunting, or
-    protocol-vs-baseline.  Every numeric leaf under [counters],
-    [histograms] (the summary fields), [regularity], [stabilization],
-    [run] and [telemetry.summary] is compared by relative difference
-    against a tolerance; [regularity.violations] is exact, because one
-    extra violation is never noise. *)
+    [sbftreg diff], [sbftreg trends] and [sbftreg bench --baseline] are
+    thin front-ends over this module and differ only in which paths
+    they keep and which verdicts they turn into an exit code.  The rules
+    are the same for all three:
+
+    - [rel a b = |a - b| / max(|a|, |b|, 1e-9)] — symmetric, and tiny
+      absolute values cannot manufacture huge relative drift;
+    - within the tolerance is [Ok], within 3x the tolerance [Warn],
+      beyond that [Fail];
+    - [regularity.violations] is exact, because one extra violation is
+      never noise;
+    - a path on one side only is a [Warn] row labelled [NEW] (only in
+      [b]) or [GONE] (only in [a]): printed, never dropped. *)
 
 type verdict = Ok | Warn | Fail
 
@@ -20,10 +27,38 @@ type row = {
 
 type report = { rows : row list; worst : verdict }
 
-val compare : ?tolerance:float -> Sbft_sim.Json.t -> Sbft_sim.Json.t -> report
-(** [tolerance] defaults to 0.2: within 20% is [Ok], within 3x the
-    tolerance [Warn], beyond that [Fail].  A key present on only one
-    side is a [Warn]. *)
+type tolerance = private float
+
+val tolerance : float -> (tolerance, string) result
+(** A finite, non-negative tolerance; anything else (e.g. [nan], which
+    would pass every row) is an [Error] naming the [--tolerance] flag. *)
+
+val flatten : keep:(string -> bool) -> Sbft_sim.Json.t -> (string * float) list
+(** Every [Int]/[Float] leaf whose dotted path satisfies [keep], in
+    document order.  Lists are skipped: positional entries (per-node
+    rows, bucket arrays, raw samples) churn with topology. *)
+
+val rel : float -> float -> float
+
+val of_rows : row list -> report
+(** Wrap rows, computing [worst]. *)
+
+val compare_flat :
+  tolerance:tolerance -> (string * float) list -> (string * float) list -> report
+(** Band two flattened artifacts, one row per path on either side,
+    sorted by path. *)
+
+val compare : ?tolerance:tolerance -> Sbft_sim.Json.t -> Sbft_sim.Json.t -> report
+(** Two [--metrics-out] artifacts; [tolerance] defaults to 0.2.  Only
+    the numeric leaves under [counters], [histograms] (the summary
+    fields), [regularity], [stabilization], [run.wall_ticks] and
+    [telemetry.summary] are compared. *)
+
+val drifted : report -> row list
+(** Rows present on both sides whose verdict is not [Ok]. *)
+
+val label : row -> string
+(** ["NEW"], ["GONE"], or the verdict ("ok", "WARN", "FAIL"). *)
 
 val pp : Format.formatter -> report -> unit
 (** Table of non-[Ok] rows (plus a summary line counting the rest). *)

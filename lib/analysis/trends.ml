@@ -2,27 +2,8 @@ module Json = Sbft_sim.Json
 
 type run = { source : string; label : string; metrics : (string * float) list }
 
-type drift = { metric : string; prev : float; cur : float; rel : float }
-
-(* Flatten every numeric leaf of a metrics/bench artifact into dotted
-   paths.  Lists are skipped: positional entries (per-node counters,
-   raw samples) churn with topology and would drown real drift. *)
-let extract json =
-  let out = ref [] in
-  let rec go path j =
-    match (j : Json.t) with
-    | Json.Int i -> out := (path, float_of_int i) :: !out
-    | Json.Float f -> out := (path, f) :: !out
-    | Json.Obj fields ->
-        List.iter
-          (fun (k, v) -> go (if path = "" then k else path ^ "." ^ k) v)
-          fields
-    | Json.List _ | Json.Bool _ | Json.String _ | Json.Null -> ()
-  in
-  go "" json;
-  List.rev !out
-
-let of_json ~source ?(label = "") json = { source; label; metrics = extract json }
+let of_json ~source ?(label = "") json =
+  { source; label; metrics = Diff.flatten ~keep:(fun _ -> true) json }
 
 let load_artifact path =
   Result.map (of_json ~source:(Filename.basename path) ~label:path) (Json.of_file path)
@@ -53,17 +34,22 @@ let run_of_json j =
   in
   { source = str "source"; label = str "label"; metrics }
 
+let naming db e = if String.starts_with ~prefix:db e then e else db ^ ": " ^ e
+
 let append ~db run =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 db in
-  output_string oc (Json.to_string (run_to_json run));
-  output_char oc '\n';
-  close_out oc
+  match
+    Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 db (fun oc ->
+        output_string oc (Json.to_string (run_to_json run));
+        output_char oc '\n')
+  with
+  | () -> Ok ()
+  | exception Sys_error e -> Error (naming db e)
 
 let load_db db =
   if not (Sys.file_exists db) then Ok []
   else
     match In_channel.with_open_text db In_channel.input_lines with
-    | exception Sys_error e -> Error (if String.starts_with ~prefix:db e then e else db ^ ": " ^ e)
+    | exception Sys_error e -> Error (naming db e)
     | lines ->
         let rec go lineno acc = function
           | [] -> Ok (List.rev acc)
@@ -75,27 +61,7 @@ let load_db db =
         in
         go 1 [] lines
 
-(* -- drift ---------------------------------------------------------- *)
-
-let rel_drift a b = Float.abs (a -. b) /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
-
-let compare_runs ~tolerance ~prev ~cur =
-  let prev_tbl = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace prev_tbl k v) prev.metrics;
-  List.filter_map
-    (fun (metric, c) ->
-      match Hashtbl.find_opt prev_tbl metric with
-      | None -> None (* a new metric is growth, not drift *)
-      | Some p ->
-          let rel = rel_drift p c in
-          if rel > tolerance then Some { metric; prev = p; cur = c; rel } else None)
-    cur.metrics
-
 let latest_drift ~tolerance runs =
   match List.rev runs with
-  | cur :: prev :: _ -> Some (prev, cur, compare_runs ~tolerance ~prev ~cur)
+  | cur :: prev :: _ -> Some (prev, cur, Diff.compare_flat ~tolerance prev.metrics cur.metrics)
   | _ -> None
-
-let pp_drift fmt d =
-  Format.fprintf fmt "%-40s %14.2f -> %-14.2f (%+.0f%%)" d.metric d.prev d.cur
-    ((d.cur -. d.prev) /. Float.max (Float.abs d.prev) 1e-9 *. 100.0)

@@ -3,6 +3,7 @@ module History = Sbft_spec.History
 module Regularity = Sbft_spec.Regularity
 module Regularity_oracle = Sbft_spec.Regularity_oracle
 module Rng = Sbft_sim.Rng
+module Diff = Sbft_analysis.Diff
 
 type checker = {
   hist_ops : int;
@@ -428,99 +429,46 @@ let pp fmt r =
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison: the CI regression gate. *)
 
-type regression = { metric : string; baseline : float; current : float; ratio : float }
+(* Gated paths of {!to_json}.  A relative row regresses when it is not
+   [Ok] in the worse direction. *)
+type better = Higher | Lower
 
-type comparison = { regressions : regression list; ungated : string list }
+let relative_gates r =
+  [
+    ("engine.events_per_s", Higher);
+    ("fuzz.schedules_per_s", Higher);
+    ("checker.sweep_us_per_history", Lower);
+    ("tracing_overhead.off_events_per_s", Higher);
+    ("series_overhead.on_events_per_s", Higher);
+    ("loadgen_overhead.open_ops_per_s", Higher);
+  ]
+  @ List.map
+      (fun row -> (Printf.sprintf "fuzz_parallel.domains_%d.schedules_per_s" row.domains, Higher))
+      r.fuzz_parallel
 
-let number json path =
-  let rec go json = function
-    | [] -> ( match json with J.Float f -> Some f | J.Int i -> Some (float_of_int i) | _ -> None)
-    | k :: rest -> ( match J.member k json with Some v -> go v rest | None -> None)
-  in
-  go json path
+(* Absolute budgets in percent, independent of machine speed: the
+   streaming series + detector and the open-loop generator must each
+   cost <=5% throughput.  The baseline's own value is not compared —
+   its presence only says the baseline is new enough to carry the row. *)
+let absolute_caps =
+  [ ("series_overhead.overhead_pct", 5.0); ("loadgen_overhead.overhead_pct", 5.0) ]
 
 let compare_to_baseline ~tolerance ~baseline r =
-  (* Higher is better for every gated metric, so normalize the checker
-     latency to a throughput before comparing. *)
-  let gates =
-    [
-      ("engine.events_per_s", number baseline [ "engine"; "events_per_s" ], r.engine_events_per_s);
-      ("fuzz.schedules_per_s", number baseline [ "fuzz"; "schedules_per_s" ], r.fuzz_schedules_per_s);
-      ( "checker.histories_per_s",
-        Option.map (fun us -> 1e6 /. us) (number baseline [ "checker"; "sweep_us_per_history" ]),
-        1e6 /. r.checker.sweep_us );
-      ( "tracing.off_events_per_s",
-        number baseline [ "tracing_overhead"; "off_events_per_s" ],
-        r.overhead.off_events_per_s );
-      ( "series.on_events_per_s",
-        number baseline [ "series_overhead"; "on_events_per_s" ],
-        r.series.on_events_per_s );
-      ( "loadgen.open_ops_per_s",
-        number baseline [ "loadgen_overhead"; "open_ops_per_s" ],
-        r.loadgen.open_ops_per_s );
-    ]
-    @ List.map
-        (fun row ->
-          ( Printf.sprintf "fuzz_parallel.schedules_per_s_%dd" row.domains,
-            number baseline
-              [ "fuzz_parallel"; Printf.sprintf "domains_%d" row.domains; "schedules_per_s" ],
-            row.schedules_per_s ))
-        r.fuzz_parallel
+  let gates = relative_gates r in
+  let keep p = List.mem_assoc p gates || List.mem_assoc p absolute_caps in
+  let rep =
+    Diff.compare_flat ~tolerance (Diff.flatten ~keep baseline) (Diff.flatten ~keep (to_json r))
   in
-  (* A gate silently skipping a metric absent from the baseline is how
-     a renamed metric sneaks past CI (PR 6's bug): collect the skipped
-     names so callers can print them loudly — and fail under strict
-     mode — instead of reporting a clean pass. *)
-  let ungated =
-    List.filter_map
-      (fun (metric, base, _) ->
-        match base with None | Some 0.0 -> Some metric | Some _ -> None)
-      gates
+  let judge (row : Diff.row) =
+    match (List.assoc_opt row.path absolute_caps, row.a, row.b) with
+    | Some cap, Some _, Some cur ->
+        let verdict = if cur > cap then Diff.Fail else Diff.Ok in
+        { row with a = Some cap; rel = Diff.rel cap cur; verdict }
+    | None, Some base, Some cur ->
+        let worse =
+          match List.assoc row.path gates with Higher -> cur < base | Lower -> cur > base
+        in
+        if worse then row else { row with verdict = Diff.Ok }
+    | _ -> row
   in
-  let relative =
-    List.filter_map
-      (fun (metric, base, current) ->
-        match base with
-        | None | Some 0.0 -> None (* absent from baseline: reported via [ungated] *)
-        | Some base ->
-            let ratio = current /. base in
-            if ratio < 1.0 -. tolerance then Some { metric; baseline = base; current; ratio }
-            else None)
-      gates
-  in
-  (* Absolute bound, not baseline-relative: the streaming pipeline must
-     cost <5% engine throughput (the ISSUE's target), only checked when
-     the baseline already carries a series row (older baselines
-     predate the pipeline). *)
-  let series_cap = 5.0 in
-  let absolute =
-    match number baseline [ "series_overhead"; "overhead_pct" ] with
-    | Some _ when r.series.series_overhead_pct > series_cap ->
-        [
-          {
-            metric = "series.overhead_pct";
-            baseline = series_cap;
-            current = r.series.series_overhead_pct;
-            ratio = r.series.series_overhead_pct /. series_cap;
-          };
-        ]
-    | _ -> []
-  in
-  (* Same shape for the open-loop generator: its machinery must cost
-     <=5% throughput vs. the closed-loop driver at equal completed-op
-     count, gated absolutely once the baseline carries the row. *)
-  let loadgen_cap = 5.0 in
-  let loadgen_abs =
-    match number baseline [ "loadgen_overhead"; "overhead_pct" ] with
-    | Some _ when r.loadgen.loadgen_overhead_pct > loadgen_cap ->
-        [
-          {
-            metric = "loadgen.overhead_pct";
-            baseline = loadgen_cap;
-            current = r.loadgen.loadgen_overhead_pct;
-            ratio = r.loadgen.loadgen_overhead_pct /. loadgen_cap;
-          };
-        ]
-    | _ -> []
-  in
-  { regressions = relative @ absolute @ loadgen_abs; ungated }
+  Diff.of_rows (List.map judge rep.rows)

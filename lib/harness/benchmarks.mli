@@ -1,14 +1,15 @@
 (** Throughput benchmarks and the perf-regression gate.
 
-    Three rates cover the hot paths the fuzz/explore loops are bounded
-    by (ROADMAP: "as fast as the hardware allows"):
+    Five measurements cover the hot paths the fuzz/explore loops are
+    bounded by (ROADMAP: "as fast as the hardware allows"):
 
     - {b engine events/sec} — end-to-end simulator throughput on a
       fixed mixed scenario, counted in fired thunks
       ({!Sbft_sim.Engine.events_fired}) so the same yardstick exists at
       every trace level;
     - {b fuzz schedules/sec} — full campaign iterations per second
-      (execute + coverage + corpus bookkeeping);
+      (execute + coverage + corpus bookkeeping), sequential and at
+      1/2/4/8 domains;
     - {b checker µs per 10k-op history} — one sweep-based
       {!Sbft_spec.Regularity.check} over a synthetic steady-state
       audit history, with the retired scan
@@ -17,14 +18,17 @@
     - {b tracing overhead} — the same scenario with the trace dial at
       [Off] / [Sampled] / [On], quantifying what observability costs
       (the [Off] fast path is required to stay within a few percent of
-      a build with no observability at all).
+      a build with no observability at all);
+    - {b series and loadgen overhead} — a kv run with the streaming
+      series + detector on vs. off, and the open-loop generator vs.
+      the closed-loop driver, each held to an absolute 5% budget.
 
     Wall-clock timed ({!Clock}), deterministic workloads (fixed seeds);
     only the timings vary run to run.  [sbftreg bench] and
     [bench/main.exe --json] both emit {!to_json}, and
     {!compare_to_baseline} implements the CI gate that fails on a >30%
     throughput regression against the committed baseline
-    ([BENCH_PR6.json]). *)
+    ([BENCH_PR10.json]). *)
 
 type checker = {
   hist_ops : int;
@@ -97,35 +101,21 @@ val to_json : t -> Sbft_sim.Json.t
 
 val pp : Format.formatter -> t -> unit
 
-type regression = {
-  metric : string;
-  baseline : float;
-  current : float;
-  ratio : float;  (** current / baseline, < 1 - tolerance *)
-}
-
-type comparison = {
-  regressions : regression list;  (** empty = gate passes *)
-  ungated : string list;
-      (** metrics measured now but absent from (or zero in) the
-          baseline: each is NEW and {e not} gated — callers must surface
-          these loudly, since a renamed metric otherwise sails past CI
-          as a clean pass *)
-}
-
-val compare_to_baseline : tolerance:float -> baseline:Sbft_sim.Json.t -> t -> comparison
-(** Gate on the relative rates: engine events/sec, fuzz schedules/sec,
-    parallel-fuzz schedules/sec per domain-count row, checker
-    throughput (1e6 / sweep µs), tracing-off events/sec (the no-op
-    fast path must not silently grow a cost) and series-on kv
-    events/sec.  A metric regresses when
-    [current < (1 - tolerance) * baseline]; metrics missing from the
-    baseline are returned in [ungated] rather than silently skipped —
-    so pre-PR6 baselines only gate the first three, and BENCH_PR5-era
-    engine numbers (emitted-event based, strictly lower than
-    fired-thunk counts) can never false-fail.
-    Additionally, when the baseline carries a series row, the series
-    overhead is gated {e absolutely} at 5% — the streaming pipeline's
-    hot-path budget, independent of machine speed — and likewise the
-    open-loop generator's overhead vs. the closed-loop driver at equal
-    completed-op count once the baseline carries a loadgen row. *)
+val compare_to_baseline :
+  tolerance:Sbft_analysis.Diff.tolerance ->
+  baseline:Sbft_sim.Json.t ->
+  t ->
+  Sbft_analysis.Diff.report
+(** The CI gate, a front-end over {!Sbft_analysis.Diff}: flatten the
+    baseline and {!to_json} down to the gated paths and band them.
+    Gated relatively, each in its worse direction: engine events/sec,
+    fuzz schedules/sec, each [fuzz_parallel] domain row, checker
+    [sweep_us_per_history] (lower is better), tracing-off events/sec
+    (the no-op fast path must not silently grow a cost), series-on kv
+    events/sec and open-loop generator ops/sec.  A row moving the
+    better way is [Ok] however far it moves.  The series and loadgen
+    [overhead_pct] rows are gated absolutely instead: [a] is the 5%
+    budget and the row [Fail]s beyond it.  {!Sbft_analysis.Diff.drifted}
+    is then exactly the regressions; a gated path missing from the
+    baseline is a [NEW] row, so a renamed metric cannot pass as
+    clean. *)

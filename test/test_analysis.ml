@@ -156,6 +156,8 @@ let artifact ?(sent = 100) ?(violations = 0) ?(p95 = 40.0) () =
       ("per_node", J.List [ J.Obj [ ("id", J.Int 0); ("sent", J.Int 50) ] ]);
     ]
 
+let tol t = Result.get_ok (Diff.tolerance t)
+
 let test_diff_verdicts () =
   let same = Diff.compare (artifact ()) (artifact ()) in
   Alcotest.(check bool) "identical ok" true (same.worst = Diff.Ok);
@@ -169,9 +171,14 @@ let test_diff_verdicts () =
   let viol = Diff.compare (artifact ()) (artifact ~violations:1 ()) in
   let row = List.find (fun (r : Diff.row) -> r.path = "regularity.violations") viol.rows in
   Alcotest.(check bool) "one extra violation fails" true (row.verdict = Diff.Fail);
-  (* tolerance is adjustable *)
-  let strict = Diff.compare ~tolerance:0.01 (artifact ()) (artifact ~sent:110 ()) in
-  Alcotest.(check bool) "strict tolerance flags 10%" true (strict.worst <> Diff.Ok)
+  (* tolerance is adjustable, but only to a finite non-negative value *)
+  let strict = Diff.compare ~tolerance:(tol 0.01) (artifact ()) (artifact ~sent:110 ()) in
+  Alcotest.(check bool) "strict tolerance flags 10%" true (strict.worst <> Diff.Ok);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (Printf.sprintf "tolerance %g rejected" t) true
+        (Result.is_error (Diff.tolerance t)))
+    [ Float.nan; Float.infinity; -0.1 ]
 
 let test_diff_scope () =
   let rep = Diff.compare (artifact ()) (artifact ()) in
@@ -180,9 +187,84 @@ let test_diff_scope () =
   (* per-node rows and histogram bounds arrays are shapes, not scalars *)
   Alcotest.(check bool) "per_node not compared" true
     (not (List.exists (fun p -> String.length p >= 8 && String.sub p 0 8 = "per_node") paths));
-  (* a key on one side only is a warning, not a crash *)
+  (* a key on one side only is a warning, not a crash, and is never dropped *)
   let missing = Diff.compare (artifact ()) (J.Obj [ ("counters", J.Obj []) ]) in
-  Alcotest.(check bool) "one-sided keys warn" true (missing.worst = Diff.Warn)
+  Alcotest.(check bool) "one-sided keys warn" true (missing.worst = Diff.Warn);
+  Alcotest.(check (list string)) "every baseline path is a GONE row"
+    (List.map (fun _ -> "GONE") rep.rows)
+    (List.map Diff.label missing.rows);
+  let added =
+    Diff.compare_flat ~tolerance:(tol 0.2) [ ("b", 1.0) ] [ ("a", 1.0); ("b", 1.0); ("c", 2.0) ]
+  in
+  Alcotest.(check (list (pair string string))) "merge walk: sorted, NEW on either end"
+    [ ("a", "NEW"); ("b", "ok"); ("c", "NEW") ]
+    (List.map (fun (r : Diff.row) -> (r.path, Diff.label r)) added.rows)
+
+(* ------------------------------------------------------------------ *)
+(* bench baseline gate *)
+
+module B = Sbft_harness.Benchmarks
+
+let bench ?(events = 1000.0) ?(sweep_us = 100.0) ?(series_pct = 1.0) ?(loadgen_pct = 1.0) () =
+  {
+    B.engine_events_per_s = events;
+    engine_runs = 1;
+    fuzz_schedules_per_s = 50.0;
+    fuzz_executed = 10;
+    fuzz_parallel = [ { B.domains = 1; schedules_per_s = 40.0; executed = 10 } ];
+    checker =
+      {
+        B.hist_ops = 10;
+        hist_writes = 1;
+        hist_reads = 9;
+        sweep_us;
+        oracle_us = 1e4;
+        speedup = 100.0;
+      };
+    overhead =
+      {
+        B.off_events_per_s = 2000.0;
+        sampled_events_per_s = 1500.0;
+        full_events_per_s = 1000.0;
+        sampled_overhead_pct = 25.0;
+        full_overhead_pct = 50.0;
+      };
+    series =
+      { B.base_events_per_s = 900.0; on_events_per_s = 890.0; series_overhead_pct = series_pct };
+    loadgen =
+      {
+        B.closed_ops_per_s = 100.0;
+        open_ops_per_s = 99.0;
+        loadgen_overhead_pct = loadgen_pct;
+        ops_per_run = 120;
+      };
+  }
+
+let test_bench_gate () =
+  let baseline = B.to_json (bench ()) in
+  let gate ?(baseline = baseline) r = B.compare_to_baseline ~tolerance:(tol 0.3) ~baseline r in
+  let regressed r = List.map (fun (row : Diff.row) -> row.path) (Diff.drifted (gate r)) in
+  Alcotest.(check (list string)) "identical passes" [] (regressed (bench ()));
+  Alcotest.(check (list string)) "31% events drop regresses" [ "engine.events_per_s" ]
+    (regressed (bench ~events:690.0 ()));
+  Alcotest.(check (list string)) "31% sweep rise regresses" [ "checker.sweep_us_per_history" ]
+    (regressed (bench ~sweep_us:(100.0 /. 0.69) ()));
+  Alcotest.(check (list string)) "50% rate rise passes" [] (regressed (bench ~events:1500.0 ()));
+  let without_engine =
+    match baseline with
+    | J.Obj kvs -> J.Obj (List.remove_assoc "engine" kvs)
+    | j -> j
+  in
+  Alcotest.(check (list (pair string string))) "gated path missing from the baseline is NEW"
+    [ ("engine.events_per_s", "NEW") ]
+    (List.filter_map
+       (fun (row : Diff.row) ->
+         if row.verdict = Diff.Ok then None else Some (row.path, Diff.label row))
+       (gate ~baseline:without_engine (bench ())).rows);
+  Alcotest.(check (list string)) "series overhead over budget" [ "series_overhead.overhead_pct" ]
+    (regressed (bench ~series_pct:5.1 ()));
+  Alcotest.(check (list string)) "loadgen overhead over budget" [ "loadgen_overhead.overhead_pct" ]
+    (regressed (bench ~loadgen_pct:5.1 ()))
 
 (* ------------------------------------------------------------------ *)
 (* telemetry *)
@@ -275,6 +357,7 @@ let suite =
     Alcotest.test_case "DOT and ASCII renderings" `Quick test_renderings;
     Alcotest.test_case "diff verdict thresholds" `Quick test_diff_verdicts;
     Alcotest.test_case "diff comparable scope" `Quick test_diff_scope;
+    Alcotest.test_case "bench baseline gate" `Quick test_bench_gate;
     Alcotest.test_case "telemetry snapshots and series" `Quick test_telemetry;
     Alcotest.test_case "telemetry disabled" `Quick test_telemetry_disabled;
   ]

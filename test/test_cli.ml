@@ -42,8 +42,8 @@ let temp_dir name =
 let check_exit msg expected code = Alcotest.(check int) msg expected code
 
 (* diff: identical artifacts exit 0; a warn-range drift exits 0 but is
-   printed; a beyond-3x drift exits 2; an unreadable artifact (here a
-   directory) is a typed error naming it, exit 1. *)
+   printed; a beyond-3x drift exits 2; a nan tolerance or an unreadable
+   artifact (here a directory) is a typed error naming it, exit 1. *)
 let test_diff_exit_codes () =
   let m = temp "metrics" ".json" in
   check_exit "run produces metrics" 0
@@ -59,6 +59,10 @@ let test_diff_exit_codes () =
      replace_once low ~sub:"warn" ~by:"" <> low);
   write_file b {|{"counters":{"x":500}}|};
   check_exit "beyond 3x tolerance exits 2" 2 (sh "%s diff %s %s >/dev/null 2>&1" exe a b);
+  check_exit "nan tolerance exits 1" 1 (sh "%s diff %s %s --tolerance nan > %s 2>&1" exe a b out);
+  Alcotest.(check bool) "the error names the flag" true
+    (let o = read_file out in
+     replace_once o ~sub:"--tolerance" ~by:"" <> o);
   let dir = temp_dir "diffdir" in
   check_exit "a directory artifact exits 1" 1 (sh "%s diff %s %s > %s 2>&1" exe dir b out);
   Alcotest.(check bool) "the error names the directory" true
@@ -182,23 +186,34 @@ let test_spans_exit_codes () =
   write_file empty (header ^ "\n");
   check_exit "span-free trace exits 1" 1 (sh "%s spans %s >/dev/null 2>&1" exe empty)
 
-(* trends: identical runs are quiet; a >tolerance drift exits 1; the
-   database accumulates appended runs.  Hostile inputs — a directory
-   posing as a .json artifact, a malformed database line — are typed
-   errors naming the file (and line), exit 1. *)
+(* trends: identical runs are quiet; a >tolerance drift exits 1 and
+   prints the relative difference it gated on; a metric on one side
+   only is printed but does not fail; the database accumulates appended
+   runs.  Hostile inputs — a bad tolerance, a directory posing as a
+   .json artifact, a malformed or unwritable database — are typed
+   errors naming the flag or file (and line), exit 1. *)
 let test_trends_exit_codes () =
   let a = temp "trenda" ".json" and b = temp "trendb" ".json" in
-  write_file a {|{"counters":{"ops":100},"kv":{"put_ticks":25.0}}|};
+  write_file a {|{"counters":{"ops":100},"kv":{"put_ticks":25.0,"retired":1}}|};
   write_file b {|{"counters":{"ops":110},"kv":{"put_ticks":26.0}}|};
-  check_exit "within tolerance exits 0" 0 (sh "%s trends %s %s >/dev/null 2>&1" exe a b);
+  check_exit "within tolerance (and a GONE metric) exits 0" 0
+    (sh "%s trends %s %s >/dev/null 2>&1" exe a b);
   write_file b {|{"counters":{"ops":100},"kv":{"put_ticks":60.0}}|};
   let out = temp "trendsout" ".txt" in
   check_exit "beyond-tolerance drift exits 1" 1 (sh "%s trends %s %s > %s 2>&1" exe a b out);
-  Alcotest.(check bool) "drifted metric named" true
-    (let o = read_file out in
-     replace_once o ~sub:"kv.put_ticks" ~by:"" <> o);
+  let printed needle =
+    let o = read_file out in
+    replace_once o ~sub:needle ~by:"" <> o
+  in
+  Alcotest.(check bool) "drifted metric named" true (printed "kv.put_ticks");
+  (* 25 -> 60 is printed as the symmetric difference the gate measured *)
+  Alcotest.(check bool) "gated percentage printed" true (printed "58.3%");
+  Alcotest.(check bool) "metric only in the older run printed as GONE" true
+    (printed "GONE kv.retired");
   check_exit "wider tolerance accepts the same pair" 0
     (sh "%s trends %s %s --tolerance 2.0 >/dev/null 2>&1" exe a b);
+  check_exit "nan tolerance exits 1" 1 (sh "%s trends %s %s --tolerance nan > %s 2>&1" exe a b out);
+  Alcotest.(check bool) "the error names the flag" true (printed "--tolerance");
   (* database mode: appends accumulate, latest pair drives the verdict *)
   let db = temp "trendsdb" ".jsonl" in
   Sys.remove db;
@@ -220,7 +235,11 @@ let test_trends_exit_codes () =
   output_string oc "{not json\n";
   close_out oc;
   check_exit "a malformed db line exits 1" 1 (sh "%s trends %s --db %s > %s 2>&1" exe a db out);
-  Alcotest.(check bool) "the error names the db line" true (names "line 3")
+  Alcotest.(check bool) "the error names the db line" true (names "line 3");
+  let unwritable = Filename.concat d "missing/runs.jsonl" in
+  check_exit "an unwritable db exits 1" 1
+    (sh "%s trends %s --db %s > %s 2>&1" exe a unwritable out);
+  Alcotest.(check bool) "the error names the db" true (names unwritable)
 
 (* kv -> report pipeline and the live dashboard: a faulted kv run
    writes a streaming artifact, report renders it to HTML, watch emits

@@ -4,6 +4,7 @@ module E = Sbft_sim.Event
 module Json = Sbft_sim.Json
 module Spans = Sbft_analysis.Spans
 module Trends = Sbft_analysis.Trends
+module Diff = Sbft_analysis.Diff
 module Scenario = Sbft_harness.Scenario
 
 (* ------------------------------------------------------------------ *)
@@ -202,47 +203,66 @@ let metrics_json puts ticks =
     ]
 
 let test_trends_extract () =
-  let m = Trends.extract (metrics_json 100 25.0) in
+  let run = Trends.of_json ~source:"a" (metrics_json 100 25.0) in
   Alcotest.(check (list (pair string (float 0.0001))))
     "numeric leaves, dotted paths, lists and strings skipped"
     [ ("run.ops", 100.0); ("kv.put_ticks", 25.0) ]
-    m
+    run.metrics
+
+let tol = Result.get_ok (Diff.tolerance 0.3)
+
+let drift prev cur =
+  match Trends.latest_drift ~tolerance:tol [ prev; cur ] with
+  | Some (_, _, rep) -> rep
+  | None -> Alcotest.fail "expected a comparison"
 
 let test_trends_drift () =
   let prev = Trends.of_json ~source:"a" (metrics_json 100 25.0) in
   (* 10% drift on ops: under a 30% tolerance *)
   let cur = Trends.of_json ~source:"b" (metrics_json 110 25.0) in
-  Alcotest.(check int) "small drift passes" 0
-    (List.length (Trends.compare_runs ~tolerance:0.3 ~prev ~cur));
+  Alcotest.(check int) "small drift passes" 0 (List.length (Diff.drifted (drift prev cur)));
   (* 2x on put_ticks: flags *)
   let cur = Trends.of_json ~source:"c" (metrics_json 100 50.0) in
-  (match Trends.compare_runs ~tolerance:0.3 ~prev ~cur with
+  (match Diff.drifted (drift prev cur) with
   | [ d ] ->
-      Alcotest.(check string) "metric" "kv.put_ticks" d.Trends.metric;
-      Alcotest.(check bool) "rel = 50%" true (Float.abs (d.Trends.rel -. 0.5) < 1e-9)
+      Alcotest.(check string) "metric" "kv.put_ticks" d.path;
+      Alcotest.(check bool) "rel = 50%" true (Float.abs (d.rel -. 0.5) < 1e-9)
   | ds -> Alcotest.failf "expected one drift, got %d" (List.length ds));
-  (* a metric only in cur is growth, not drift *)
+  (* a metric only in cur is a NEW row: printed, but not drift *)
   let cur =
     { Trends.source = "d"; label = ""; metrics = [ ("run.ops", 100.0); ("new.thing", 9.0) ] }
   in
-  Alcotest.(check int) "new metrics ignored" 0
-    (List.length (Trends.compare_runs ~tolerance:0.3 ~prev ~cur))
+  let rep = drift prev cur in
+  Alcotest.(check int) "new metrics do not fail" 0 (List.length (Diff.drifted rep));
+  Alcotest.(check (list string)) "new and gone rows kept" [ "GONE"; "NEW" ]
+    (List.filter_map
+       (fun (r : Diff.row) ->
+         if r.path = "new.thing" || r.path = "kv.put_ticks" then Some (Diff.label r) else None)
+       rep.rows)
 
 let test_trends_db () =
   let db = Filename.temp_file "sbft_trends" ".jsonl" in
   Sys.remove db;
   let load db = match Trends.load_db db with Ok runs -> runs | Error e -> Alcotest.fail e in
+  let append run = match Trends.append ~db run with Ok () -> () | Error e -> Alcotest.fail e in
   Alcotest.(check int) "missing db is empty" 0 (List.length (load db));
-  Trends.append ~db (Trends.of_json ~source:"r1" (metrics_json 100 25.0));
-  Trends.append ~db (Trends.of_json ~source:"r2" (metrics_json 100 60.0));
-  (match Trends.latest_drift ~tolerance:0.3 (load db) with
-  | Some (prev, cur, [ d ]) ->
+  let r1 = Trends.of_json ~source:"r1" (metrics_json 100 25.0) in
+  append r1;
+  append (Trends.of_json ~source:"r2" (metrics_json 100 60.0));
+  (match load db with
+  | [ r1'; _ ] -> Alcotest.(check bool) "run round-trips" true (r1 = r1')
+  | runs -> Alcotest.failf "expected two runs, got %d" (List.length runs));
+  (match Trends.latest_drift ~tolerance:tol (load db) with
+  | Some (prev, cur, rep) -> (
       Alcotest.(check string) "prev" "r1" prev.Trends.source;
       Alcotest.(check string) "cur" "r2" cur.Trends.source;
-      Alcotest.(check string) "drifted metric" "kv.put_ticks" d.Trends.metric
-  | Some (_, _, ds) -> Alcotest.failf "expected one drift, got %d" (List.length ds)
+      match Diff.drifted rep with
+      | [ d ] -> Alcotest.(check string) "drifted metric" "kv.put_ticks" d.path
+      | ds -> Alcotest.failf "expected one drift, got %d" (List.length ds))
   | None -> Alcotest.fail "expected a comparison");
-  Sys.remove db
+  Sys.remove db;
+  Alcotest.(check bool) "unwritable db is an error" true
+    (Result.is_error (Trends.append ~db:(Filename.concat db "runs.jsonl") r1))
 
 (* ------------------------------------------------------------------ *)
 
