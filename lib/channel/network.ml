@@ -20,19 +20,22 @@ type 'msg t = {
   rng : Rng.t;
   delay : Delay.t;
   handlers : 'msg handler option array;
-  last_delivery : int array;
-  (* index [src * n + dst]: last scheduled delivery time on that channel;
+  frontier : int array array;
+  (* [frontier.(src).(dst)]: last scheduled delivery time on that channel;
      later sends are never scheduled at or before it, which is what makes
-     every channel FIFO regardless of the delay policy. *)
-  slow : int array;
+     every channel FIFO regardless of the delay policy.  A sender's row
+     is allocated on its first transmission (the empty array until then),
+     so channel state follows the endpoints that actually talk. *)
+  mutable slow : int array; (* [src * n + dst]; empty (all 1) until the first [set_slow] *)
   mutable tamper : (src:int -> dst:int -> 'msg -> 'msg option) option;
   classify : ('msg -> string) option;
   down : bool array;
   mutable queued : int;
   transport : transport;
   links : (int * 'msg) Datalink.t option array;
-  (* lazily built per directed channel; the payload carries the span id
-     of the send so attribution survives the data-link's own queueing *)
+  (* [src * n + dst], empty unless [Over_datalink]; each link is built on
+     its channel's first send.  The payload carries the span id of the
+     send so attribution survives the data-link's own queueing. *)
   mutable groups : int array option; (* partition: group id per endpoint *)
   mutable span_ctx : int;
   (* the span id of the operation currently executing: [send] stamps it
@@ -62,14 +65,17 @@ let create engine ~endpoints ?(servers = 0) ~delay ?classify ?(transport = Direc
     rng = Rng.split (Engine.rng engine);
     delay;
     handlers = Array.make endpoints None;
-    last_delivery = Array.make (endpoints * endpoints) 0;
-    slow = Array.make (endpoints * endpoints) 1;
+    frontier = Array.make endpoints [||];
+    slow = [||];
     tamper = None;
     classify;
     down = Array.make endpoints false;
     queued = 0;
     transport;
-    links = Array.make (endpoints * endpoints) None;
+    links =
+      (match transport with
+      | Direct -> [||]
+      | Over_datalink _ -> Array.make (endpoints * endpoints) None);
     groups = None;
     span_ctx = Event.no_span;
     parked_q = Queue.create ();
@@ -95,7 +101,11 @@ let crash t id = t.down.(id) <- true
 
 let crashed t id = t.down.(id)
 
-let set_slow t ~src ~dst ~factor = t.slow.(chan t ~src ~dst) <- max 1 factor
+let set_slow t ~src ~dst ~factor =
+  if Array.length t.slow = 0 then t.slow <- Array.make (t.n * t.n) 1;
+  t.slow.(chan t ~src ~dst) <- max 1 factor
+
+let slow_factor t ~src ~dst = if Array.length t.slow = 0 then 1 else t.slow.(chan t ~src ~dst)
 
 let set_slow_node t id ~factor =
   for other = 0 to t.n - 1 do
@@ -107,10 +117,18 @@ let set_tamper t hook = t.tamper <- hook
 
 let current_span t = t.span_ctx
 
+(* A plain save/restore: [Fun.protect] would allocate two more
+   closures on every protocol phase. *)
 let with_span t span f =
   let saved = t.span_ctx in
   t.span_ctx <- span;
-  Fun.protect ~finally:(fun () -> t.span_ctx <- saved) f
+  match f () with
+  | v ->
+      t.span_ctx <- saved;
+      v
+  | exception e ->
+      t.span_ctx <- saved;
+      raise e
 
 let observe t hook = t.observer <- hook
 
@@ -133,33 +151,55 @@ let drop t ~span ~src ~dst ~kind reason =
   if Trace.enabled tr then
     Trace.emit tr ~time:(Engine.now t.engine) (Event.Msg_dropped { src; dst; kind; reason; span })
 
+(* Hand [payload] (the sent [msg], or what the tamper hook made of it)
+   to [dst]'s handler with [span] installed.  Allocation-free: the span
+   is saved and restored inline instead of through a [with_span]
+   closure. *)
+let dispatch t ~span ~src ~dst msg payload =
+  match t.handlers.(dst) with
+  | None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "no_handler"
+  | Some h ->
+      Metrics.counter_incr t.delivered_c;
+      t.node_delivered.(dst) <- t.node_delivered.(dst) + 1;
+      let tr = Engine.trace t.engine in
+      if Trace.enabled tr then
+        Trace.emit tr ~time:(Engine.now t.engine)
+          (Event.Msg_delivered { src; dst; kind = kind_of t payload; span });
+      notify t `Deliver ~src ~dst payload;
+      Profile.enter t.profile (if dst < t.servers then Profile.Server_step else Profile.Client_step);
+      let saved = t.span_ctx in
+      t.span_ctx <- span;
+      (match h ~src payload with
+      | () -> t.span_ctx <- saved
+      | exception e ->
+          t.span_ctx <- saved;
+          raise e);
+      Profile.leave t.profile
+
 let deliver t ~span ~src ~dst msg =
-  let tr = Engine.trace t.engine in
   Profile.enter t.profile Profile.Delivery;
   (if t.down.(dst) then drop t ~span ~src ~dst ~kind:(kind_of t msg) "crashed"
    else
-     let kept = match t.tamper with None -> Some msg | Some hook -> hook ~src ~dst msg in
-     match kept, t.handlers.(dst) with
-     | Some payload, Some h ->
-         Metrics.counter_incr t.delivered_c;
-         t.node_delivered.(dst) <- t.node_delivered.(dst) + 1;
-         if Trace.enabled tr then
-           Trace.emit tr ~time:(Engine.now t.engine)
-             (Event.Msg_delivered { src; dst; kind = kind_of t payload; span });
-         notify t `Deliver ~src ~dst payload;
-         Profile.enter t.profile
-           (if dst < t.servers then Profile.Server_step else Profile.Client_step);
-         with_span t span (fun () -> h ~src payload);
-         Profile.leave t.profile
-     | None, _ -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "tampered"
-     | Some _, None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "no_handler");
+     match t.tamper with
+     | None -> dispatch t ~span ~src ~dst msg msg
+     | Some hook -> (
+         match hook ~src ~dst msg with
+         | Some payload -> dispatch t ~span ~src ~dst msg payload
+         | None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "tampered"));
   Profile.leave t.profile
 
 let enqueue t ~span ~src ~dst ~delay_ticks msg =
-  let c = chan t ~src ~dst in
+  let row =
+    match t.frontier.(src) with
+    | [||] ->
+        let row = Array.make t.n 0 in
+        t.frontier.(src) <- row;
+        row
+    | row -> row
+  in
   let now = Engine.now t.engine in
-  let at = max (now + max 1 delay_ticks) (t.last_delivery.(c) + 1) in
-  t.last_delivery.(c) <- at;
+  let at = max (now + max 1 delay_ticks) (row.(dst) + 1) in
+  row.(dst) <- at;
   t.queued <- t.queued + 1;
   Engine.schedule t.engine ~delay:(at - now) (fun () ->
       t.queued <- t.queued - 1;
@@ -186,10 +226,10 @@ let partitioned t ~src ~dst =
 let transmit_now t ~span ~src ~dst msg =
   match t.transport with
   | Direct ->
-      let d = t.delay t.rng ~src ~dst * t.slow.(chan t ~src ~dst) in
+      let d = t.delay t.rng ~src ~dst * slow_factor t ~src ~dst in
       enqueue t ~span ~src ~dst ~delay_ticks:d msg
   | Over_datalink { capacity; loss; max_delay } ->
-      let max_delay = max_delay * t.slow.(chan t ~src ~dst) in
+      let max_delay = max_delay * slow_factor t ~src ~dst in
       Datalink.send (link t ~src ~dst ~capacity ~loss ~max_delay) (span, msg)
 
 let send t ~src ~dst msg =

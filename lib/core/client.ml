@@ -380,25 +380,21 @@ let abandon t =
 
 let create cfg sys net ~id =
   if Config.is_server cfg id then invalid_arg "Client.create: id is a server endpoint";
-  let t =
-    {
-      cfg;
-      sys;
-      net;
-      tr = Engine.trace (Network.engine net);
-      id;
-      wphase = W_idle;
-      rphase = R_idle;
-      wspan = None;
-      rspan = None;
-      op_seq = 0;
-      rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
-      safe = Array.make cfg.n false;
-      replies = Hashtbl.create 16;
-      recent = Hashtbl.create 16;
-      write_ts = None;
-      aborted = 0;
-    }
-  in
-  Network.register net id (fun ~src msg -> handle t ~src msg);
-  t
+  {
+    cfg;
+    sys;
+    net;
+    tr = Engine.trace (Network.engine net);
+    id;
+    wphase = W_idle;
+    rphase = R_idle;
+    wspan = None;
+    rspan = None;
+    op_seq = 0;
+    rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
+    safe = Array.make cfg.n false;
+    replies = Hashtbl.create 16;
+    recent = Hashtbl.create 16;
+    write_ts = None;
+    aborted = 0;
+  }

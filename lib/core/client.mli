@@ -29,8 +29,12 @@ type t
 
 val create :
   Config.t -> Sbft_labels.Sbls.system -> Msg.t Sbft_channel.Network.t -> id:int -> t
-(** Creates the automaton and registers its handler on the network.
-    [id] must be a client endpoint id ([>= n]). *)
+(** Creates the automaton.  [id] must be a client endpoint id
+    ([>= n]).  The caller routes the endpoint's deliveries to
+    {!handle}. *)
+
+val handle : t -> src:int -> Msg.t -> unit
+(** The automaton's receive handler. *)
 
 val id : t -> int
 

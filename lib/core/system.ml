@@ -12,10 +12,20 @@ type t = {
   net : Msg.t Network.t;
   sys : Sbls.system;
   servers : Server.t array;
-  clients : Client.t array;
+  clients : Client.t option array;
+  (* by [id - n], created on first use (see [client] in the interface):
+     an idle client costs one slot and its delivery closure *)
   history : Msg.ts History.t;
   fault_rng : Rng.t;
 }
+
+let client_at t i =
+  match t.clients.(i) with
+  | Some c -> c
+  | None ->
+      let c = Client.create t.cfg t.sys t.net ~id:(t.cfg.n + i) in
+      t.clients.(i) <- Some c;
+      c
 
 let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
     ?(trace_capacity = 4096) ?sample ?sample_seed ?transport ?engine cfg =
@@ -30,9 +40,17 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
   in
   let sys = Sbls.system ~k:cfg.k in
   let servers = Array.init cfg.n (fun id -> Server.create cfg sys net ~id) in
-  let clients = Array.init cfg.clients (fun i -> Client.create cfg sys net ~id:(cfg.n + i)) in
   let fault_rng = Rng.split (Engine.rng engine) in
-  { cfg; engine; net; sys; servers; clients; history = History.create (); fault_rng }
+  let clients = Array.make cfg.clients None in
+  let t = { cfg; engine; net; sys; servers; clients; history = History.create (); fault_rng } in
+  (* Each client endpoint's handler is registered once, here, and
+     creates the automaton at its first message: a Byzantine takeover
+     that replaces the handler is never undone by the automaton's later
+     creation. *)
+  for i = 0 to cfg.clients - 1 do
+    Network.register net (cfg.n + i) (fun ~src msg -> Client.handle (client_at t i) ~src msg)
+  done;
+  t
 
 let config t = t.cfg
 
@@ -49,7 +67,7 @@ let server t id =
 let client t id =
   if Config.is_server t.cfg id || id >= Config.endpoints t.cfg then
     invalid_arg "System.client: not a client id";
-  t.clients.(id - t.cfg.n)
+  client_at t (id - t.cfg.n)
 
 let history t = t.history
 
@@ -88,7 +106,10 @@ let corrupt_channels t ~density =
 
 let corrupt_everything t ~severity =
   Array.iteri (fun id _ -> corrupt_server t id ~severity) t.servers;
-  Array.iter (fun c -> if not (Client.busy c) then Client.corrupt c t.fault_rng) t.clients;
+  for i = 0 to t.cfg.clients - 1 do
+    let c = client_at t i in
+    if not (Client.busy c) then Client.corrupt c t.fault_rng
+  done;
   corrupt_channels t ~density:0.3
 
 let replace_server_handler t id handler =
@@ -102,4 +123,6 @@ let count_holding t ~value ~ts =
   Array.fold_left (fun acc s -> if Server.holds s ~value ~ts then acc + 1 else acc) 0 t.servers
 
 let total_aborted_reads t =
-  Array.fold_left (fun acc c -> acc + Client.aborted_reads c) 0 t.clients
+  Array.fold_left
+    (fun acc -> function Some c -> acc + Client.aborted_reads c | None -> acc)
+    0 t.clients

@@ -47,7 +47,10 @@ val server : t -> int -> Server.t
 (** By endpoint id, [0 <= id < n]. *)
 
 val client : t -> int -> Client.t
-(** By endpoint id, [n <= id < n + clients]. *)
+(** By endpoint id, [n <= id < n + clients].  Client automata are
+    created on their endpoint's first use (this call, an operation, a
+    delivery or {!corrupt_everything}); creation draws no randomness
+    and schedules nothing, so it never changes the run. *)
 
 val history : t -> Msg.ts Sbft_spec.History.t
 

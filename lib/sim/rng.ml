@@ -1,23 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable
+   state : int64] field would box a fresh int64 on every draw, and a
+   draw sits on every message send. *)
+type t = Bytes.t
+
+external get_state : t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let split t =
-  let s = int64 t in
-  { state = s }
+let split t = create (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -30,7 +38,7 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
+let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)
 

@@ -102,6 +102,26 @@ let test_ghost_reader_state_bounded () =
       Alcotest.(check bool) "bounded by clients" true (List.length rr <= 3))
     [ 0; 1; 2; 3; 4; 5 ]
 
+let test_byz_handler_survives_client_creation () =
+  (* Client automata are created on first use; creating one for a
+     compromised endpoint must not reinstall the correct handler.  The
+     Byzantine handlers ignore everything, so a read started on their
+     automata never completes, while an honest client's does. *)
+  let sys = System.create ~seed:9L (Config.make ~n:6 ~f:1 ~clients:3 ()) in
+  Sbft_byz.Byz_client.flood sys ~client:6 ~period:5 ~until:300;
+  Sbft_byz.Byz_client.ghost_reader sys ~client:7;
+  ignore (System.client sys 6);
+  System.corrupt_everything sys ~severity:`Light;
+  System.quiesce sys;
+  let answered = Array.make 3 false in
+  List.iter
+    (fun c -> System.read sys ~client:c ~k:(fun _ -> answered.(c - 6) <- true) ())
+    [ 6; 7; 8 ];
+  System.quiesce sys;
+  Alcotest.(check bool) "flooder keeps its handler" false answered.(0);
+  Alcotest.(check bool) "ghost keeps its handler" false answered.(1);
+  Alcotest.(check bool) "honest client answered" true answered.(2)
+
 (* --- forwarding flag --------------------------------------------------- *)
 
 let test_forwarding_flag_off () =
@@ -144,6 +164,8 @@ let suite =
     Alcotest.test_case "byz client: flood harmless" `Quick test_flooding_reader_harmless;
     Alcotest.test_case "byz client: scrubbed after flood" `Quick test_flooding_cannot_change_server_state;
     Alcotest.test_case "byz client: ghost state bounded" `Quick test_ghost_reader_state_bounded;
+    Alcotest.test_case "byz client: handler survives client creation" `Quick
+      test_byz_handler_survives_client_creation;
     Alcotest.test_case "forwarding flag off" `Quick test_forwarding_flag_off;
     Alcotest.test_case "explorer: default grid clean" `Slow test_explorer_finds_nothing;
     Alcotest.test_case "explorer: catches below-bound" `Slow test_explorer_catches_planted_bug;

@@ -100,6 +100,35 @@ let test_sample_without_replacement () =
   let all = Rng.sample r 99 [ 1; 2; 3 ] in
   Alcotest.(check int) "oversample returns all" 3 (List.length all)
 
+(* The first outputs of every primitive for one seed, pinned: every
+   recorded run, corpus entry and benchmark digest depends on this exact
+   splitmix64 stream, so a change of the generator's representation must
+   leave it untouched. *)
+let test_golden_stream () =
+  let draws k f =
+    let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f () :: acc) in
+    go k []
+  in
+  let r = Rng.create 2015L in
+  Alcotest.(check (list int64)) "int64"
+    [ -1995113226624528835L; 9194104178944181947L; -3769598054196347125L; 8845355517530444354L ]
+    (draws 4 (fun () -> Rng.int64 r));
+  Alcotest.(check (list int)) "int" [ 646674; 45364; 804861; 159590 ]
+    (draws 4 (fun () -> Rng.int r 1_000_000));
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.1e1f7463a8adp-4; 0x1.4388c3cf430b2p-2; 0x1.2d853ae6bf32p-2; 0x1.07323a4ef115cp-3 ]
+    (draws 4 (fun () -> Rng.float r));
+  let s = Rng.split r in
+  Alcotest.(check (list int64)) "split"
+    [ -9072769040182928929L; 3022850561104177515L; 5345422468893858620L ]
+    (draws 3 (fun () -> Rng.int64 s));
+  Alcotest.(check (list int64)) "parent after split" [ 447162724671214148L; 9083068546605268281L ]
+    (draws 2 (fun () -> Rng.int64 r));
+  let c = Rng.copy r in
+  Alcotest.(check int64) "copy" (-5326941603815431796L) (Rng.int64 c);
+  Alcotest.(check int64) "original after copy" (-5326941603815431796L) (Rng.int64 r)
+
 let qcheck_int_bounds =
   QCheck.Test.make ~name:"rng: int always in [0, bound)" ~count:1000
     QCheck.(pair (int_bound 1000) (int_range 1 10_000))
@@ -123,5 +152,6 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "pick singleton" `Quick test_pick_singleton;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
+    Alcotest.test_case "golden splitmix64 stream" `Quick test_golden_stream;
     QCheck_alcotest.to_alcotest qcheck_int_bounds;
   ]

@@ -187,6 +187,37 @@ let test_config_validation () =
   let unsafe = Config.make ~allow_unsafe:true ~n:5 ~f:1 ~clients:1 () in
   Alcotest.(check int) "unsafe config built" 5 unsafe.n
 
+(* A fresh register costs O(n + clients) words beyond its engine:
+   channel and client state appear on first use, not (n + clients)^2 up
+   front. *)
+let test_fresh_footprint_linear () =
+  List.iter
+    (fun clients ->
+      let n = 6 in
+      let sys = make ~n ~clients () in
+      let words =
+        Obj.reachable_words (Obj.repr sys) - Obj.reachable_words (Obj.repr (System.engine sys))
+      in
+      let budget = 32 * (n + clients) in
+      if words > budget then
+        Alcotest.failf "clients=%d: %d words beyond the engine, budget %d" clients words budget)
+    [ 64; 512 ]
+
+(* Garbage in the channel to a client that never ran an operation still
+   reaches a (fresh, correct) automaton: it is delivered, not dropped
+   for want of a handler. *)
+let test_inject_reaches_untouched_client () =
+  let sys = make () in
+  let m = Sbft_sim.Engine.metrics (System.engine sys) in
+  let count name = Sbft_sim.Metrics.get m name in
+  let delivered = count Sbft_sim.Metric_names.net_delivered in
+  let dropped = count Sbft_sim.Metric_names.net_dropped in
+  Sbft_channel.Network.inject (System.network sys) ~src:0 ~dst:8
+    (Msg.garbage (System.label_system sys) (Sbft_sim.Rng.create 3L));
+  System.quiesce sys;
+  Alcotest.(check int) "delivered" (delivered + 1) (count Sbft_sim.Metric_names.net_delivered);
+  Alcotest.(check int) "nothing dropped" dropped (count Sbft_sim.Metric_names.net_dropped)
+
 let suite =
   [
     Alcotest.test_case "write then read" `Quick test_write_then_read;
@@ -204,4 +235,6 @@ let suite =
     Alcotest.test_case "read/write roles independent" `Quick test_read_write_roles_independent;
     Alcotest.test_case "larger deployment n=16" `Quick test_larger_deployment;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "fresh footprint O(n + clients)" `Quick test_fresh_footprint_linear;
+    Alcotest.test_case "inject reaches an untouched client" `Quick test_inject_reaches_untouched_client;
   ]
