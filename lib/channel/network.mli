@@ -49,7 +49,12 @@ val create :
     automata (ids [0 .. servers-1]); handler time at those endpoints is
     charged to [Server_step], the rest to [Client_step].  Default [0]
     (everything counts as client time); irrelevant unless the engine's
-    {!Sbft_sim.Profile} is enabled. *)
+    {!Sbft_sim.Profile} is enabled.
+
+    A fresh network costs O([endpoints]) words.  Per-channel state
+    appears on first use: a sender's delivery frontiers on its first
+    transmission, the slow-factor table on the first {!set_slow}, and
+    the data-link table only under [Over_datalink]. *)
 
 val engine : 'msg t -> Sbft_sim.Engine.t
 
