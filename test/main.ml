@@ -6,6 +6,7 @@ let () =
       ("rng", Test_rng.suite);
       ("heap", Test_heap.suite);
       ("engine", Test_engine.suite);
+      ("schedule", Test_schedule.suite);
       ("metrics+trace", Test_metrics.suite);
       ("metric-names", Test_metric_names.suite);
       ("tracing-levels", Test_tracing_levels.suite);
