@@ -87,6 +87,25 @@ let explorer_point () =
          in
          ignore (reg.check_regular ~after:0 ())))
 
+(* The engine's per-event queue cost at kv's queue depth: each run
+   schedules one event and fires the earliest, so ~170 stay pending,
+   due over the next 20 ticks like kv's network deliveries. *)
+let engine_queue () =
+  let e = Sbft_sim.Engine.create ~seed:1L () in
+  let noop () = () in
+  let d = ref 0 in
+  let next_delay () =
+    d := (!d + 7) mod 20;
+    1 + !d
+  in
+  for _ = 1 to 170 do
+    Sbft_sim.Engine.schedule e ~delay:(next_delay ()) noop
+  done;
+  Test.make ~name:"engine: schedule+fire, ~170 pending"
+    (Staged.stage (fun () ->
+         Sbft_sim.Engine.schedule e ~delay:(next_delay ()) noop;
+         ignore (Sbft_sim.Engine.step e)))
+
 let regularity_check () =
   (* A fixed mixed history, checked repeatedly. *)
   let cfg = Sbft_core.Config.make ~n:6 ~f:1 ~clients:4 () in
@@ -111,6 +130,7 @@ let micro_rows () =
         wtsg_build 21;
         end_to_end 6 1;
         end_to_end 11 2;
+        engine_queue ();
         regularity_check ();
         kv_roundtrip ();
         datalink_burst ();

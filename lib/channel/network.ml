@@ -10,6 +10,8 @@ type 'msg handler = src:int -> 'msg -> unit
 
 type transport = Direct | Over_datalink of { capacity : int; loss : float; max_delay : int }
 
+type 'msg kinds = { index : 'msg -> int; names : string array }
+
 type 'msg t = {
   engine : Engine.t;
   n : int;
@@ -28,7 +30,7 @@ type 'msg t = {
      so channel state follows the endpoints that actually talk. *)
   mutable slow : int array; (* [src * n + dst]; empty (all 1) until the first [set_slow] *)
   mutable tamper : (src:int -> dst:int -> 'msg -> 'msg option) option;
-  classify : ('msg -> string) option;
+  kinds : 'msg kinds option;
   down : bool array;
   mutable queued : int;
   transport : transport;
@@ -52,10 +54,12 @@ type 'msg t = {
   delivered_c : Metrics.counter;
   dropped_c : Metrics.counter;
   parked_c : Metrics.counter;
-  kind_sent : (string, Metrics.counter) Hashtbl.t; (* classify output -> handle *)
+  kind_sent : Metrics.counter option array;
+      (* by kind index, resolved at the kind's first send so a counter
+         appears exactly when the kind is first sent *)
 }
 
-let create engine ~endpoints ?(servers = 0) ~delay ?classify ?(transport = Direct) () =
+let create engine ~endpoints ?(servers = 0) ~delay ?kinds ?(transport = Direct) () =
   let m = Engine.metrics engine in
   {
     engine;
@@ -68,7 +72,7 @@ let create engine ~endpoints ?(servers = 0) ~delay ?classify ?(transport = Direc
     frontier = Array.make endpoints [||];
     slow = [||];
     tamper = None;
-    classify;
+    kinds;
     down = Array.make endpoints false;
     queued = 0;
     transport;
@@ -86,7 +90,8 @@ let create engine ~endpoints ?(servers = 0) ~delay ?classify ?(transport = Direc
     delivered_c = Metrics.counter m Names.net_delivered;
     dropped_c = Metrics.counter m Names.net_dropped;
     parked_c = Metrics.counter m Names.net_parked;
-    kind_sent = Hashtbl.create 16;
+    kind_sent =
+      (match kinds with Some k -> Array.make (Array.length k.names) None | None -> [||]);
   }
 
 let engine t = t.engine
@@ -135,15 +140,16 @@ let observe t hook = t.observer <- hook
 let notify t event ~src ~dst msg =
   match t.observer with Some f -> f ~event ~src ~dst msg | None -> ()
 
-let kind_of t msg = match t.classify with Some f -> f msg | None -> ""
+let kind_of t msg = match t.kinds with Some k -> k.names.(k.index msg) | None -> ""
 
-let kind_counter t kind =
-  match Hashtbl.find_opt t.kind_sent kind with
-  | Some c -> c
+let count_kind t k msg =
+  let i = k.index msg in
+  match t.kind_sent.(i) with
+  | Some c -> Metrics.counter_incr c
   | None ->
-      let c = Metrics.counter (Engine.metrics t.engine) (Names.net_sent_kind_prefix ^ kind) in
-      Hashtbl.add t.kind_sent kind c;
-      c
+      let c = Metrics.counter (Engine.metrics t.engine) (Names.net_sent_kind_prefix ^ k.names.(i)) in
+      t.kind_sent.(i) <- Some c;
+      Metrics.counter_incr c
 
 let drop t ~span ~src ~dst ~kind reason =
   Metrics.counter_incr t.dropped_c;
@@ -238,9 +244,7 @@ let send t ~src ~dst msg =
     let span = t.span_ctx in
     Metrics.counter_incr t.sent_c;
     t.node_sent.(src) <- t.node_sent.(src) + 1;
-    (match t.classify with
-    | Some f -> Metrics.counter_incr (kind_counter t (f msg))
-    | None -> ());
+    (match t.kinds with Some k -> count_kind t k msg | None -> ());
     let tr = Engine.trace t.engine in
     if Trace.enabled tr then
       Trace.emit tr ~time:(Engine.now t.engine)

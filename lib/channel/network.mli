@@ -31,18 +31,27 @@ type transport =
           data-link {e earns} rather than an axiom; expect an order of
           magnitude more low-level packets. *)
 
+type 'msg kinds = { index : 'msg -> int; names : string array }
+(** A dense message-kind index: [index m] is in
+    [[0, Array.length names)] and [names.(index m)] names the kind.
+    The per-kind send counter is then an array slot, and trace and
+    drop events read the kind's name from the table without hashing. *)
+
 val create :
   Sbft_sim.Engine.t ->
   endpoints:int ->
   ?servers:int ->
   delay:Delay.t ->
-  ?classify:('msg -> string) ->
+  ?kinds:'msg kinds ->
   ?transport:transport ->
   unit ->
   'msg t
 (** [create engine ~endpoints ~delay ()] builds a network of
-    [endpoints] endpoints (ids [0 .. endpoints-1]).  [classify] names
-    message constructors for per-type counters in the engine metrics.
+    [endpoints] endpoints (ids [0 .. endpoints-1]).  [kinds] names
+    message constructors for per-kind send counters
+    ([net.sent.<name>]) in the engine metrics and for the [kind] of
+    trace events; without it no per-kind counter is kept and trace
+    events carry an empty kind.
     [delay] applies to [Direct] transport; [Over_datalink] channels
     pace themselves by their own [max_delay]. Default [Direct].
     [servers] tells the engine self-profiler which endpoints run server

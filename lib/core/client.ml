@@ -38,6 +38,7 @@ type t = {
   cfg : Config.t;
   sys : Sbls.system;
   net : Msg.t Network.t;
+  meters : Meters.t;
   tr : Trace.t; (* cached so the hot path can skip event construction *)
   id : int;
   mutable wphase : write_phase;
@@ -97,7 +98,7 @@ let fresh_span t ~op_id =
 let phase_done t span ~hist ~phase =
   let at = now t in
   let ticks = at - span.ph in
-  Metrics.record (metrics t) hist (float_of_int ticks);
+  Metrics.hist_record (Lazy.force hist) (float_of_int ticks);
   if tracing t then
     emit t (Event.Op_phase { op_id = span.op; client = t.id; phase; ticks; span = span.sid });
   span.ph <- at;
@@ -139,7 +140,7 @@ let on_ts_reply t ~src ts =
                      size = Hashtbl.length got;
                      span = span.sid;
                    });
-            ignore (phase_done t span ~hist:Names.write_collect_ticks ~phase:"collect")
+            ignore (phase_done t span ~hist:t.meters.write_collect ~phase:"collect")
         | None -> ());
         let collected = Hashtbl.fold (fun _ ts acc -> ts :: acc) got [] in
         let wts = Mw_ts.next t.sys ~writer:t.id collected in
@@ -180,9 +181,9 @@ let on_write_ack t ~src ~ts ~ack =
                 emit t
                   (Event.Quorum_formed
                      { op_id = span.op; client = t.id; phase = "ack"; size = n_acks; span = span.sid });
-              ignore (phase_done t span ~hist:Names.write_commit_ticks ~phase:"commit");
+              ignore (phase_done t span ~hist:t.meters.write_commit ~phase:"commit");
               let total = now t - span.t0 in
-              Metrics.record (metrics t) Names.write_total_ticks (float_of_int total);
+              Metrics.hist_record (Lazy.force t.meters.write_total) (float_of_int total);
               if tracing t then
                 emit t
                   (Event.Op_finished
@@ -227,7 +228,7 @@ let start_reading t ~k ~label =
         emit t
           (Event.Quorum_formed
              { op_id = span.op; client = t.id; phase = "flush"; size = safe_count; span = span.sid });
-      ignore (phase_done t span ~hist:Names.read_flush_ticks ~phase:"flush")
+      ignore (phase_done t span ~hist:t.meters.read_flush ~phase:"flush")
   | None -> ());
   t.rphase <- R_read { k; label };
   Network.with_span t.net (rspan_id t) (fun () ->
@@ -263,15 +264,15 @@ let finish_read t ~k ~label outcome =
   let sid = rspan_id t in
   (match t.rspan with
   | Some span ->
-      ignore (phase_done t span ~hist:Names.read_decide_ticks ~phase:"decide");
+      ignore (phase_done t span ~hist:t.meters.read_decide ~phase:"decide");
       let total = now t - span.t0 in
       let outcome_str, total_hist =
         match outcome with
-        | Sbft_spec.History.Value _ -> ("value", Names.read_total_ticks)
-        | Sbft_spec.History.Abort -> ("abort", Names.read_abort_ticks)
-        | Sbft_spec.History.Incomplete -> ("incomplete", Names.read_abort_ticks)
+        | Sbft_spec.History.Value _ -> ("value", t.meters.read_total)
+        | Sbft_spec.History.Abort -> ("abort", t.meters.read_abort)
+        | Sbft_spec.History.Incomplete -> ("incomplete", t.meters.read_abort)
       in
-      Metrics.record (metrics t) total_hist (float_of_int total);
+      Metrics.hist_record (Lazy.force total_hist) (float_of_int total);
       if tracing t then
         emit t
           (Event.Op_finished
@@ -378,12 +379,13 @@ let abandon t =
   t.wspan <- None;
   t.rspan <- None
 
-let create cfg sys net ~id =
+let create cfg sys net ~meters ~id =
   if Config.is_server cfg id then invalid_arg "Client.create: id is a server endpoint";
   {
     cfg;
     sys;
     net;
+    meters;
     tr = Engine.trace (Network.engine net);
     id;
     wphase = W_idle;

@@ -28,10 +28,15 @@ type read_outcome = Sbft_spec.History.read_outcome
 type t
 
 val create :
-  Config.t -> Sbft_labels.Sbls.system -> Msg.t Sbft_channel.Network.t -> id:int -> t
+  Config.t ->
+  Sbft_labels.Sbls.system ->
+  Msg.t Sbft_channel.Network.t ->
+  meters:Meters.t ->
+  id:int ->
+  t
 (** Creates the automaton.  [id] must be a client endpoint id
     ([>= n]).  The caller routes the endpoint's deliveries to
-    {!handle}. *)
+    {!handle}.  Phase and total latencies go to [meters]. *)
 
 val handle : t -> src:int -> Msg.t -> unit
 (** The automaton's receive handler. *)

@@ -16,16 +16,29 @@ type t =
   | Flush of { label : int }
   | Flush_ack of { label : int }
 
-let classify = function
-  | Get_ts -> "get_ts"
-  | Ts_reply _ -> "ts_reply"
-  | Write_req _ -> "write_req"
-  | Write_ack _ -> "write_ack"
-  | Read_req _ -> "read_req"
-  | Reply _ -> "reply"
-  | Complete_read _ -> "complete_read"
-  | Flush _ -> "flush"
-  | Flush_ack _ -> "flush_ack"
+let kind = function
+  | Get_ts -> 0
+  | Ts_reply _ -> 1
+  | Write_req _ -> 2
+  | Write_ack _ -> 3
+  | Read_req _ -> 4
+  | Reply _ -> 5
+  | Complete_read _ -> 6
+  | Flush _ -> 7
+  | Flush_ack _ -> 8
+
+let kind_names =
+  [|
+    "get_ts";
+    "ts_reply";
+    "write_req";
+    "write_ack";
+    "read_req";
+    "reply";
+    "complete_read";
+    "flush";
+    "flush_ack";
+  |]
 
 let garbage sys rng =
   let open Sbft_sim.Rng in

@@ -27,8 +27,13 @@ type t =
   | Flush of { label : int }  (** find_read_label: FIFO echo request *)
   | Flush_ack of { label : int }
 
-val classify : t -> string
-(** Constructor name, for per-type message counters. *)
+val kind : t -> int
+(** Dense constructor index, in declaration order: the per-kind send
+    counters and trace events key on it. *)
+
+val kind_names : string array
+(** Constructor names by {!kind}: [kind_names.(kind m)] is ["get_ts"],
+    ["write_req"], ... *)
 
 val garbage : Sbft_labels.Sbls.system -> Sbft_sim.Rng.t -> t
 (** An arbitrary message with corrupted fields — what a transient fault

@@ -12,6 +12,7 @@ type t = {
   cfg : Config.t;
   sys : Sbls.system;
   net : Msg.t Network.t;
+  meters : Meters.t;
   id : int;
   mutable value : int;
   mutable ts : Msg.ts;
@@ -62,9 +63,9 @@ let handle t ~src msg =
       t.value <- value;
       t.ts <- ts;
       t.writes_applied <- t.writes_applied + 1;
+      Metrics.counter_incr
+        (Lazy.force (if ack then t.meters.label_adoptions else t.meters.label_rejections));
       let engine = Network.engine t.net in
-      Metrics.incr (Engine.metrics engine)
-        (if ack then Names.server_label_adoptions else Names.server_label_rejections);
       let tr = Engine.trace engine in
       if Trace.enabled tr then
         Trace.emit tr ~time:(Engine.now engine)
@@ -108,12 +109,13 @@ let corrupt t rng ~severity =
           (Rng.int_in rng (-1) (t.cfg.read_label_pool + 1), Event.no_span)
       done
 
-let create cfg sys net ~id =
+let create cfg sys net ~meters ~id =
   let t =
     {
       cfg;
       sys;
       net;
+      meters;
       id;
       value = 0;
       ts = Mw_ts.initial sys;

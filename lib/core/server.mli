@@ -23,8 +23,14 @@
 type t
 
 val create :
-  Config.t -> Sbft_labels.Sbls.system -> Msg.t Sbft_channel.Network.t -> id:int -> t
-(** Creates the automaton and registers its handler on the network. *)
+  Config.t ->
+  Sbft_labels.Sbls.system ->
+  Msg.t Sbft_channel.Network.t ->
+  meters:Meters.t ->
+  id:int ->
+  t
+(** Creates the automaton and registers its handler on the network.
+    Label adoptions and rejections are counted in [meters]. *)
 
 val id : t -> int
 

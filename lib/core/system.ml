@@ -12,6 +12,7 @@ type t = {
   net : Msg.t Network.t;
   sys : Sbls.system;
   servers : Server.t array;
+  meters : Meters.t; (* shared by the servers and clients *)
   clients : Client.t option array;
   (* by [id - n], created on first use (see [client] in the interface):
      an idle client costs one slot and its delivery closure *)
@@ -23,7 +24,7 @@ let client_at t i =
   match t.clients.(i) with
   | Some c -> c
   | None ->
-      let c = Client.create t.cfg t.sys t.net ~id:(t.cfg.n + i) in
+      let c = Client.create t.cfg t.sys t.net ~meters:t.meters ~id:(t.cfg.n + i) in
       t.clients.(i) <- Some c;
       c
 
@@ -36,13 +37,16 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
   in
   let net =
     Network.create engine ~endpoints:(Config.endpoints cfg) ~servers:cfg.n ~delay
-      ~classify:Msg.classify ?transport ()
+      ~kinds:{ index = Msg.kind; names = Msg.kind_names } ?transport ()
   in
   let sys = Sbls.system ~k:cfg.k in
-  let servers = Array.init cfg.n (fun id -> Server.create cfg sys net ~id) in
+  let meters = Meters.create (Engine.metrics engine) in
+  let servers = Array.init cfg.n (fun id -> Server.create cfg sys net ~meters ~id) in
   let fault_rng = Rng.split (Engine.rng engine) in
   let clients = Array.make cfg.clients None in
-  let t = { cfg; engine; net; sys; servers; clients; history = History.create (); fault_rng } in
+  let t =
+    { cfg; engine; net; sys; servers; meters; clients; history = History.create (); fault_rng }
+  in
   (* Each client endpoint's handler is registered once, here, and
      creates the automaton at its first message: a Byzantine takeover
      that replaces the handler is never undone by the automaton's later

@@ -293,24 +293,10 @@ let run ?(max_events = 200_000_000) ~spec store =
   (* Hot-path histogram handles, resolved lazily so a histogram exists
      exactly when it has a sample (as the string-keyed API behaves) but
      the per-operation path never hashes a metric name. *)
-  let e2e_h : Metrics.hist option array = Array.make shards None in
-  let e2e_handle shard =
-    match e2e_h.(shard) with
-    | Some h -> h
-    | None ->
-        let h = Metrics.hist m (Names.kv_shard ~shard Names.Shard_e2e_ticks) in
-        e2e_h.(shard) <- Some h;
-        h
+  let e2e_h =
+    Array.init shards (fun shard -> lazy (Metrics.hist m (Names.kv_shard ~shard Names.Shard_e2e_ticks)))
   in
-  let qwait_h = ref None in
-  let qwait_handle () =
-    match !qwait_h with
-    | Some h -> h
-    | None ->
-        let h = Metrics.hist m Names.loadgen_queue_wait_ticks in
-        qwait_h := Some h;
-        h
-  in
+  let qwait_h = lazy (Metrics.hist m Names.loadgen_queue_wait_ticks) in
   (* free-client pool: one in-flight op per store client, so hot
      Zipfian keys can never collide two ops from the same endpoint on
      the same key register (the client automaton forbids it) *)
@@ -335,11 +321,11 @@ let run ?(max_events = 200_000_000) ~spec store =
         incr aborted;
         ps_aborted.(shard) <- ps_aborted.(shard) + 1);
     let e2e = Engine.now engine - enq_at in
-    Metrics.hist_record (e2e_handle shard) (float_of_int e2e)
+    Metrics.hist_record (Lazy.force e2e_h.(shard)) (float_of_int e2e)
   in
   let issue ~client ~shard ~is_put ~key ~enq_at ~after =
     let wait = Engine.now engine - enq_at in
-    Metrics.hist_record (qwait_handle ()) (float_of_int wait);
+    Metrics.hist_record (Lazy.force qwait_h) (float_of_int wait);
     incr inflight;
     if !inflight > !peak_inflight then peak_inflight := !inflight;
     let finish kind =

@@ -14,6 +14,18 @@ type shard_series = { flow : Series.t; lat : Series.t }
 
 type observer = shard:int -> time:int -> ok:bool -> ticks:int -> unit
 
+(* One shard's completion counters and latency histograms under
+   [kv.shard.<i>.*], resolved at their first sample: a metric appears
+   exactly when its shard first records it, and a completion hashes no
+   metric name. *)
+type shard_meters = {
+  puts : Metrics.counter Lazy.t;
+  put_ticks : Metrics.hist Lazy.t;
+  gets : Metrics.counter Lazy.t;
+  get_ticks : Metrics.hist Lazy.t;
+  aborts : Metrics.counter Lazy.t;
+}
+
 type t = {
   engine : Engine.t;
   delay : Sbft_channel.Delay.t;
@@ -25,6 +37,7 @@ type t = {
   systems : (string, System.t) Hashtbl.t; (* key -> its register deployment *)
   shard_hooks : (int, (System.t -> unit) list ref) Hashtbl.t;
   series : shard_series array; (* empty when streaming series are off *)
+  meters : shard_meters array;
   mutable observers : observer list;
   mutable ops : int;
 }
@@ -65,6 +78,18 @@ let create ?(seed = 42L) ?(delay = Sbft_channel.Delay.uniform ~max:10) ?trace_le
     systems = Hashtbl.create 32;
     shard_hooks = Hashtbl.create 8;
     series;
+    meters =
+      (let m = Engine.metrics engine in
+       Array.init shards (fun shard ->
+           let counter s = lazy (Metrics.counter m (Names.kv_shard ~shard s))
+           and hist s = lazy (Metrics.hist m (Names.kv_shard ~shard s)) in
+           {
+             puts = counter Names.Shard_puts;
+             put_ticks = hist Names.Shard_put_ticks;
+             gets = counter Names.Shard_gets;
+             get_ticks = hist Names.Shard_get_ticks;
+             aborts = counter Names.Shard_aborts;
+           }));
     observers = [];
     ops = 0;
   }
@@ -110,11 +135,6 @@ let endpoint t client =
   if client < 0 || client >= t.clients then invalid_arg "Store: bad client index";
   t.n + client
 
-(* Per-shard instrumentation: completion counters and latency
-   histograms under [kv.shard.<i>.*] in the engine metrics, so the
-   metrics artifact carries per-shard p50/p95/p99 without any extra
-   plumbing.  Names come from the templated [Names.kv_shard] helper. *)
-
 (* The store is the only layer that knows an operation's shard, so it
    tags the span at invocation; [Spans] then groups ops by shard. *)
 let tag_shard t ~shard sid =
@@ -159,14 +179,14 @@ let roll_series_to t ~time =
 let put t ~client ~key ~value ?(k = fun () -> ()) () =
   t.ops <- t.ops + 1;
   let shard = shard_of_key t key in
-  let m = Engine.metrics t.engine in
+  let meters = t.meters.(shard) in
   let started = Engine.now t.engine in
   System.write (system_for t key) ~client:(endpoint t client) ~value
     ~span_k:(fun sid -> tag_shard t ~shard sid)
     ~k:(fun () ->
       let ticks = Engine.now t.engine - started in
-      Metrics.incr m (Names.kv_shard ~shard Names.Shard_puts);
-      Metrics.record m (Names.kv_shard ~shard Names.Shard_put_ticks) (float_of_int ticks);
+      Metrics.counter_incr (Lazy.force meters.puts);
+      Metrics.hist_record (Lazy.force meters.put_ticks) (float_of_int ticks);
       completed t ~shard ~ok:true ~ticks;
       k ())
     ()
@@ -174,7 +194,7 @@ let put t ~client ~key ~value ?(k = fun () -> ()) () =
 let get t ~client ~key ?(k = fun _ -> ()) () =
   t.ops <- t.ops + 1;
   let shard = shard_of_key t key in
-  let m = Engine.metrics t.engine in
+  let meters = t.meters.(shard) in
   let started = Engine.now t.engine in
   System.read (system_for t key) ~client:(endpoint t client)
     ~span_k:(fun sid -> tag_shard t ~shard sid)
@@ -182,11 +202,11 @@ let get t ~client ~key ?(k = fun _ -> ()) () =
       let ticks = Engine.now t.engine - started in
       (match outcome with
       | History.Value _ ->
-          Metrics.incr m (Names.kv_shard ~shard Names.Shard_gets);
-          Metrics.record m (Names.kv_shard ~shard Names.Shard_get_ticks) (float_of_int ticks);
+          Metrics.counter_incr (Lazy.force meters.gets);
+          Metrics.hist_record (Lazy.force meters.get_ticks) (float_of_int ticks);
           completed t ~shard ~ok:true ~ticks
       | History.Abort ->
-          Metrics.incr m (Names.kv_shard ~shard Names.Shard_aborts);
+          Metrics.counter_incr (Lazy.force meters.aborts);
           completed t ~shard ~ok:false ~ticks
       | History.Incomplete -> ());
       k outcome)

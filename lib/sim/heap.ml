@@ -102,6 +102,8 @@ let no_event = max_int
 
 let min_time t = if t.len = 0 then no_event else t.times.(0)
 
+let min_seq t = t.seqs.(0)
+
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
 let clear t =

@@ -31,6 +31,11 @@ val min_time : 'a t -> int
 (** Time of the minimum element, or [no_event] if empty — the
     allocation-free peek for hot loops. *)
 
+val min_seq : 'a t -> int
+(** Sequence number of the minimum element.  Meaningful only when
+    [min_time] is not [no_event]: the engine reads it to break a time
+    tie against its timing wheel. *)
+
 val take : 'a t -> 'a
 (** Remove the minimum element and return its payload without boxing
     the key.  Raises [Invalid_argument] on an empty heap: pair it with

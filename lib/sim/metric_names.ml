@@ -231,7 +231,7 @@ let all =
     (net_dropped, Counter, "messages lost to crash, tamper or missing handler");
     (net_parked, Counter, "sends withheld by an active partition");
     (net_injected, Counter, "forged messages placed in channels");
-    (net_sent_kind_prefix, Prefix, "per-constructor send counts (suffix = Msg.classify)");
+    (net_sent_kind_prefix, Prefix, "per-constructor send counts (suffix = Msg.kind_names)");
     (dl_transmissions, Counter, "data-link packets put on the wire (incl. retransmits)");
     (dl_retransmissions, Counter, "data-link timer refires of the in-flight packet");
     (dl_acks, Counter, "data-link acks sent by receivers");

@@ -84,17 +84,86 @@ module Quantile = struct
     t.weights <- out_w;
     t.len <- !oi
 
+  (* Index of the larger son of [i] in the ternary heap [a.(0 .. l-1)],
+     or -1 when [i] has none. *)
+  let maxson (a : float array) l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+      if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+    end
+    else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+    else if i31 < l then i31
+    else -1
+
+  (* [Array.sort Float.compare] specialised to floats: the stdlib's
+     ternary heap sort step for step, so the output permutation — down
+     to the order of [0.0] and [-0.0], or of two NaNs — is identical,
+     but no element is boxed to be compared.  Loops instead of
+     recursion keep the moving element in a register. *)
+  let sort_floats (a : float array) =
+    let l = Array.length a in
+    for i0 = ((l + 1) / 3) - 1 downto 0 do
+      let e = a.(i0) in
+      let i = ref i0 and go = ref true in
+      while !go do
+        let j = maxson a l !i in
+        if j >= 0 && Float.compare a.(j) e > 0 then begin
+          a.(!i) <- a.(j);
+          i := j
+        end
+        else begin
+          a.(!i) <- e;
+          go := false
+        end
+      done
+    done;
+    for n = l - 1 downto 2 do
+      let e = a.(n) in
+      a.(n) <- a.(0);
+      let i = ref 0 and j = ref (maxson a n 0) in
+      while !j >= 0 do
+        a.(!i) <- a.(!j);
+        i := !j;
+        j := maxson a n !j
+      done;
+      let go = ref true in
+      while !go do
+        let father = (!i - 1) / 3 in
+        if Float.compare a.(father) e < 0 then begin
+          a.(!i) <- a.(father);
+          if father > 0 then i := father
+          else begin
+            a.(0) <- e;
+            go := false
+          end
+        end
+        else begin
+          a.(!i) <- e;
+          go := false
+        end
+      done
+    done;
+    if l > 1 then begin
+      let e = a.(1) in
+      a.(1) <- a.(0);
+      a.(0) <- e
+    end
+
   (* Fold the pending weight-1 samples in without boxing: sort the
-     pending slice in place (unboxed float array), then run the same
-     greedy equal-weight grouping as {!compress} over the merge-walk
-     of the two sorted sequences.  This is the per-sample hot path —
-     [compress] with its tuple array is kept for the rare
-     digest-to-digest {!merge}. *)
+     pending slice in place, then run the same greedy equal-weight
+     grouping as {!compress} over the merge-walk of the two sorted
+     sequences.  This is the per-sample hot path — [compress] with its
+     tuple array is kept for the rare digest-to-digest {!merge}.  The
+     group accumulators are local float refs that no closure captures,
+     so they stay unboxed.  Each sum puts the product first: when both
+     operands are NaNs, the first one's sign survives, and that is the
+     order the boxed accumulator's code used. *)
   let fold_pending t =
     if t.npending > 0 then begin
       let np = t.npending in
       let p = Array.sub t.pending 0 np in
-      Array.sort Float.compare p;
+      sort_floats p;
       let total = ref (float_of_int np) in
       for i = 0 to t.len - 1 do
         total := !total +. t.weights.(i)
@@ -103,32 +172,32 @@ module Quantile = struct
       let out_m = Array.make t.cap 0.0 and out_w = Array.make t.cap 0.0 in
       let oi = ref 0 in
       let gm = ref 0.0 and gw = ref 0.0 in
-      let flush () =
-        if !gw > 0.0 && !oi < t.cap then begin
+      let i = ref 0 and j = ref 0 in
+      while !i < t.len || !j < np do
+        if !j >= np || (!i < t.len && t.means.(!i) <= p.(!j)) then begin
+          gm := (t.means.(!i) *. t.weights.(!i)) +. !gm;
+          gw := !gw +. t.weights.(!i);
+          incr i
+        end
+        else begin
+          gm := (p.(!j) *. 1.0) +. !gm;
+          gw := !gw +. 1.0;
+          incr j
+        end;
+        (* Keep the last slot open for the tail so nothing is dropped. *)
+        if !gw >= chunk && !oi < t.cap - 1 && !gw > 0.0 then begin
           out_m.(!oi) <- !gm /. !gw;
           out_w.(!oi) <- !gw;
           incr oi;
           gm := 0.0;
           gw := 0.0
         end
-      in
-      let push m w =
-        gm := !gm +. (m *. w);
-        gw := !gw +. w;
-        if !gw >= chunk && !oi < t.cap - 1 then flush ()
-      in
-      let i = ref 0 and j = ref 0 in
-      while !i < t.len || !j < np do
-        if !j >= np || (!i < t.len && t.means.(!i) <= p.(!j)) then begin
-          push t.means.(!i) t.weights.(!i);
-          incr i
-        end
-        else begin
-          push p.(!j) 1.0;
-          incr j
-        end
       done;
-      flush ();
+      if !gw > 0.0 && !oi < t.cap then begin
+        out_m.(!oi) <- !gm /. !gw;
+        out_w.(!oi) <- !gw;
+        incr oi
+      end;
       t.means <- out_m;
       t.weights <- out_w;
       t.len <- !oi;
@@ -193,6 +262,10 @@ module Quantile = struct
       done;
       !res
     end
+
+  let markers t =
+    fold_pending t;
+    (Array.sub t.means 0 t.len, Array.sub t.weights 0 t.len)
 
   let to_json t =
     Json.Obj

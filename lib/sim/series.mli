@@ -36,6 +36,10 @@ module Quantile : sig
   (** A fresh digest summarizing both inputs' samples.  Associative and
       commutative up to the digest's rank error (qcheck-held). *)
 
+  val markers : t -> float array * float array
+  (** The digest's markers, after folding in buffered samples: means
+      in increasing order and their weights. *)
+
   val to_json : t -> Json.t
 end
 

@@ -4,7 +4,7 @@ open Sbft_core
 module Flow = Sbft_harness.Flow
 module Network = Sbft_channel.Network
 
-let describe m = Msg.classify m
+let describe m = Msg.kind_names.(Msg.kind m)
 
 let setup () =
   let sys = System.create ~seed:4L (Config.make ~n:6 ~f:1 ~clients:2 ()) in

@@ -51,7 +51,7 @@ let test_garbage_messages_cover_constructors () =
   let r = rng () in
   let seen = Hashtbl.create 16 in
   for _ = 1 to 2000 do
-    Hashtbl.replace seen (Msg.classify (Msg.garbage sys r)) ()
+    Hashtbl.replace seen (Msg.kind (Msg.garbage sys r)) ()
   done;
   Alcotest.(check int) "all nine constructors" 9 (Hashtbl.length seen)
 
@@ -90,7 +90,7 @@ let test_system_survives_arbitrary_injections () =
 let test_observer_sees_datalink_transport () =
   let transport = Network.Over_datalink { capacity = 4; loss = 0.0; max_delay = 3 } in
   let sys = System.create ~seed:10L ~transport (Config.make ~n:6 ~f:1 ~clients:2 ()) in
-  let flow = Sbft_harness.Flow.attach (System.network sys) ~describe:Msg.classify in
+  let flow = Sbft_harness.Flow.attach (System.network sys) ~describe:(fun m -> Msg.kind_names.(Msg.kind m)) in
   System.write sys ~client:6 ~value:3 ();
   System.quiesce sys;
   let es = Sbft_harness.Flow.entries flow in

@@ -131,7 +131,11 @@ let test_broadcast () =
 
 let test_classify_metrics () =
   let e = Engine.create ~seed:1L () in
-  let net = Network.create e ~endpoints:2 ~delay:(Delay.fixed 1) ~classify:(fun m -> m) () in
+  let net =
+    Network.create e ~endpoints:2 ~delay:(Delay.fixed 1)
+      ~kinds:{ index = (fun _ -> 0); names = [| "ping" |] }
+      ()
+  in
   Network.register net 1 (fun ~src:_ _ -> ());
   Network.send net ~src:0 ~dst:1 "ping";
   Network.send net ~src:0 ~dst:1 "ping";

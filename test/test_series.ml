@@ -364,12 +364,164 @@ let test_stabilization_metrics_registered () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The digest's sample fold as it was before it was specialised to
+   floats: a polymorphic [Array.sort Float.compare] over the pending
+   samples and closures over boxed accumulators.  The reference the
+   unboxed fold must match bit for bit. *)
+module Ref_quantile = struct
+  type t = {
+    cap : int;
+    mutable means : float array;
+    mutable weights : float array;
+    mutable len : int;
+    mutable pending : float array;
+    mutable npending : int;
+  }
+
+  let create cap = { cap = max 8 cap; means = [||]; weights = [||]; len = 0; pending = Array.make 16 0.0; npending = 0 }
+
+  let fold_pending t =
+    if t.npending > 0 then begin
+      let np = t.npending in
+      let p = Array.sub t.pending 0 np in
+      Array.sort Float.compare p;
+      let total = ref (float_of_int np) in
+      for i = 0 to t.len - 1 do
+        total := !total +. t.weights.(i)
+      done;
+      let chunk = !total /. float_of_int t.cap in
+      let out_m = Array.make t.cap 0.0 and out_w = Array.make t.cap 0.0 in
+      let oi = ref 0 in
+      let gm = ref 0.0 and gw = ref 0.0 in
+      let flush () =
+        if !gw > 0.0 && !oi < t.cap then begin
+          out_m.(!oi) <- !gm /. !gw;
+          out_w.(!oi) <- !gw;
+          incr oi;
+          gm := 0.0;
+          gw := 0.0
+        end
+      in
+      let push m w =
+        gm := !gm +. (m *. w);
+        gw := !gw +. w;
+        if !gw >= chunk && !oi < t.cap - 1 then flush ()
+      in
+      let i = ref 0 and j = ref 0 in
+      while !i < t.len || !j < np do
+        if !j >= np || (!i < t.len && t.means.(!i) <= p.(!j)) then begin
+          push t.means.(!i) t.weights.(!i);
+          incr i
+        end
+        else begin
+          push p.(!j) 1.0;
+          incr j
+        end
+      done;
+      flush ();
+      t.means <- out_m;
+      t.weights <- out_w;
+      t.len <- !oi;
+      t.npending <- 0
+    end
+
+  let add t v =
+    if t.npending = Array.length t.pending then
+      if t.npending >= 4 * t.cap then fold_pending t
+      else begin
+        let bigger = Array.make (2 * t.npending) 0.0 in
+        Array.blit t.pending 0 bigger 0 t.npending;
+        t.pending <- bigger
+      end;
+    t.pending.(t.npending) <- v;
+    t.npending <- t.npending + 1
+
+  let markers t =
+    fold_pending t;
+    (Array.sub t.means 0 t.len, Array.sub t.weights 0 t.len)
+
+  let quantile t p =
+    fold_pending t;
+    if t.len = 0 then 0.0
+    else if t.len = 1 then t.means.(0)
+    else begin
+      let total = ref 0.0 in
+      for i = 0 to t.len - 1 do
+        total := !total +. t.weights.(i)
+      done;
+      let rank = Float.max 0.0 (Float.min 1.0 (p /. 100.0)) *. !total in
+      let acc = ref 0.0 and i = ref 0 and res = ref t.means.(t.len - 1) and stop = ref false in
+      while (not !stop) && !i < t.len do
+        let mid = !acc +. (t.weights.(!i) /. 2.0) in
+        if rank <= mid then begin
+          (if !i = 0 then res := t.means.(0)
+           else begin
+             let prev_mid = !acc -. (t.weights.(!i - 1) /. 2.0) in
+             let span = mid -. prev_mid in
+             let frac = if span <= 0.0 then 0.0 else (rank -. prev_mid) /. span in
+             res := t.means.(!i - 1) +. (frac *. (t.means.(!i) -. t.means.(!i - 1)))
+           end);
+          stop := true
+        end
+        else begin
+          acc := !acc +. t.weights.(!i);
+          incr i
+        end
+      done;
+      !res
+    end
+end
+
+let bits a = Array.to_list (Array.map Int64.bits_of_float a)
+
+(* Samples are mostly tick counts, with signed zeros, NaNs, infinities
+   and arbitrary floats mixed in: the sort must order even values that
+   compare equal but differ in bits exactly as the stdlib sort does. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map float_of_int (int_bound 1000));
+        (2, float);
+        (1, oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ]);
+      ])
+
+let qcheck_fold_matches_reference =
+  QCheck.Test.make ~name:"quantile: unboxed fold is bit-identical to the boxed reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (cap, chunks) ->
+         Printf.sprintf "cap=%d chunks=[%s]" cap
+           (String.concat "; " (List.map (fun c -> string_of_int (List.length c)) chunks)))
+       QCheck.Gen.(pair (int_range 8 64) (list_size (int_range 1 4) (list_size (int_bound 700) gen_sample))))
+    (fun (cap, chunks) ->
+      let q = Series.Quantile.create ~cap () and r = Ref_quantile.create cap in
+      (* Markers are read after every chunk, so folds start from both
+         empty and populated digests. *)
+      List.for_all
+        (fun chunk ->
+          List.iter
+            (fun v ->
+              Series.Quantile.add q v;
+              Ref_quantile.add r v)
+            chunk;
+          let qm, qw = Series.Quantile.markers q and rm, rw = Ref_quantile.markers r in
+          bits qm = bits rm
+          && bits qw = bits rw
+          && List.for_all
+               (fun p ->
+                 Int64.bits_of_float (Series.Quantile.quantile q p)
+                 = Int64.bits_of_float (Ref_quantile.quantile r p))
+               [ 0.0; 1.0; 25.0; 50.0; 95.0; 99.0; 99.9; 100.0 ])
+        chunks)
+
 let suite =
   [
     Alcotest.test_case "quantile digest tracks uniform percentiles" `Quick test_quantile_accuracy;
     Alcotest.test_case "quantile digest never saturates" `Quick test_quantile_no_saturation;
     QCheck_alcotest.to_alcotest qcheck_merge_matches_direct;
     QCheck_alcotest.to_alcotest qcheck_merge_associative;
+    QCheck_alcotest.to_alcotest qcheck_fold_matches_reference;
     Alcotest.test_case "tumbling windows materialize empties" `Quick test_series_windows;
     Alcotest.test_case "10^7-tick gaps fast-forward, read back empty" `Quick
       test_series_pathological_gap;

@@ -13,7 +13,7 @@ let setup ?(n = 6) ?(f = 1) () =
     Network.create engine ~endpoints:(Config.endpoints cfg) ~delay:(Sbft_channel.Delay.fixed 1) ()
   in
   let sys = Sbls.system ~k:cfg.k in
-  let server = Server.create cfg sys net ~id:0 in
+  let server = Server.create cfg sys net ~meters:(Meters.create (Engine.metrics engine)) ~id:0 in
   let client = cfg.n in
   let inbox = ref [] in
   Network.register net client (fun ~src msg -> inbox := (src, msg) :: !inbox);
