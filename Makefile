@@ -1,4 +1,4 @@
-.PHONY: all build test check lint bench bench-json artifacts clean
+.PHONY: all build test check lint loc bench bench-json artifacts clean
 
 all: build
 
@@ -19,6 +19,11 @@ lint:
 	else echo "lint: metric names OK"; fi
 
 check: build test lint
+
+# Lines of OCaml in lib + bin (.ml + .mli): the size ROADMAP and CHANGES
+# report.
+loc:
+	@find lib bin -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 bench:
 	dune exec bench/main.exe

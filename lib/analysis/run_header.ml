@@ -26,12 +26,12 @@ let default_delay_policy = "uniform-10"
 
 let default_trace_level = "on"
 
-let make ?(schema = schema_version) ?(strategy = None) ?(corrupt = false)
+let make ?(strategy = None) ?(corrupt = false)
     ?(delay_policy = default_delay_policy) ?(plan = []) ?(verdict = "") ?(note = "")
     ?(trace_cap = 4096) ?(snapshot_every = 0) ?(trace_level = default_trace_level)
     ?(fingerprint = "") ~seed ~n ~f ~clients ~ops_per_client ~write_ratio () =
   {
-    schema;
+    schema = schema_version;
     seed;
     n;
     f;

@@ -51,7 +51,6 @@ val default_delay_policy : string
 val default_trace_level : string
 
 val make :
-  ?schema:int ->
   ?strategy:string option ->
   ?corrupt:bool ->
   ?delay_policy:string ->

@@ -6,14 +6,6 @@ open Strategy
 
 let silent = { name = "silent"; react = (fun _ ~src:_ _ -> ()) }
 
-let crash_at time =
-  {
-    name = Printf.sprintf "crash@%d" time;
-    react =
-      (fun ctx ~src msg ->
-        if Sbft_sim.Engine.now ctx.engine < time then correct ctx ~src msg);
-  }
-
 let mute_phase1 =
   {
     name = "mute-phase1";

@@ -8,9 +8,6 @@ val silent : Strategy.t
 (** Never answers anything — the "simulate crash in both phases" case
     of Lemma 2. *)
 
-val crash_at : int -> Strategy.t
-(** Correct until the given virtual time, silent afterwards. *)
-
 val mute_phase1 : Strategy.t
 (** Ignores [GET_TS] but is otherwise correct — "Byzantine nodes do not
     reply in the first phase but reply in the second" (Lemma 2 case 2). *)

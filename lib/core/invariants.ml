@@ -39,8 +39,6 @@ let create sys =
     regularity_violations = 0;
   }
 
-let system t = t.sys
-
 let bound t = (3 * (System.config t.sys).f) + 1
 
 let write t ~client ~value ?(k = fun () -> ()) () =

@@ -31,8 +31,6 @@ type report = {
 
 val create : System.t -> t
 
-val system : t -> System.t
-
 val write : t -> client:int -> value:int -> ?k:(unit -> unit) -> unit -> unit
 (** As {!System.write}, plus the Lemma 2 check at completion. *)
 

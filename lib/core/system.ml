@@ -29,11 +29,11 @@ let client_at t i =
       c
 
 let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
-    ?(trace_capacity = 4096) ?sample ?sample_seed ?transport ?engine cfg =
+    ?(trace_capacity = 4096) ?sample ?transport ?engine cfg =
   let engine =
     match engine with
     | Some e -> e
-    | None -> Engine.create ?trace_level ~trace_capacity ?sample ?sample_seed ~seed ()
+    | None -> Engine.create ?trace_level ~trace_capacity ?sample ~seed ()
   in
   let net =
     Network.create engine ~endpoints:(Config.endpoints cfg) ~servers:cfg.n ~delay

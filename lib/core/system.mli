@@ -16,14 +16,13 @@ val create :
   ?trace_level:Sbft_sim.Trace.level ->
   ?trace_capacity:int ->
   ?sample:float ->
-  ?sample_seed:int64 ->
   ?transport:Sbft_channel.Network.transport ->
   ?engine:Sbft_sim.Engine.t ->
   Config.t ->
   t
 (** Build and wire a deployment. Default seed [42L], default delay
     [Delay.uniform ~max:10], default transport [Direct].
-    [trace_level]/[sample]/[sample_seed] configure the engine
+    [trace_level]/[sample] configure the engine
     trace (see {!Sbft_sim.Engine.create}); none of them perturb the
     simulation itself.  [trace_capacity] sizes the forensic event ring
     (default 4096 entries; sinks always see every event regardless).

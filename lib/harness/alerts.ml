@@ -26,32 +26,19 @@ module J = Sbft_sim.Json
    one counter bump when the rule starts firing, nothing while it keeps
    firing, cleared when the condition goes away. *)
 
-type config = {
-  slo : Slo.target;
-  burn_threshold : float;
-  spike_factor : float;
-  spike_min_rate : float;
-  divergence_delta : float;
-  min_ops : int;
-  baseline_windows : int;
-}
-
-let default_config =
-  {
-    slo = Slo.default_target;
-    burn_threshold = 2.0;
-    spike_factor = 3.0;
-    spike_min_rate = 0.2;
-    divergence_delta = 0.25;
-    min_ops = 8;
-    baseline_windows = 8;
-  }
+(* Rule thresholds. *)
+let burn_threshold = 2.0 (* fire at >= this multiple of budget burn *)
+and spike_factor = 3.0 (* fire at >= this multiple of the baseline rate *)
+and spike_min_rate = 0.2 (* ...but never below this absolute rate *)
+and divergence_delta = 0.25 (* fire at >= this distance from the median *)
+and min_ops = 8 (* windows with fewer ops are never judged *)
+and baseline_windows = 8 (* trailing windows feeding the spike baseline *)
 
 type firing = { rule : string; shard : int; window_index : int; detail : string }
 
 type t = {
   store : Store.t;
-  config : config;
+  slo : Slo.target;
   window : int;
   active : (string * int, firing) Hashtbl.t;
   mutable fired : int; (* rising edges, all rules *)
@@ -84,7 +71,7 @@ let set t ~rule ~shard ~idx ~firing ~detail =
 
 (* One shard's view of window [idx]: the window itself plus a trailing
    baseline aggregated over the preceding [baseline_windows]. *)
-let shard_window ~baseline_windows (s : Store.shard_series) idx =
+let shard_window (s : Store.shard_series) idx =
   let recent = Series.recent s.flow () in
   let cur =
     match List.assoc_opt idx recent with Some a -> a | None -> Series.Agg.empty ()
@@ -111,13 +98,12 @@ let median xs =
       if n mod 2 = 1 then nth (n / 2) else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.0
 
 let eval_index t idx =
-  let c = t.config in
   let series = Array.of_list (Store.all_series t.store) in
-  let views = Array.map (fun s -> shard_window ~baseline_windows:c.baseline_windows s idx) series in
+  let views = Array.map (fun s -> shard_window s idx) series in
   let rates =
     Array.to_list views
     |> List.filter_map (fun ((a : Series.Agg.t), _) ->
-           if a.Series.Agg.count >= c.min_ops then Some (Series.Agg.mean a) else None)
+           if a.Series.Agg.count >= min_ops then Some (Series.Agg.mean a) else None)
   in
   let fleet_median = median rates in
   Array.iteri
@@ -125,19 +111,19 @@ let eval_index t idx =
       let ops = a.Series.Agg.count in
       let aborts = int_of_float (a.Series.Agg.sum +. 0.5) in
       let rate = Series.Agg.mean a in
-      let enough = ops >= c.min_ops in
-      let burn = Slo.window_burn ~target:c.slo ~ops ~aborts in
+      let enough = ops >= min_ops in
+      let burn = Slo.window_burn ~target:t.slo ~ops ~aborts in
       set t ~rule:Names.alert_rule_slo_burn ~shard ~idx
-        ~firing:(enough && burn >= c.burn_threshold)
+        ~firing:(enough && burn >= burn_threshold)
         ~detail:(Printf.sprintf "burn %.1fx budget (%d/%d aborted)" burn aborts ops);
-      let spike_floor = Float.max c.spike_min_rate (c.spike_factor *. baseline_rate) in
+      let spike_floor = Float.max spike_min_rate (spike_factor *. baseline_rate) in
       set t ~rule:Names.alert_rule_abort_spike ~shard ~idx
         ~firing:(enough && rate > 0.0 && rate >= spike_floor)
         ~detail:
           (Printf.sprintf "abort rate %.0f%% vs trailing %.0f%%" (100.0 *. rate)
              (100.0 *. baseline_rate));
       set t ~rule:Names.alert_rule_divergence ~shard ~idx
-        ~firing:(enough && Float.abs (rate -. fleet_median) >= c.divergence_delta)
+        ~firing:(enough && Float.abs (rate -. fleet_median) >= divergence_delta)
         ~detail:
           (Printf.sprintf "abort rate %.0f%% vs fleet median %.0f%%" (100.0 *. rate)
              (100.0 *. fleet_median)))
@@ -148,15 +134,14 @@ let evaluate_to t ~now =
   let latest = (now / t.window) - 1 in
   if latest > t.last_eval then begin
     (* Never further back than the series ring can answer. *)
-    let keep = 64 in
-    let from = max (t.last_eval + 1) (latest - keep + 1) in
+    let from = max (t.last_eval + 1) (latest - Store.series_keep + 1) in
     for idx = from to latest do
       eval_index t idx
     done;
     t.last_eval <- latest
   end
 
-let attach ?(config = default_config) store =
+let attach ~slo store =
   if not (Store.series_enabled store) then
     invalid_arg "Alerts.attach: store was created without series_window";
   let window =
@@ -167,7 +152,7 @@ let attach ?(config = default_config) store =
   let t =
     {
       store;
-      config;
+      slo;
       window;
       active = Hashtbl.create 16;
       fired = 0;

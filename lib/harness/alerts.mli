@@ -2,38 +2,28 @@
 
     Evaluated one tumbling window at a time on an engine daemon probe
     (read-only, no randomness — attaching the ruleset cannot perturb a
-    run).  Three rules per shard per window:
+    run).  Three rules per shard per window, each judged only on
+    windows with at least 8 operations:
 
     - [slo_burn] (critical): the window consumed the SLO error budget
-      at ≥ a threshold multiple of the sustainable rate
-      ({!Slo.window_burn});
-    - [abort_spike] (warning): the window's abort rate jumped over the
-      shard's own trailing baseline;
-    - [divergence] (warning): the shard's abort rate strayed from the
-      fleet median for that window.
+      at ≥ 2× the sustainable rate ({!Slo.window_burn});
+    - [abort_spike] (warning): the window's abort rate reached 3× the
+      shard's own baseline over the 8 preceding windows, and at least
+      20%;
+    - [divergence] (warning): the shard's abort rate strayed 0.25 or
+      more from the fleet median for that window.
 
     Firings are edge-triggered per (rule, shard): one {!Sbft_sim.Event.t}
     [Alert] into the trace and one [alerts.<rule>] counter bump when a
     rule starts firing, cleared silently when the condition passes. *)
 
-type config = {
-  slo : Slo.target;
-  burn_threshold : float;  (** fire at ≥ this multiple of budget burn *)
-  spike_factor : float;  (** fire at ≥ this multiple of the baseline rate *)
-  spike_min_rate : float;  (** …but never below this absolute rate *)
-  divergence_delta : float;  (** fire at ≥ this distance from the median *)
-  min_ops : int;  (** windows with fewer ops are never judged *)
-  baseline_windows : int;  (** trailing windows feeding the spike baseline *)
-}
-
-val default_config : config
-
 type firing = { rule : string; shard : int; window_index : int; detail : string }
 
 type t
 
-val attach : ?config:config -> Sbft_kv.Store.t -> t
-(** Requires a store created with [series_window] (raises
+val attach : slo:Slo.target -> Sbft_kv.Store.t -> t
+(** [slo] sets the budget [slo_burn] measures against.  Requires a
+    store created with [series_window] (raises
     [Invalid_argument] otherwise); the evaluation period is the series'
     window width. *)
 

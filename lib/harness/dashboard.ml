@@ -7,15 +7,12 @@ module Store = Sbft_kv.Store
    the streaming structures — building a frame reads state and draws no
    randomness, so watching a run never changes it. *)
 
-type t = {
-  store : Store.t;
-  stabilization : Stabilization.t option;
-  alerts : Alerts.t option;
-  windows : int;
-}
+type t = { store : Store.t; stabilization : Stabilization.t option; alerts : Alerts.t option }
 
-let create ?(windows = 32) ?stabilization ?alerts store =
-  { store; stabilization; alerts; windows }
+(* Sparkline width, in closed windows. *)
+let windows = 32
+
+let create ?stabilization ?alerts store = { store; stabilization; alerts }
 
 (* ASCII ramp, low to high; index 0 is reserved for "no data". *)
 let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '@' |]
@@ -43,7 +40,7 @@ let abort_rate (a : Series.Agg.t) = Series.Agg.mean a
 let render t =
   let buf = Buffer.create 1024 in
   let shards = Store.shard_count t.store in
-  let n = t.windows in
+  let n = windows in
   let all = Store.all_series t.store in
   let stab_cell shard =
     match t.stabilization with

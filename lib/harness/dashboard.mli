@@ -9,9 +9,8 @@
 
 type t
 
-val create :
-  ?windows:int -> ?stabilization:Stabilization.t -> ?alerts:Alerts.t -> Sbft_kv.Store.t -> t
-(** [windows] is the sparkline width in closed windows (default 32). *)
+val create : ?stabilization:Stabilization.t -> ?alerts:Alerts.t -> Sbft_kv.Store.t -> t
+(** Sparklines span the last 32 closed windows. *)
 
 val render : t -> string
 (** One complete frame, trailing newline included. *)

@@ -252,10 +252,10 @@ let e5_stabilization () =
    attached: the full abort-rate / label-occupancy curves behind the
    table's scalar summary.  Exported through [sbftreg experiment e5
    --metrics-out] and plotted in EXPERIMENTS.md. *)
-let stabilization_telemetry ?(seed = 11L) ?(snapshot_every = 25) () =
-  let sys = make_core ~seed ~n:6 ~f:1 ~clients:5 ~strategy:Strategies.stale_replay () in
+let stabilization_telemetry () =
+  let sys = make_core ~seed:11L ~n:6 ~f:1 ~clients:5 ~strategy:Strategies.stale_replay () in
   System.corrupt_everything sys ~severity:`Heavy;
-  let telemetry = Telemetry.attach ~snapshot_every sys in
+  let telemetry = Telemetry.attach ~snapshot_every:25 sys in
   let reg = Register.core sys in
   let _ =
     Workload.run ~spec:{ Workload.default with ops_per_client = 20; write_ratio = 0.3 } reg
@@ -270,18 +270,21 @@ let stabilization_telemetry ?(seed = 11L) ?(snapshot_every = 25) () =
 
 (* ------------------------------------------------------------------ *)
 
+let domination_failures ~k ~seed ~trials =
+  let sys = Sbls.system ~k in
+  let rng = Rng.create seed in
+  let failures = ref 0 in
+  for _ = 1 to trials do
+    let inputs = List.init (Rng.int_in rng 1 k) (fun _ -> Sbls.random sys rng) in
+    let nxt = Sbls.next sys inputs in
+    if not (List.for_all (fun l -> Sbls.prec l nxt) inputs) then incr failures
+  done;
+  !failures
+
 let e6_bounded_labels () =
   (* Domination property of next() from arbitrary (corrupted) inputs. *)
   let domination k trials =
-    let sys = Sbls.system ~k in
-    let rng = Rng.create 7L in
-    let ok = ref 0 in
-    for _ = 1 to trials do
-      let inputs = List.init (Rng.int_in rng 1 k) (fun _ -> Sbls.random sys rng) in
-      let nxt = Sbls.next sys inputs in
-      if List.for_all (fun l -> Sbls.prec l nxt) inputs then incr ok
-    done;
-    float_of_int !ok /. float_of_int trials
+    float_of_int (trials - domination_failures ~k ~seed:7L ~trials) /. float_of_int trials
   in
   let growth_row name reg_of_seed =
     let bits =
@@ -1020,37 +1023,60 @@ let e18_kv_store () =
 
 (* ------------------------------------------------------------------ *)
 
+type storm = { plan : Sbft_byz.Fault_plan.t; report : Sbft_core.Invariants.report; ok : bool }
+
+let storm_session ~n ~f ~seed ~waves ~every =
+  let problem =
+    if f < 0 then Some (Printf.sprintf "-f must be at least 0 (got %d)" f)
+    else if n <= 5 * f then Some (Printf.sprintf "-n %d must exceed 5f = %d (-f %d)" n (5 * f) f)
+    else if waves < 0 then Some (Printf.sprintf "--waves must be at least 0 (got %d)" waves)
+    else if every < 1 then Some (Printf.sprintf "--every must be at least 1 (got %d)" every)
+    else None
+  in
+  match problem with
+  | Some p -> Error p
+  | None ->
+      let sys = System.create ~seed (Config.make ~n ~f ~clients:3 ()) in
+      let mon = Sbft_core.Invariants.create sys in
+      let plan = Sbft_byz.Fault_plan.storm ~seed ~n ~f ~clients:3 ~waves ~every in
+      Sbft_byz.Fault_plan.apply ~monitor:mon sys plan;
+      let rng = Rng.create (Int64.add seed 17L) in
+      let v = ref (1000 * Int64.to_int (Int64.rem seed 1000L)) in
+      let rec loop c remaining =
+        if remaining > 0 then begin
+          let continue () =
+            Engine.schedule (System.engine sys) ~delay:(Rng.int_in rng 3 20) (fun () ->
+                loop c (remaining - 1))
+          in
+          if Rng.chance rng 0.4 then begin
+            incr v;
+            Sbft_core.Invariants.write mon ~client:c ~value:!v ~k:continue ()
+          end
+          else Sbft_core.Invariants.read mon ~client:c ~k:(fun _ -> continue ()) ()
+        end
+      in
+      for c = n to n + 2 do
+        loop c 40
+      done;
+      System.quiesce sys;
+      let report = Sbft_core.Invariants.check mon in
+      Ok { plan; report; ok = Sbft_core.Invariants.ok report }
+
+let pp_storm fmt s =
+  Format.fprintf fmt "@[<v>%a@,verdict: %s@]" Sbft_core.Invariants.pp_report s.report
+    (if s.ok then "OK" else "BROKEN")
+
 let e19_fault_storm () =
   let row ~waves ~every =
     let writes = ref 0 and reads = ref 0 and cov_fail = ref 0 and min_cov = ref max_int in
     let post_aborts = ref 0 and viol = ref 0 in
     List.iter
       (fun seed ->
-        let cfg = Config.make ~n:6 ~f:1 ~clients:3 () in
-        let sys = System.create ~seed cfg in
-        let mon = Sbft_core.Invariants.create sys in
-        let plan = Sbft_byz.Fault_plan.storm ~seed ~n:6 ~f:1 ~clients:3 ~waves ~every in
-        Sbft_byz.Fault_plan.apply ~monitor:mon sys plan;
-        let rng = Rng.create (Int64.add seed 17L) in
-        let v = ref (1000 * Int64.to_int (Int64.rem seed 1000L)) in
-        let rec loop c remaining =
-          if remaining > 0 then begin
-            let continue () =
-              Engine.schedule (System.engine sys) ~delay:(Rng.int_in rng 3 20) (fun () ->
-                  loop c (remaining - 1))
-            in
-            if Rng.chance rng 0.4 then begin
-              incr v;
-              Sbft_core.Invariants.write mon ~client:c ~value:!v ~k:continue ()
-            end
-            else Sbft_core.Invariants.read mon ~client:c ~k:(fun _ -> continue ()) ()
-          end
+        let r =
+          match storm_session ~n:6 ~f:1 ~seed ~waves ~every with
+          | Ok s -> s.report
+          | Error e -> invalid_arg e
         in
-        for c = 6 to 8 do
-          loop c 40
-        done;
-        System.quiesce sys;
-        let r = Sbft_core.Invariants.check mon in
         writes := !writes + r.writes_checked;
         reads := !reads + r.reads_checked;
         cov_fail := !cov_fail + r.coverage_failures;

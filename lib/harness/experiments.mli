@@ -37,10 +37,14 @@ val e4_regularity : unit -> Table.t
 
 val e5_stabilization : unit -> Table.t
 
-val stabilization_telemetry : ?seed:int64 -> ?snapshot_every:int -> unit -> Sbft_sim.Json.t
+val stabilization_telemetry : unit -> Sbft_sim.Json.t
 (** E5's "everything" scenario re-run with {!Telemetry} attached: the
     windowed abort-rate and label-occupancy curves behind the table's
-    scalars (default seed 11, snapshots every 25 ticks). *)
+    scalars (seed 11, snapshots every 25 ticks). *)
+
+val domination_failures : k:int -> seed:int64 -> trials:int -> int
+(** Of [trials] random sets of 1 to [k] corrupted labels, how many
+    [Sbls.next] fails to dominate — E6's check, also [sbftreg labels]'s. *)
 
 val e6_bounded_labels : unit -> Table.t
 
@@ -76,6 +80,23 @@ val e18_kv_store : unit -> Table.t
 val e19_fault_storm : unit -> Table.t
 (** Random fault storms with healing, checked live by the invariant
     monitor — the §VI transient/Byzantine unification. *)
+
+type storm = {
+  plan : Sbft_byz.Fault_plan.t;
+  report : Sbft_core.Invariants.report;
+  ok : bool;  (** {!Sbft_core.Invariants.ok} of [report] *)
+}
+
+val storm_session :
+  n:int -> f:int -> seed:int64 -> waves:int -> every:int -> (storm, string) result
+(** One E19 row's per-seed run, also [sbftreg storm]'s: three clients
+    issue 40 operations each (40% writes, 3–20 ticks apart) through a
+    {!Sbft_byz.Fault_plan.storm} of [waves] waves [every] ticks apart,
+    all checked live by the invariant monitor.  [Error] names the flag
+    of a bad parameter (n ≤ 5f, f < 0, waves < 0, every < 1). *)
+
+val pp_storm : Format.formatter -> storm -> unit
+(** The monitor's report, then ["verdict: OK"] or ["verdict: BROKEN"]. *)
 
 val e20_partition : unit -> Table.t
 (** Partition episodes: stalls and recovery, never violations. *)

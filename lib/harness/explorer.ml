@@ -1,8 +1,3 @@
-module Delay = Sbft_channel.Delay
-module System = Sbft_core.System
-module Config = Sbft_core.Config
-module History = Sbft_spec.History
-
 type fault_mode = Clean | Corrupt_t0 | Storm
 
 type scenario = { seed : int64; policy : string; strategy : string; fault : fault_mode }
@@ -16,9 +11,7 @@ type summary = { runs : int; failures : failure list; total_reads : int; total_a
 
 let policies = Scenario.policies
 
-let strategies = ("none", None) :: List.map (fun (n, s) -> (n, Some s)) Sbft_byz.Strategies.all
-
-let incomplete_ops = Scenario.incomplete_ops
+let strategies = "none" :: List.map fst Sbft_byz.Strategies.all
 
 let classify ~livelocked ~completed_reads ~aborted_reads ~incomplete ~violations scenario =
   let failures = ref [] in
@@ -33,49 +26,49 @@ let classify ~livelocked ~completed_reads ~aborted_reads ~incomplete ~violations
   else if incomplete > 0 then failures := { scenario; kind = `Incomplete } :: !failures;
   List.rev !failures
 
-let run_one ~n ~f ~clients ~ops_per_client scenario strategy policy =
-  let cfg = Config.make ~allow_unsafe:true ~n ~f ~clients () in
-  let sys = System.create ~seed:scenario.seed ~delay:policy cfg in
-  (match strategy with Some s -> ignore (Sbft_byz.Strategy.install_all sys s) | None -> ());
-  let last_fault = ref 0 in
-  (match scenario.fault with
-  | Clean -> ()
-  | Corrupt_t0 -> System.corrupt_everything sys ~severity:`Heavy
-  | Storm ->
-      (* A short storm; the audit starts after its final event. *)
-      let plan =
-        Sbft_byz.Fault_plan.storm ~seed:scenario.seed ~n ~f ~clients ~waves:3 ~every:120
+(* One grid point is an ordinary scenario; only the classification
+   (every violation, starvation over all reads) is the grid's own. *)
+let run_one ~n ~f ~clients ~ops_per_client scenario =
+  let s =
+    {
+      Scenario.default with
+      n;
+      f;
+      clients;
+      seed = scenario.seed;
+      ops_per_client;
+      strategy = (if scenario.strategy = "none" then None else Some scenario.strategy);
+      corrupt = scenario.fault = Corrupt_t0;
+      delay = scenario.policy;
+      (* a short storm; the audit starts after its final event *)
+      plan =
+        (if scenario.fault = Storm then
+           Sbft_byz.Fault_plan.storm ~seed:scenario.seed ~n ~f ~clients ~waves:3 ~every:120
+         else []);
+      snapshot_every = 0;
+    }
+  in
+  match Scenario.execute ~level:Sbft_sim.Trace.Off ~collect_events:false s with
+  | Error e -> invalid_arg e
+  | Ok r ->
+      let failures =
+        classify ~livelocked:r.outcome.livelocked ~completed_reads:(r.reg.completed_reads ())
+          ~aborted_reads:(r.reg.aborted_reads ())
+          ~incomplete:(Scenario.incomplete_ops ~since:r.last_fault (Sbft_core.System.history r.sys))
+          ~violations:
+            (List.map (fun (v : Sbft_spec.Regularity.violation) -> v.detail) r.report.violations)
+          scenario
       in
-      last_fault := Sbft_byz.Fault_plan.last_at plan;
-      Sbft_byz.Fault_plan.apply sys plan);
-  let reg = Register.core sys in
-  let o = Workload.run ~spec:{ Workload.default with ops_per_client } reg in
-  let h = System.history sys in
-  (* First write that began and completed after the last fault. *)
-  let after =
-    List.fold_left
-      (fun acc op ->
-        match op with
-        | History.Write { inv; resp = Some r; _ } when inv >= !last_fault -> min acc r
-        | _ -> acc)
-      max_int (History.ops h)
-  in
-  let check = reg.check_regular ~after () in
-  let failures =
-    classify ~livelocked:o.livelocked ~completed_reads:(reg.completed_reads ())
-      ~aborted_reads:(reg.aborted_reads ()) ~incomplete:(incomplete_ops ~since:!last_fault h)
-      ~violations:check.detail scenario
-  in
-  (failures, check.checked, reg.aborted_reads ())
+      (failures, r.report.checked_reads, r.reg.aborted_reads ())
 
-let explore ?(n = 6) ?(f = 1) ?(clients = 4) ?(ops_per_client = 12) ?(seeds = 5)
-    ?(fault_modes = [ Clean; Corrupt_t0; Storm ]) () =
+let explore ?(n = 6) ?(f = 1) ?(ops_per_client = 12) ?(seeds = 5) () =
+  let clients = 4 in
   let runs = ref 0 and failures = ref [] and reads = ref 0 and aborts = ref 0 in
   for seed_i = 1 to seeds do
     List.iter
-      (fun (pname, policy) ->
+      (fun (pname, _) ->
         List.iter
-          (fun (sname, strategy) ->
+          (fun sname ->
             List.iter
               (fun fault ->
                 (* A storm brings its own (f-budgeted) Byzantine
@@ -88,14 +81,12 @@ let explore ?(n = 6) ?(f = 1) ?(clients = 4) ?(ops_per_client = 12) ?(seeds = 5)
                   { seed = Int64.of_int (7919 * seed_i); policy = pname; strategy = sname; fault }
                 in
                 incr runs;
-                let fs, r, a =
-                  run_one ~n ~f ~clients ~ops_per_client scenario strategy policy
-                in
+                let fs, r, a = run_one ~n ~f ~clients ~ops_per_client scenario in
                 failures := fs @ !failures;
                 reads := !reads + r;
                 aborts := !aborts + a
                 end)
-              fault_modes)
+              [ Clean; Corrupt_t0; Storm ])
           strategies)
       policies
   done;

@@ -64,14 +64,12 @@ val classify :
 val explore :
   ?n:int ->
   ?f:int ->
-  ?clients:int ->
   ?ops_per_client:int ->
   ?seeds:int ->
-  ?fault_modes:fault_mode list ->
   unit ->
   summary
 (** Run the full grid: [seeds] seeds (default 5) × {!policies} ×
-    (every strategy + none) × [fault_modes] (default all three).
+    (every strategy + none) × the three fault modes, 4 clients each.
     Every run is audited for MWMR regularity after the last fault's
     first completed write; any violation, livelock, starvation or
     incomplete operation is a failure. *)

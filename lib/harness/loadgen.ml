@@ -11,7 +11,7 @@ module J = Sbft_sim.Json
 
 type arrival = Poisson of float | Const of float | Ramp of float * float
 
-type mode = Open_loop of arrival | Closed_loop of { concurrency : int; think_max : int }
+type mode = Open_loop of arrival
 
 (* The batch-per-tick representation (one engine thunk per tick that
    has arrivals, carrying that tick's whole batch) keeps any rate up to
@@ -27,10 +27,9 @@ type error =
   | Invalid_duration of int
   | Invalid_mix of float
   | Invalid_queue_cap of int
-  | Invalid_concurrency of int
-  | Invalid_think of int
   | Invalid_keys of int
   | Invalid_zipf of float
+  | Invalid_arrival of string
 
 exception Invalid of error
 
@@ -44,11 +43,12 @@ let error_to_string = function
   | Invalid_duration d -> Printf.sprintf "duration must be at least one tick (got %d)" d
   | Invalid_mix w -> Printf.sprintf "write ratio must lie in [0, 1] (got %g)" w
   | Invalid_queue_cap q -> Printf.sprintf "max_queue must be at least 1 (got %d)" q
-  | Invalid_concurrency c -> Printf.sprintf "closed-loop concurrency must be at least 1 (got %d)" c
-  | Invalid_think t -> Printf.sprintf "closed-loop think_max must be at least 1 (got %d)" t
   | Invalid_keys k -> Printf.sprintf "key-space size must be at least 1 (got %d)" k
   | Invalid_zipf s ->
       Printf.sprintf "zipf_s must be a non-negative number (0 = uniform; got %g)" s
+  | Invalid_arrival s ->
+      Printf.sprintf
+        "invalid arrival process %S (expected poisson:RATE, const:RATE or ramp:A..B)" s
 
 let check_rate r =
   if Float.is_nan r || r <= 0.0 then raise (Invalid (Invalid_rate r));
@@ -94,11 +94,8 @@ let validate spec =
     if Float.is_nan spec.zipf_s || spec.zipf_s < 0.0 then
       raise (Invalid (Invalid_zipf spec.zipf_s));
     if spec.max_queue < 1 then raise (Invalid (Invalid_queue_cap spec.max_queue));
-    (match spec.mode with
-    | Open_loop a -> check_arrival a
-    | Closed_loop { concurrency; think_max } ->
-        if concurrency < 1 then raise (Invalid (Invalid_concurrency concurrency));
-        if think_max < 1 then raise (Invalid (Invalid_think think_max)));
+    let (Open_loop a) = spec.mode in
+    check_arrival a;
     Ok ()
   with Invalid e -> Error e
 
@@ -198,20 +195,38 @@ let arrival_to_string = function
   | Const r -> Printf.sprintf "const:%g" r
   | Ramp (a, b) -> Printf.sprintf "ramp:%g..%g" a b
 
-let mode_json = function
-  | Open_loop a -> J.Obj [ ("kind", J.String "open"); ("arrival", J.String (arrival_to_string a)) ]
-  | Closed_loop { concurrency; think_max } ->
-      J.Obj
-        [
-          ("kind", J.String "closed");
-          ("concurrency", J.Int concurrency);
-          ("think_max", J.Int think_max);
-        ]
+(* The inverse of [arrival_to_string].  Only the syntax is checked
+   here; rates are range-checked by [validate]. *)
+let arrival_of_string s =
+  let split sep s =
+    let n = String.length sep in
+    let rec at i =
+      if i + n > String.length s then None
+      else if String.sub s i n = sep then
+        Some (String.sub s 0 i, String.sub s (i + n) (String.length s - i - n))
+      else at (i + 1)
+    in
+    at 0
+  in
+  let rate = float_of_string_opt in
+  (* the ramp's bounds are floats, so split them on "..", not on a dot *)
+  let parsed =
+    match split ":" s with
+    | Some ("poisson", r) -> Option.map (fun r -> Poisson r) (rate r)
+    | Some ("const", r) -> Option.map (fun r -> Const r) (rate r)
+    | Some ("ramp", r) -> (
+        match Option.map (fun (a, b) -> (rate a, rate b)) (split ".." r) with
+        | Some (Some a, Some b) -> Some (Ramp (a, b))
+        | _ -> None)
+    | _ -> None
+  in
+  Option.to_result ~none:(Invalid_arrival s) parsed
 
 let to_json ~spec (o : outcome) =
+  let (Open_loop a) = spec.mode in
   J.Obj
     [
-      ("mode", mode_json spec.mode);
+      ("mode", J.Obj [ ("kind", J.String "open"); ("arrival", J.String (arrival_to_string a)) ]);
       ("duration", J.Int spec.duration);
       ("write_ratio", J.Float spec.write_ratio);
       ("max_queue", J.Int spec.max_queue);
@@ -350,133 +365,103 @@ let run ?(max_events = 200_000_000) ~spec store =
               after ())
         ()
   in
-  let finish ~gen_ticks ~livelocked =
-    let now = Engine.now engine in
-    Array.iter (fun s -> Series.roll_to s ~time:now) queue_series;
-    (* The per-shard admission counters flush once per run — the engine
-       metrics only ever carry run totals, so bumping them per arrival
-       would buy nothing but a string hash on the hot path. *)
-    for shard = 0 to shards - 1 do
-      if ps_offered.(shard) > 0 then
-        Metrics.add m (Names.kv_shard ~shard Names.Shard_offered) ps_offered.(shard);
-      if ps_accepted.(shard) > 0 then
-        Metrics.add m (Names.kv_shard ~shard Names.Shard_accepted) ps_accepted.(shard);
-      if ps_rejected.(shard) > 0 then
-        Metrics.add m (Names.kv_shard ~shard Names.Shard_rejected) ps_rejected.(shard)
-    done;
-    {
-      offered = !offered;
-      accepted = !accepted;
-      rejected = !rejected;
-      completed = !completed;
-      completed_puts = !completed_puts;
-      completed_gets = !completed_gets;
-      aborted = !aborted;
-      incomplete = !incomplete;
-      peak_queue = !peak_queue;
-      peak_inflight = !peak_inflight;
-      gen_ticks;
-      wall_ticks = now - start;
-      livelocked;
-      per_shard =
-        Array.init shards (fun i ->
-            {
-              s_offered = ps_offered.(i);
-              s_accepted = ps_accepted.(i);
-              s_rejected = ps_rejected.(i);
-              s_completed = ps_completed.(i);
-              s_aborted = ps_aborted.(i);
-              s_peak_queue = ps_peak_queue.(i);
-            });
-      queue_series;
-    }
+  let (Open_loop arrival) = spec.mode in
+  let slots = schedule ?ops:spec.ops ~rng ~duration:spec.duration arrival in
+  let gen_ticks = List.fold_left (fun _ s -> s.at) 0 slots in
+  let cursor = ref 0 in
+  let rec drain () =
+    if !free_top > 0 && !total_queued > 0 then begin
+      let rec find i =
+        let s = (!cursor + i) mod shards in
+        if Queue.is_empty queues.(s) then find (i + 1) else s
+      in
+      let shard = find 0 in
+      cursor := (shard + 1) mod shards;
+      let is_put, key, shard', enq_at = Queue.pop queues.(shard) in
+      assert (shard' = shard);
+      decr total_queued;
+      observe_queue shard;
+      let client = pop_free () in
+      issue ~client ~shard ~is_put ~key ~enq_at ~after:(fun () ->
+          push_free client;
+          drain ());
+      drain ()
+    end
   in
-  match spec.mode with
-  | Closed_loop { concurrency; think_max } ->
-      let conc = min concurrency nclients in
-      let cap = match spec.ops with Some n -> max 0 n | None -> max_int in
-      let rec step client =
-        if Engine.now engine - start < spec.duration && !offered < cap then begin
-          incr offered;
-          incr accepted;
-          let key = key_names.(Workload.zipf_pick rng cdf) in
-          let is_put = Rng.chance rng spec.write_ratio in
-          let shard = Store.shard_of_key store key in
-          ps_offered.(shard) <- ps_offered.(shard) + 1;
-          ps_accepted.(shard) <- ps_accepted.(shard) + 1;
-          issue ~client ~shard ~is_put ~key ~enq_at:(Engine.now engine) ~after:(fun () ->
-              Engine.schedule engine ~delay:(Rng.int_in rng 1 think_max) (fun () -> step client))
-        end
-      in
-      for client = 0 to conc - 1 do
-        Engine.schedule engine ~delay:(Rng.int_in rng 1 think_max) (fun () -> step client)
-      done;
-      let livelocked =
-        try
-          Store.quiesce ~max_events store;
-          false
-        with Engine.Budget_exhausted -> true
-      in
-      finish ~gen_ticks:spec.duration ~livelocked
-  | Open_loop arrival ->
-      let slots = schedule ?ops:spec.ops ~rng ~duration:spec.duration arrival in
-      let gen_ticks = List.fold_left (fun _ s -> s.at) 0 slots in
-      let cursor = ref 0 in
-      let rec drain () =
-        if !free_top > 0 && !total_queued > 0 then begin
-          let rec find i =
-            let s = (!cursor + i) mod shards in
-            if Queue.is_empty queues.(s) then find (i + 1) else s
-          in
-          let shard = find 0 in
-          cursor := (shard + 1) mod shards;
-          let is_put, key, shard', enq_at = Queue.pop queues.(shard) in
-          assert (shard' = shard);
-          decr total_queued;
-          observe_queue shard;
-          let client = pop_free () in
-          issue ~client ~shard ~is_put ~key ~enq_at ~after:(fun () ->
-              push_free client;
-              drain ());
-          drain ()
-        end
-      in
-      let arrive () =
-        incr offered;
-        let key = key_names.(Workload.zipf_pick rng cdf) in
-        let is_put = Rng.chance rng spec.write_ratio in
-        let shard = Store.shard_of_key store key in
-        ps_offered.(shard) <- ps_offered.(shard) + 1;
-        if Queue.length queues.(shard) >= spec.max_queue then begin
-          incr rejected;
-          ps_rejected.(shard) <- ps_rejected.(shard) + 1
-        end
-        else begin
-          incr accepted;
-          ps_accepted.(shard) <- ps_accepted.(shard) + 1;
-          Queue.push (is_put, key, shard, Engine.now engine) queues.(shard);
-          incr total_queued;
-          let depth = Queue.length queues.(shard) in
-          if depth > ps_peak_queue.(shard) then ps_peak_queue.(shard) <- depth;
-          if !total_queued > !peak_queue then peak_queue := !total_queued;
-          observe_queue shard;
-          drain ()
-        end
-      in
-      let rec arm prev = function
-        | [] -> ()
-        | { at; batch } :: rest ->
-            Engine.schedule engine ~delay:(at - prev) (fun () ->
-                for _ = 1 to batch do
-                  arrive ()
-                done;
-                arm at rest)
-      in
-      arm 0 slots;
-      let livelocked =
-        try
-          Store.quiesce ~max_events store;
-          false
-        with Engine.Budget_exhausted -> true
-      in
-      finish ~gen_ticks ~livelocked
+  let arrive () =
+    incr offered;
+    let key = key_names.(Workload.zipf_pick rng cdf) in
+    let is_put = Rng.chance rng spec.write_ratio in
+    let shard = Store.shard_of_key store key in
+    ps_offered.(shard) <- ps_offered.(shard) + 1;
+    if Queue.length queues.(shard) >= spec.max_queue then begin
+      incr rejected;
+      ps_rejected.(shard) <- ps_rejected.(shard) + 1
+    end
+    else begin
+      incr accepted;
+      ps_accepted.(shard) <- ps_accepted.(shard) + 1;
+      Queue.push (is_put, key, shard, Engine.now engine) queues.(shard);
+      incr total_queued;
+      let depth = Queue.length queues.(shard) in
+      if depth > ps_peak_queue.(shard) then ps_peak_queue.(shard) <- depth;
+      if !total_queued > !peak_queue then peak_queue := !total_queued;
+      observe_queue shard;
+      drain ()
+    end
+  in
+  let rec arm prev = function
+    | [] -> ()
+    | { at; batch } :: rest ->
+        Engine.schedule engine ~delay:(at - prev) (fun () ->
+            for _ = 1 to batch do
+              arrive ()
+            done;
+            arm at rest)
+  in
+  arm 0 slots;
+  let livelocked =
+    try
+      Store.quiesce ~max_events store;
+      false
+    with Engine.Budget_exhausted -> true
+  in
+  let now = Engine.now engine in
+  Array.iter (fun s -> Series.roll_to s ~time:now) queue_series;
+  (* The per-shard admission counters flush once per run — the engine
+     metrics only ever carry run totals, so bumping them per arrival
+     would buy nothing but a string hash on the hot path. *)
+  for shard = 0 to shards - 1 do
+    if ps_offered.(shard) > 0 then
+      Metrics.add m (Names.kv_shard ~shard Names.Shard_offered) ps_offered.(shard);
+    if ps_accepted.(shard) > 0 then
+      Metrics.add m (Names.kv_shard ~shard Names.Shard_accepted) ps_accepted.(shard);
+    if ps_rejected.(shard) > 0 then
+      Metrics.add m (Names.kv_shard ~shard Names.Shard_rejected) ps_rejected.(shard)
+  done;
+  {
+    offered = !offered;
+    accepted = !accepted;
+    rejected = !rejected;
+    completed = !completed;
+    completed_puts = !completed_puts;
+    completed_gets = !completed_gets;
+    aborted = !aborted;
+    incomplete = !incomplete;
+    peak_queue = !peak_queue;
+    peak_inflight = !peak_inflight;
+    gen_ticks;
+    wall_ticks = now - start;
+    livelocked;
+    per_shard =
+      Array.init shards (fun i ->
+          {
+            s_offered = ps_offered.(i);
+            s_accepted = ps_accepted.(i);
+            s_rejected = ps_rejected.(i);
+            s_completed = ps_completed.(i);
+            s_aborted = ps_aborted.(i);
+            s_peak_queue = ps_peak_queue.(i);
+          });
+    queue_series;
+  }

@@ -9,11 +9,8 @@
     pool of store clients as they free up.  Offered vs. accepted vs.
     completed counts, queue depth and queue wait become first-class
     observables, which is what makes the saturation knee (and the SLO
-    cost of operating past it) measurable at all.
-
-    A closed-loop SLO mode (fixed concurrency, think time) lives
-    behind the same [spec]/[outcome] interface so experiments can
-    compare both regimes like-for-like.
+    cost of operating past it) measurable at all.  Closed-loop kv
+    sessions run through {!Workload.run_kv}.
 
     Everything is driven by the virtual clock and a PRNG stream split
     off the engine's master seed: same seed + same spec ⇒ bit-identical
@@ -27,10 +24,7 @@ type arrival =
           second value across the run — one pass over the saturation
           knee *)
 
-type mode =
-  | Open_loop of arrival
-  | Closed_loop of { concurrency : int; think_max : int }
-      (** classic fixed-population driver behind the same accounting *)
+type mode = Open_loop of arrival
 
 (** {1 Typed spec errors}
 
@@ -46,10 +40,9 @@ type error =
   | Invalid_duration of int
   | Invalid_mix of float  (** write ratio outside [0, 1] *)
   | Invalid_queue_cap of int
-  | Invalid_concurrency of int
-  | Invalid_think of int
   | Invalid_keys of int
   | Invalid_zipf of float  (** NaN or negative skew exponent *)
+  | Invalid_arrival of string  (** not in {!arrival_to_string}'s syntax *)
 
 exception Invalid of error
 
@@ -61,6 +54,11 @@ val error_to_string : error -> string
 val arrival_to_string : arrival -> string
 (** The CLI surface syntax: ["poisson:RATE"], ["const:RATE"],
     ["ramp:A..B"]. *)
+
+val arrival_of_string : string -> (arrival, error) result
+(** Parse {!arrival_to_string}'s syntax; a malformed string is
+    [Invalid_arrival].  Rates are range-checked by {!validate}, not
+    here. *)
 
 type spec = {
   mode : mode;
@@ -128,11 +126,10 @@ type outcome = {
 }
 
 val run : ?max_events:int -> spec:spec -> Sbft_kv.Store.t -> outcome
-(** Drive the store.  Open loop: emit the arrival schedule, route each
-    arrival to its key's shard queue (rejecting above [max_queue]),
-    dispatch to free store clients round-robin across shards, then
-    drain to quiescence.  Closed loop: [concurrency] clients loop
-    op/think until [duration] elapses.  Also bumps the per-shard
+(** Drive the store: emit the arrival schedule, route each arrival to
+    its key's shard queue (rejecting above [max_queue]), dispatch to
+    free store clients round-robin across shards, then drain to
+    quiescence.  Also bumps the per-shard
     offered/accepted/rejected counters, the end-to-end latency
     histograms ([kv.shard.<i>.e2e_ticks]: queue wait + service) and the
     fleet queue-wait histogram in the engine metrics.  Raises

@@ -79,7 +79,8 @@ module J = Sbft_sim.Json
    vertical marker at the stabilization point.  [points] pairs a
    window's virtual start time with its value ([None] = empty window);
    [marker] is a virtual time. *)
-let sparkline_svg ?(width = 360) ?(height = 36) ?hi ?marker points =
+let sparkline_svg ?hi ?marker points =
+  let width = 360 and height = 36 in
   let n = List.length points in
   if n = 0 then "<svg width=\"1\" height=\"1\"></svg>"
   else begin

@@ -25,9 +25,8 @@ val write_file : path:string -> ?title:string -> ?preamble:string -> Table.t lis
     like everything else here), red stabilization markers, and the
     alert log. *)
 
-val sparkline_svg :
-  ?width:int -> ?height:int -> ?hi:float -> ?marker:int -> (int * float option) list -> string
-(** Bars for per-window values keyed by virtual time ([None] = empty
+val sparkline_svg : ?hi:float -> ?marker:int -> (int * float option) list -> string
+(** A 360x36 strip of bars for per-window values keyed by virtual time ([None] = empty
     window renders as a gap); [marker] draws a vertical line at a
     virtual time (the stabilization point).  [hi] pins the y scale
     (defaults to the observed maximum). *)

@@ -58,11 +58,37 @@ let to_header ?(fingerprint = "") ?(verdict = "") ?(note = "")
     ~snapshot_every:t.snapshot_every ~trace_level ~fingerprint ~seed:t.seed ~n:t.n ~f:t.f
     ~clients:t.clients ~ops_per_client:t.ops_per_client ~write_ratio:t.write_ratio ()
 
+(* The first out-of-range parameter as (header field, flag, problem).
+   n <= 5f stays legal: the Theorem-1 demonstrations run below the
+   bound. *)
+let problem t =
+  let check ok field flag want got =
+    if ok then None else Some (field, flag, Printf.sprintf "must be %s (got %s)" want got)
+  in
+  let at_least lo field flag v =
+    check (v >= lo) field flag (Printf.sprintf "at least %d" lo) (string_of_int v)
+  in
+  List.find_map Fun.id
+    [
+      at_least 1 "n" "-n" t.n;
+      at_least 0 "f" "-f" t.f;
+      at_least 1 "clients" "--clients" t.clients;
+      at_least 0 "ops_per_client" "--ops" t.ops_per_client;
+      check
+        (t.write_ratio >= 0.0 && t.write_ratio <= 1.0)
+        "write_ratio" "--write-ratio" "in [0, 1]" (Printf.sprintf "%g" t.write_ratio);
+      at_least 1 "trace_cap" "--trace-cap" t.trace_cap;
+      at_least 0 "snapshot_every" "--snapshot-every" t.snapshot_every;
+    ]
+
+let validate t =
+  match problem t with None -> Ok () | Some (_, flag, p) -> Error (flag ^ " " ^ p)
+
 let of_header (h : Run_header.t) =
   match Fault_plan.of_strings h.plan with
   | Error _ as e -> e
-  | Ok plan ->
-      Ok
+  | Ok plan -> (
+      let t =
         {
           n = h.n;
           f = h.f;
@@ -77,6 +103,10 @@ let of_header (h : Run_header.t) =
           trace_cap = h.trace_cap;
           snapshot_every = h.snapshot_every;
         }
+      in
+      match problem t with
+      | None -> Ok t
+      | Some (field, _, p) -> Error (Printf.sprintf "header: field %S %s" field p))
 
 type run = {
   sys : System.t;
@@ -109,6 +139,13 @@ let incomplete_ops ?(since = 0) h =
 let execute ?sink ?(level = Trace.On) ?sample ?(profile = false) ?on_system
     ?(collect_events = true) ?(max_events = 20_000_000) t =
   let ( let* ) = Result.bind in
+  let* () = validate t in
+  let* () =
+    match sample with
+    | Some s when not (s >= 0.0 && s <= 1.0) ->
+        Error (Printf.sprintf "--sample must lie in [0, 1] (got %g)" s)
+    | _ -> Ok ()
+  in
   let* strategy =
     match t.strategy with
     | None -> Ok None
@@ -247,13 +284,71 @@ let verdict_to_string = function
   | Starved -> "starved"
   | Incomplete -> "incomplete"
 
-let verdict_of_string s =
-  match String.split_on_char ':' s with
-  | [ "ok" ] -> Ok Pass
-  | [ "violation"; kind ] -> Ok (Violation kind)
-  | [ "livelock" ] -> Ok Livelock
-  | [ "starved" ] -> Ok Starved
-  | [ "incomplete" ] -> Ok Incomplete
-  | _ -> Error (Printf.sprintf "unknown verdict %S" s)
+(* ------------------------------------------------------------------ *)
+(* Artifacts: the one recorder, the one replay check, the metrics
+   snapshot. *)
 
-let pp_verdict fmt v = Format.pp_print_string fmt (verdict_to_string v)
+let record ~path ~fingerprint ~note ~trace_level t r =
+  let verdict = verdict_to_string (verdict_of_run r) in
+  let header =
+    to_header ~fingerprint ~verdict ~note ~trace_level:(Trace.level_to_string trace_level) t
+  in
+  Sbft_analysis.Trace_file.save ~path ~header r.events;
+  verdict
+
+type replayed = {
+  scenario : t;
+  verdict : verdict;
+  verdict_ok : bool;
+  stream : Sbft_analysis.Replay.verdict;
+}
+
+let replay (h : Run_header.t) expected =
+  let ( let* ) = Result.bind in
+  let* scenario = of_header h in
+  let* run = execute scenario in
+  let verdict = verdict_of_run run in
+  Ok
+    {
+      scenario;
+      verdict;
+      verdict_ok = h.verdict = "" || h.verdict = verdict_to_string verdict;
+      stream =
+        Sbft_analysis.Replay.compare_for_level ~trace_level:h.trace_level ~expected
+          ~got:run.events;
+    }
+
+let stabilization t r =
+  let stab =
+    Stabilization.of_history
+      ~window:(if t.snapshot_every > 0 then t.snapshot_every else 50)
+      ~after:r.last_fault (System.history r.sys)
+  in
+  Stabilization.finalize stab ~now:(Engine.now (System.engine r.sys));
+  stab
+
+let metrics_json t r ~profile =
+  let module J = Sbft_sim.Json in
+  let run =
+    [
+      ("cmd", J.String "run");
+      ("n", J.Int t.n);
+      ("f", J.Int t.f);
+      ("clients", J.Int t.clients);
+      ("seed", J.String (Int64.to_string t.seed));
+      ("ops_per_client", J.Int t.ops_per_client);
+      ("write_ratio", J.Float t.write_ratio);
+      ("byzantine", match t.strategy with Some s -> J.String s | None -> J.Null);
+      ("corrupt", J.Bool t.corrupt);
+      ("wall_ticks", J.Int r.outcome.wall_ticks);
+    ]
+  in
+  let stale_reads = List.map (fun (v : Regularity.violation) -> v.read_id) r.report.violations in
+  let engine = System.engine r.sys in
+  Artifacts.metrics_json ~run ~stabilization:(stabilization t r)
+    ~regularity:(r.report.checked_reads, List.length r.report.violations)
+    ~telemetry:(Telemetry.to_json r.telemetry ~history:(System.history r.sys) ~stale_reads ())
+    ?profile:(Option.map Sbft_sim.Profile.to_json profile)
+    ~metrics:(Engine.metrics engine)
+    ~per_node:(Sbft_channel.Network.node_counters (System.network r.sys))
+    ()

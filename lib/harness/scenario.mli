@@ -53,9 +53,16 @@ val to_header :
     replay knows whether to expect the full stream or a sampled
     subsequence. *)
 
+val validate : t -> (unit, string) result
+(** [Error] naming the [sbftreg run] flag of the first out-of-range
+    parameter: n < 1, f < 0, clients < 1, ops_per_client < 0, a write
+    ratio outside [0, 1], trace_cap < 1 or snapshot_every < 0.  n ≤ 5f
+    is legal: the Theorem-1 demonstrations run below the bound. *)
+
 val of_header : Sbft_analysis.Run_header.t -> (t, string) result
 (** [Error] when the header's fault plan does not parse (e.g. an event
-    naming a strategy this binary does not know). *)
+    naming a strategy this binary does not know), or naming the header
+    field {!validate} rejects. *)
 
 type run = {
   sys : Sbft_core.System.t;
@@ -97,7 +104,9 @@ val execute :
     the fuzzer turns it off and feeds coverage through [sink] instead,
     skipping a cons per event plus the final reversal.  [max_events]
     bounds the engine (default 20M; the fuzzer lowers it).  [Error]
-    only for an unknown strategy or delay-policy name. *)
+    before any simulation for a scenario {!validate} rejects, a
+    [sample] outside [0, 1], an unknown strategy or delay-policy name,
+    or a fault plan naming endpoints outside the system. *)
 
 val violation_kind : Sbft_spec.Regularity.violation -> string
 (** Short tag for the event record: stale/future/unwritten/inversion/order. *)
@@ -129,6 +138,42 @@ val verdict_to_string : verdict -> string
 (** ["ok"], ["violation:stale"], ["livelock"], ["starved"],
     ["incomplete"] — the form stored in run headers. *)
 
-val verdict_of_string : string -> (verdict, string) result
+(** {1 Artifacts} *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
+val record :
+  path:string ->
+  fingerprint:string ->
+  note:string ->
+  trace_level:Sbft_sim.Trace.level ->
+  t ->
+  run ->
+  string
+(** Write [run] as a replayable trace artifact: a header recording the
+    scenario, its verdict, [note], the binary [fingerprint] and the
+    level [run]'s events were captured at, then the events.  Returns
+    the verdict string.  The one writer behind [run --trace-out],
+    [fuzz --save]/[--save-corpus] and [shrink]. *)
+
+type replayed = {
+  scenario : t;
+  verdict : verdict;  (** the re-execution's *)
+  verdict_ok : bool;  (** the header records no verdict, or this one *)
+  stream : Sbft_analysis.Replay.verdict;
+      (** the recorded events against the re-execution's, compared at
+          the header's trace level *)
+}
+
+val replay :
+  Sbft_analysis.Run_header.t -> (int * Sbft_sim.Event.t) list -> (replayed, string) result
+(** The one replay check: re-execute the scenario a header records and
+    compare the verdict and the event stream with the recording.
+    [Error] when the header does not decode to a runnable scenario. *)
+
+val stabilization : t -> run -> Stabilization.t
+(** A finalized one-shard detector bank over [run]'s history: windows
+    of [snapshot_every] ticks (50 when snapshots are off), clocked from
+    the plan's last fault. *)
+
+val metrics_json : t -> run -> profile:Sbft_sim.Profile.report option -> Sbft_sim.Json.t
+(** The [run --metrics-out] artifact ({!Artifacts.metrics_json}), with
+    {!stabilization}'s bank. *)

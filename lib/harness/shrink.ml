@@ -10,8 +10,7 @@ let same_verdict a b =
       true
   | a, b -> a = b
 
-let shrink ?(max_executions = 400) ?(max_events = 4_000_000) ?(log = fun _ -> ()) ~target
-    (s0 : Scenario.t) =
+let shrink ?(max_executions = 400) ?(log = fun _ -> ()) ~target (s0 : Scenario.t) =
   let executions = ref 0 in
   let reproduces (s : Scenario.t) =
     (* never "simplify" into a permanently-partitioned system: it may
@@ -21,7 +20,7 @@ let shrink ?(max_executions = 400) ?(max_events = 4_000_000) ?(log = fun _ -> ()
     else if !executions >= max_executions then false
     else begin
       incr executions;
-      match Scenario.execute ~max_events s with
+      match Scenario.execute ~max_events:4_000_000 s with
       | Error _ -> false
       | Ok r -> same_verdict target (Scenario.verdict_of_run r)
     end

@@ -23,13 +23,13 @@ type result_t = {
 
 val shrink :
   ?max_executions:int ->
-  ?max_events:int ->
   ?log:(string -> unit) ->
   target:Scenario.verdict ->
   Scenario.t ->
   result_t
 (** [shrink ~target s] minimizes [s] while each re-execution keeps
-    producing [target] (default budget: 400 executions).  [s] itself is
+    producing [target] (default budget: 400 executions of at most 4M
+    events each).  [s] itself is
     assumed to produce [target]; if it does not, the result is simply
     [s] unshrunk. *)
 

@@ -58,8 +58,8 @@ let attach ?k ~window ~after store =
 
 (* An op's shard arrives on a separate Span_tag event, usually before
    its Op_finished; collect the span -> shard map first. *)
-let of_events ?k ~window ~after ~shards events =
-  let t = create ?k ~window ~after ~shards () in
+let of_events ~window ~after ~shards events =
+  let t = create ~window ~after ~shards () in
   let shard_of_span = Hashtbl.create 256 in
   List.iter
     (function
@@ -75,8 +75,8 @@ let of_events ?k ~window ~after ~shards events =
     events;
   t
 
-let of_history ?k ~window ~after h =
-  let t = create ?k ~window ~after ~shards:1 () in
+let of_history ~window ~after h =
+  let t = create ~window ~after ~shards:1 () in
   List.filter_map
     (function
       | History.Write { resp = Some time; _ } -> Some (time, false)

@@ -24,15 +24,14 @@ val attach : ?k:int -> window:int -> after:int -> Sbft_kv.Store.t -> t
     starts there.  [k] (default 3) is the clean-window streak that
     declares stabilization.  Attach {e before} issuing operations. *)
 
-val of_events :
-  ?k:int -> window:int -> after:int -> shards:int -> (int * Sbft_sim.Event.t) list -> t
-(** Rebuild a kv bank offline from a trace: every completed operation
+val of_events : window:int -> after:int -> shards:int -> (int * Sbft_sim.Event.t) list -> t
+(** Rebuild a kv bank offline from a trace, with k = 3: every completed operation
     ([Op_finished], outcome ≠ ["incomplete"]; dirty = ["abort"]),
     attributed to its shard through the kv store's [Span_tag].  Ops
     whose span carries no shard tag feed the fleet detector only. *)
 
-val of_history : ?k:int -> window:int -> after:int -> 'ts Sbft_spec.History.t -> t
-(** A one-shard bank over a single register's history: completed
+val of_history : window:int -> after:int -> 'ts Sbft_spec.History.t -> t
+(** A one-shard bank over a single register's history, with k = 3: completed
     operations in completion-time order, dirty = aborted read. *)
 
 val finalize : t -> now:int -> unit

@@ -87,8 +87,6 @@ let attach ?(snapshot_every = 50) ?window sys =
 
 let snapshots t = List.rev t.snaps
 
-let live_series t = t.live
-
 (* ------------------------------------------------------------------ *)
 (* windowed series *)
 

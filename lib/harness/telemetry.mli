@@ -36,15 +36,10 @@ val attach : ?snapshot_every:int -> ?window:int -> Sbft_core.System.t -> t
 val snapshots : t -> snapshot list
 (** Oldest first. *)
 
-val live_series : t -> Sbft_sim.Series.t
-(** Bounded streaming mirror of the occupancy signal
-    ([telemetry.occupancy]): a windowed {!Sbft_sim.Series.t} fed at
-    every snapshot, O(1) memory however long the run — the view that
-    survives the heavy-traffic runs where [snapshots] would not.
-    Appears as the artifact's ["telemetry"]["live"] member. *)
-
 val to_json :
   t -> history:'ts Sbft_spec.History.t -> ?stale_reads:int list -> unit -> Sbft_sim.Json.t
 (** The artifact's ["telemetry"] member. [stale_reads] lists the read
     operation ids the regularity checker implicated; they are bucketed
-    by response time into the [stale_reads] series. *)
+    by response time into the [stale_reads] series.  Its [live] member
+    is a bounded windowed mirror of the occupancy signal, fed at every
+    snapshot. *)

@@ -122,14 +122,10 @@ let zipf_pick rng cdf =
   done;
   !lo
 
-let run_kv ?(spec = default_kv) ?(max_events = 50_000_000) (store : Store.t) =
-  if spec.keys < 1 then invalid_arg "Workload.run_kv: need at least one key";
-  if Float.is_nan spec.zipf_s || spec.zipf_s < 0.0 then
-    invalid_arg
-      (Printf.sprintf "Workload.run_kv: zipf_s must be a non-negative number (got %g)" spec.zipf_s);
+let run_kv ?(spec = default_kv) (store : Store.t) =
+  let cdf = zipf_cdf ~keys:spec.keys ~s:spec.zipf_s in
   let engine = Store.engine store in
   let rng = Rng.split (Engine.rng engine) in
-  let cdf = zipf_cdf ~keys:spec.keys ~s:spec.zipf_s in
   let key_names = Array.init spec.keys (fun r -> Printf.sprintf "key-%d" r) in
   let next_value = ref spec.kv_value_base in
   let issued_puts = ref 0 and issued_gets = ref 0 and aborted_gets = ref 0 in
@@ -168,7 +164,7 @@ let run_kv ?(spec = default_kv) ?(max_events = 50_000_000) (store : Store.t) =
   done;
   let kv_livelocked =
     try
-      Store.quiesce ~max_events store;
+      Store.quiesce ~max_events:50_000_000 store;
       false
     with Engine.Budget_exhausted -> true
   in

@@ -65,8 +65,9 @@ type kv_outcome = {
   kv_livelocked : bool;
 }
 
-val run_kv : ?spec:kv_spec -> ?max_events:int -> Sbft_kv.Store.t -> kv_outcome
-(** Drive every store client to its quota (or budget exhaustion).
+val run_kv : ?spec:kv_spec -> Sbft_kv.Store.t -> kv_outcome
+(** Drive every store client to its quota (or exhaustion of a 50M-event
+    budget).
     Deterministic given the store's engine seed and [spec]. *)
 
 (** {1 Samplers}

@@ -42,8 +42,10 @@ type t = {
   mutable ops : int;
 }
 
+let series_keep = 64
+
 let create ?(seed = 42L) ?(delay = Sbft_channel.Delay.uniform ~max:10) ?trace_level ?sample
-    ?trace_capacity ?transport ?series_window ?(series_keep = 64) ~shards ~n ~f ~clients () =
+    ?trace_capacity ?transport ?series_window ~shards ~n ~f ~clients () =
   if shards < 1 then invalid_arg "Store.create: need at least one shard";
   (* Validate the per-shard register parameters once, eagerly. *)
   ignore (Config.make ~n ~f ~clients ());

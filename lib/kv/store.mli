@@ -49,7 +49,6 @@ val create :
   ?trace_capacity:int ->
   ?transport:Sbft_channel.Network.transport ->
   ?series_window:int ->
-  ?series_keep:int ->
   shards:int ->
   n:int ->
   f:int ->
@@ -65,8 +64,11 @@ val create :
 
     [series_window] switches on the streaming per-shard series
     ({!shard_series}): tumbling windows of that many virtual ticks,
-    keeping the last [series_keep] (default 64) closed windows per
-    shard.  Off by default — the per-op cost is small but not zero. *)
+    keeping the last {!series_keep} closed windows per shard.  Off by
+    default — the per-op cost is small but not zero. *)
+
+val series_keep : int
+(** Closed windows each streaming series keeps: 64. *)
 
 val shard_count : t -> int
 

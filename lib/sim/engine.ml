@@ -51,7 +51,7 @@ type t = {
 
 exception Budget_exhausted
 
-let create ?(trace_level = Trace.Off) ?(trace_capacity = 4096) ?sample ?sample_seed ~seed () =
+let create ?(trace_level = Trace.Off) ?(trace_capacity = 4096) ?sample ~seed () =
   {
     clock = 0;
     seq = 0;
@@ -70,7 +70,7 @@ let create ?(trace_level = Trace.Off) ?(trace_capacity = 4096) ?sample ?sample_s
     overflow = Heap.create ();
     master_rng = Rng.create seed;
     metrics = Metrics.create ();
-    trace = Trace.create ~capacity:trace_capacity ?sample ?sample_seed ~level:trace_level ();
+    trace = Trace.create ~capacity:trace_capacity ?sample ~level:trace_level ();
     profile = Profile.create ();
   }
 

@@ -26,13 +26,12 @@ val create :
   ?trace_level:Trace.level ->
   ?trace_capacity:int ->
   ?sample:float ->
-  ?sample_seed:int64 ->
   seed:int64 ->
   unit ->
   t
 (** Fresh engine at virtual time 0.  [trace_level] (default
-    {!Trace.Off}) sets the four-level dial, and [sample]/[sample_seed]
-    configure the deterministic sampler used at {!Trace.Sampled} (see
+    {!Trace.Off}) sets the four-level dial, and [sample]
+    configures the deterministic sampler used at {!Trace.Sampled} (see
     {!Trace.create}).
     None of these affect the simulation itself — a run is a pure
     function of [(seed, scheduled work)] at every trace level. *)

@@ -58,34 +58,7 @@ let alert_rule_divergence = "divergence"
 
 let alerts rule = alerts_prefix ^ rule
 
-let stab_shard_memo_cap = 1024
-
-let stab_shard_memo : string array ref = ref [||]
-
-let mint_stab_shard shard = Printf.sprintf "%s%d" stab_shard_prefix shard
-
-let stab_shard ~shard =
-  if shard < 0 || shard >= stab_shard_memo_cap then mint_stab_shard shard
-  else begin
-    let row = !stab_shard_memo in
-    let row =
-      if shard < Array.length row then row
-      else begin
-        let cap = min stab_shard_memo_cap (max 16 (max ((shard + 1) * 2) (Array.length row * 2))) in
-        let bigger = Array.make cap "" in
-        Array.blit row 0 bigger 0 (Array.length row);
-        stab_shard_memo := bigger;
-        bigger
-      end
-    in
-    let name = row.(shard) in
-    if String.length name > 0 then name
-    else begin
-      let name = mint_stab_shard shard in
-      row.(shard) <- name;
-      name
-    end
-  end
+let stab_shard ~shard = Printf.sprintf "%s%d" stab_shard_prefix shard
 
 (* -- histograms (virtual-tick latencies) --------------------------- *)
 
@@ -117,8 +90,9 @@ let loadgen_queue_wait_ticks = "loadgen.queue_wait_ticks"
 (* Per-shard names are minted here and nowhere else: call sites go
    through [kv_shard], so the lint's no-literals rule holds even for
    dynamically numbered metrics, and the artifact naming scheme has a
-   single definition.  Names are memoized — the hot path pays one
-   hashtable probe, not a [Printf] allocation per operation. *)
+   single definition.  Names are minted afresh on each call: per-op
+   callers resolve a metric handle once, so minting happens only when
+   a store is built and when a run's totals are flushed. *)
 
 let kv_shard_prefix = "kv.shard."
 
@@ -166,59 +140,8 @@ let shard_fields =
     Shard_e2e_ticks;
   ]
 
-let shard_field_index = function
-  | Shard_puts -> 0
-  | Shard_gets -> 1
-  | Shard_aborts -> 2
-  | Shard_put_ticks -> 3
-  | Shard_get_ticks -> 4
-  | Shard_flow -> 5
-  | Shard_op_ticks -> 6
-  | Shard_offered -> 7
-  | Shard_accepted -> 8
-  | Shard_rejected -> 9
-  | Shard_queue -> 10
-  | Shard_e2e_ticks -> 11
-
-(* The memo is bounded: one dense array per field, grown geometrically
-   up to [kv_shard_memo_cap] shards.  A store with more shards than the
-   cap falls back to [Printf] for the excess — correct, just not
-   allocation-free — instead of letting a pathological shard count (or
-   a corrupted shard index) grow an unbounded table for the life of the
-   process. *)
-let kv_shard_memo_cap = 1024
-
-let kv_shard_memo : string array array =
-  Array.init (List.length shard_fields) (fun _ -> [||])
-
-let kv_shard_memo_size () =
-  Array.fold_left (fun acc a -> acc + Array.length a) 0 kv_shard_memo
-
-let mint ~shard field = Printf.sprintf "%s%d.%s" kv_shard_prefix shard (shard_field_name field)
-
 let kv_shard ~shard field =
-  if shard < 0 || shard >= kv_shard_memo_cap then mint ~shard field
-  else begin
-    let fi = shard_field_index field in
-    let row = kv_shard_memo.(fi) in
-    let row =
-      if shard < Array.length row then row
-      else begin
-        let cap = min kv_shard_memo_cap (max 16 (max ((shard + 1) * 2) (Array.length row * 2))) in
-        let bigger = Array.make cap "" in
-        Array.blit row 0 bigger 0 (Array.length row);
-        kv_shard_memo.(fi) <- bigger;
-        bigger
-      end
-    in
-    let name = row.(shard) in
-    if String.length name > 0 then name
-    else begin
-      let name = mint ~shard field in
-      row.(shard) <- name;
-      name
-    end
-  end
+  Printf.sprintf "%s%d.%s" kv_shard_prefix shard (shard_field_name field)
 
 (* -- registry ------------------------------------------------------- *)
 

@@ -51,10 +51,7 @@ val stab_fleet_time_to_stabilize_ticks : string
 val stab_shard_prefix : string
 
 val stab_shard : shard:int -> string
-(** [stab_shard ~shard] is ["stab.shard.<shard>"], memoized like
-    {!kv_shard} and bounded at {!stab_shard_memo_cap}. *)
-
-val stab_shard_memo_cap : int
+(** [stab_shard ~shard] is ["stab.shard.<shard>"]. *)
 
 val alerts_prefix : string
 
@@ -118,18 +115,10 @@ val shard_fields : shard_field list
 val shard_field_name : shard_field -> string
 
 val kv_shard : shard:int -> shard_field -> string
-(** [kv_shard ~shard field] is ["kv.shard.<shard>.<field>"], memoized
-    so repeated lookups allocate nothing.  The memo is bounded at
-    {!kv_shard_memo_cap} shards; out-of-range shard indices (including
-    negative ones from corrupted state) still mint a correct name but
-    bypass the memo rather than growing it without bound. *)
-
-val kv_shard_memo_cap : int
-(** Upper bound on memoized shard indices (per field). *)
-
-val kv_shard_memo_size : unit -> int
-(** Total slots currently allocated across the per-field memo arrays —
-    exposed so tests can assert the bound holds. *)
+(** [kv_shard ~shard field] is ["kv.shard.<shard>.<field>"], minted on
+    each call (any shard index, negative ones from corrupted state
+    included).  Hot paths resolve a {!Metrics} handle once instead of
+    calling this per operation. *)
 
 type kind = Counter | Histogram | Prefix
 

@@ -484,8 +484,8 @@ let merge_recent ?(n = max_int) series =
           in
           (idx, merged))
 
-let to_json ?(n = max_int) t =
-  let recent = recent t ~n () in
+let to_json t =
+  let recent = recent t () in
   Json.Obj
     ([
        ("name", Json.String t.name);

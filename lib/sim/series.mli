@@ -134,7 +134,8 @@ val merge_recent : ?n:int -> t list -> (int * Agg.t) list
     windows — the fleet view of per-shard series.  Raises
     [Invalid_argument] when window widths differ. *)
 
-val to_json : ?n:int -> t -> Json.t
+val to_json : t -> Json.t
+(** Every window the ring still holds, plus the running total. *)
 
 (** Online pseudo-stabilization detector: watches a dirty/clean signal
     per window and declares the stabilization point once [k]

@@ -6,13 +6,6 @@ let level_to_string = function
   | On -> "on"
   | Forensic -> "forensic"
 
-let level_of_string = function
-  | "off" -> Ok Off
-  | "sampled" -> Ok Sampled
-  | "on" | "normal" -> Ok On
-  | "forensic" -> Ok Forensic
-  | other -> Error (Printf.sprintf "unknown trace level %S (off, sampled, on, forensic)" other)
-
 let levels = [ Off; Sampled; On; Forensic ]
 
 type sink = time:int -> Event.t -> unit
@@ -30,7 +23,9 @@ type t = {
 
 let nothing = Event.Note { detail = "" }
 
-let create ?(capacity = 4096) ?(sample = 0.01) ?(sample_seed = 0x5eedL) ~level () =
+let sample_seed = 0x5eedL
+
+let create ?(capacity = 4096) ?(sample = 0.01) ~level () =
   {
     level;
     sample;
@@ -47,8 +42,6 @@ let create ?(capacity = 4096) ?(sample = 0.01) ?(sample_seed = 0x5eedL) ~level (
   }
 
 let level t = t.level
-
-let sample_rate t = t.sample
 
 let enabled t = t.level <> Off
 

@@ -29,9 +29,6 @@ type level = Off | Sampled | On | Forensic
 
 val level_to_string : level -> string
 
-val level_of_string : string -> (level, string) result
-(** Accepts ["off"], ["sampled"], ["on"] (or ["normal"]), ["forensic"]. *)
-
 val levels : level list
 (** In increasing verbosity order. *)
 
@@ -41,14 +38,12 @@ type sink = time:int -> Event.t -> unit
 (** Sinks run synchronously on each emit (non-[Off] traces only; the
     sampled subset at {!Sampled}) and must not emit events themselves. *)
 
-val create : ?capacity:int -> ?sample:float -> ?sample_seed:int64 -> level:level -> unit -> t
+val create : ?capacity:int -> ?sample:float -> level:level -> unit -> t
 (** [capacity] defaults to 4096 ring entries.  [sample] is the
     per-event probability a sink sees it at {!Sampled} (default 0.01);
-    [sample_seed] seeds the private sampler (default [0x5eed]). *)
+    the private sampler is seeded with the constant [0x5eed]. *)
 
 val level : t -> level
-
-val sample_rate : t -> float
 
 val enabled : t -> bool
 (** [level t <> Off].  Callers on hot paths should check this first to

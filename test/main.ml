@@ -38,6 +38,7 @@ let () =
       ("extensions", Test_extensions.suite);
       ("full-stack", Test_full_stack.suite);
       ("kv-store", Test_kv.suite);
+      ("kv-session", Test_kv_session.suite);
       ("faults+monitor", Test_faults.suite);
       ("partition", Test_partition.suite);
       ("flow", Test_flow.suite);

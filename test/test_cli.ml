@@ -339,8 +339,70 @@ let test_kv_open_loop_cli () =
     (read_file off)
     (replace_once (read_file on) ~sub:{|"trace_level":"on"|} ~by:{|"trace_level":"off"|})
 
+(* Hostile input: every flag or header field out of range exits 1
+   with one line naming it — never an uncaught exception (exit 125), a
+   silent clamp (exit 0) or an SLO miss (exit 2). *)
+let test_hostile_input () =
+  let header_trace =
+    let src = read_file (Filename.concat "corpus" "theorem1-n5-stale.trace") in
+    let t = temp "clients0" ".trace" in
+    write_file t (replace_once src ~sub:{|"clients":2|} ~by:{|"clients":0|});
+    t
+  in
+  let corpus_dir =
+    let d = temp_dir "corpus0" in
+    write_file (Filename.concat d "clients0.trace") (read_file header_trace);
+    d
+  in
+  let out = temp "hostile" ".txt" in
+  List.iter
+    (fun (args, names) ->
+      let code = sh "%s %s > %s 2>&1" exe args out in
+      let o = read_file out in
+      Alcotest.(check int) (Printf.sprintf "`sbftreg %s` exits 1" args) 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "`sbftreg %s` names %s" args names)
+        true
+        (replace_once o ~sub:names ~by:"" <> o);
+      Alcotest.(check bool)
+        (Printf.sprintf "`sbftreg %s` raises nothing" args)
+        true
+        (replace_once (String.lowercase_ascii o) ~sub:"exception" ~by:"" = String.lowercase_ascii o))
+    [
+      ("kv --shards 0", "--shards");
+      ("kv --keys 0", "--keys");
+      ("kv --stab-k 0", "--stab-k");
+      ("kv -n 5 -f 1", "-n");
+      ("kv --clients 0", "--clients");
+      ("kv --clients=-3", "--clients");
+      ("kv --fault-at 10 --fault-shards 0", "--fault-shards");
+      ("kv --fault-at 10 --fault-shards 99", "--fault-shards");
+      ("kv --window=-5", "--window");
+      ("kv --ops=-3", "--ops");
+      ("kv --arrival poisson:1 --total-ops=-3", "--total-ops");
+      ("kv --slo-p99=-1", "--slo-p99");
+      ("kv --slo-error-budget nan", "--slo-error-budget");
+      ("watch --clients 0 --every 0", "--clients");
+      ("run --clients 0", "--clients");
+      ("run -n 0 -f 0", "-n");
+      ("run --write-ratio 2", "--write-ratio");
+      ("run --trace-cap 0", "--trace-cap");
+      ("run --ops=-3", "--ops");
+      ("fuzz --clients 0 --iters 1", "--clients");
+      ("attack -n 0", "-n");
+      ("attack -n 1 -f 3", "-f");
+      ("explore -n 0", "-n");
+      ("run --sample 2 --trace-level sampled", "--sample");
+      ("labels -k 0", "-k");
+      ("storm -n 5 -f 1", "-n");
+      ("replay " ^ header_trace, "clients");
+      ("shrink " ^ header_trace, "clients");
+      ("corpus " ^ corpus_dir, "clients");
+    ]
+
 let suite =
   [
+    Alcotest.test_case "hostile input exits 1 naming the flag or field" `Quick test_hostile_input;
     Alcotest.test_case "kv open loop: flags, overload exit, determinism" `Quick
       test_kv_open_loop_cli;
     Alcotest.test_case "watch/report exit codes and artifacts" `Quick

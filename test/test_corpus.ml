@@ -38,20 +38,25 @@ let test_corpus_present () =
          String.length e.header.verdict > 9 && String.sub e.header.verdict 0 9 = "violation")
        es)
 
+(* Through the same replay check `sbftreg replay` and `sbftreg corpus`
+   use: the verdict must reproduce, and recorded events (when an entry
+   carries any) must replay bit-for-bit. *)
 let test_corpus_replays () =
   List.iter
     (fun (e : Corpus.entry) ->
       let name = Filename.basename e.path in
-      match Scenario.of_header e.header with
+      match Scenario.replay e.header e.events with
       | Error msg -> Alcotest.failf "%s: %s" name msg
-      | Ok s -> (
-          match Scenario.execute s with
-          | Error msg -> Alcotest.failf "%s: %s" name msg
-          | Ok r ->
-              Alcotest.(check string)
-                (name ^ " reproduces its verdict")
-                e.header.verdict
-                (Scenario.verdict_to_string (Scenario.verdict_of_run r))))
+      | Ok c ->
+          Alcotest.(check string)
+            (name ^ " reproduces its verdict")
+            e.header.verdict
+            (Scenario.verdict_to_string c.verdict);
+          Alcotest.(check bool) (name ^ " verdict check agrees") true c.verdict_ok;
+          if e.events <> [] then
+            Alcotest.(check bool)
+              (name ^ " replays its events")
+              true (c.stream.divergence = None))
     (entries ())
 
 let suite =

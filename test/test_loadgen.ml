@@ -272,6 +272,54 @@ let qcheck_schedule_deterministic =
       let s2 = Loadgen.schedule ~rng:(mk ()) ~duration:300 (Loadgen.Poisson rate) in
       s1 = s2)
 
+(* -- the arrival syntax --------------------------------------------- *)
+
+(* The parser inverts the printer on every printed form (the printer's
+   %g may round a rate, so the property is stated on strings); a printed
+   form cut short parses or is the typed [Invalid_arrival] naming it,
+   never an exception. *)
+let qcheck_arrival_round_trip =
+  let rate =
+    QCheck.Gen.(
+      map
+        (fun (m, e) -> float_of_int m *. (10.0 ** float_of_int e))
+        (pair (int_range (-5000) 5000) (int_range (-6) 6)))
+  in
+  let arrival =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun r -> Loadgen.Poisson r) rate;
+          map (fun r -> Loadgen.Const r) rate;
+          map2 (fun a b -> Loadgen.Ramp (a, b)) rate rate;
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"loadgen: arrival parser inverts arrival_to_string"
+    (QCheck.make
+       ~print:(fun (a, cut) -> Printf.sprintf "%s cut at %d" (Loadgen.arrival_to_string a) cut)
+       QCheck.Gen.(pair arrival small_nat))
+    (fun (a, cut) ->
+      let s = Loadgen.arrival_to_string a in
+      let t = String.sub s 0 (min cut (String.length s)) in
+      (match Loadgen.arrival_of_string s with
+      | Ok b -> Loadgen.arrival_to_string b = s
+      | Error _ -> false)
+      &&
+      match Loadgen.arrival_of_string t with
+      | Ok _ -> true
+      | Error (Loadgen.Invalid_arrival got) -> got = t
+      | Error _ -> false)
+
+let test_arrival_malformed () =
+  List.iter
+    (fun s ->
+      match Loadgen.arrival_of_string s with
+      | Error (Loadgen.Invalid_arrival got) -> Alcotest.(check string) "names the input" s got
+      | Error e -> Alcotest.failf "%S: unexpected error %s" s (Loadgen.error_to_string e)
+      | Ok a -> Alcotest.failf "%S parsed as %s" s (Loadgen.arrival_to_string a))
+    [ ""; "poisson"; "poisson:"; "poisson:x"; "const:1:2"; "ramp:1"; "ramp:1.."; "ramp:..2";
+      "ramp:1..2..3"; "burst:4"; ":4"; "POISSON:1" ]
+
 (* -- typed spec errors ------------------------------------------------- *)
 
 let check_invalid name spec expect =
@@ -303,10 +351,6 @@ let test_typed_errors () =
     | _ -> false);
   check_invalid "queue cap 0" { default with max_queue = 0 } (function
     | Invalid_queue_cap _ -> true
-    | _ -> false);
-  check_invalid "closed loop concurrency 0"
-    { default with mode = Closed_loop { concurrency = 0; think_max = 5 } } (function
-    | Invalid_concurrency _ -> true
     | _ -> false);
   check_invalid "zero keys" { default with keys = 0 } (function
     | Invalid_keys _ -> true
@@ -387,25 +431,6 @@ let test_accounting_identities () =
   in
   Alcotest.(check int) "e2e samples = completed" o.Loadgen.completed e2e_total
 
-let test_closed_loop_mode () =
-  let store = mk_store () in
-  let spec =
-    {
-      Loadgen.default with
-      Loadgen.mode = Loadgen.Closed_loop { concurrency = 4; think_max = 5 };
-      duration = 300;
-      keys = 16;
-    }
-  in
-  let o = Loadgen.run ~spec store in
-  Alcotest.(check bool) "work happened" true (o.Loadgen.completed > 0);
-  Alcotest.(check int) "closed loop never sheds" 0 o.Loadgen.rejected;
-  Alcotest.(check int) "closed loop admits everything" o.Loadgen.offered o.Loadgen.accepted;
-  Alcotest.(check int) "every op answers" o.Loadgen.offered
-    (o.Loadgen.completed + o.Loadgen.incomplete);
-  Alcotest.(check int) "no admission queue forms" 0 o.Loadgen.peak_queue;
-  Alcotest.(check bool) "concurrency bounds in-flight" true (o.Loadgen.peak_inflight <= 4)
-
 let test_queue_series_arming () =
   let run ?series_window () =
     let store = mk_store ?series_window () in
@@ -479,9 +504,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ramp_flat_equals_const;
     Alcotest.test_case "ops cap pins the schedule" `Quick test_ops_cap;
     QCheck_alcotest.to_alcotest qcheck_schedule_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_arrival_round_trip;
+    Alcotest.test_case "malformed arrival strings are typed errors" `Quick test_arrival_malformed;
     Alcotest.test_case "typed errors, never a silent clamp" `Quick test_typed_errors;
     Alcotest.test_case "admission accounting identities" `Quick test_accounting_identities;
-    Alcotest.test_case "closed-loop mode behind the same interface" `Quick test_closed_loop_mode;
     Alcotest.test_case "queue series arm with the store's" `Quick test_queue_series_arming;
     Alcotest.test_case "bit-identical runs at every trace level" `Quick
       test_run_determinism_across_trace_levels;

@@ -333,13 +333,7 @@ let test_alerts_fire_on_corruption () =
       done);
   let alerts =
     Sbft_harness.Alerts.attach
-      ~config:
-        {
-          Sbft_harness.Alerts.default_config with
-          slo = { Sbft_harness.Slo.p99_ticks = 10_000.0; error_budget = 0.001 };
-          min_ops = 1;
-          spike_min_rate = 0.05;
-        }
+      ~slo:{ Sbft_harness.Slo.p99_ticks = 10_000.0; error_budget = 0.001 }
       kv
   in
   let _ =
@@ -534,4 +528,5 @@ let suite =
     Alcotest.test_case "verdicts invariant across trace levels" `Quick test_trace_level_invariance;
     Alcotest.test_case "detector stabilizes the faulted fleet" `Quick
       test_stabilization_metrics_registered;
+    Alcotest.test_case "alerts fire on a corrupted shard" `Quick test_alerts_fire_on_corruption;
   ]

@@ -17,8 +17,6 @@ module Store = Sbft_kv.Store
 let test_kv_shard_names () =
   let a = Names.kv_shard ~shard:3 Names.Shard_puts in
   Alcotest.(check string) "minted form" "kv.shard.3.puts" a;
-  (* memoized: the hot path must not re-Printf per operation *)
-  Alcotest.(check bool) "memoized" true (a == Names.kv_shard ~shard:3 Names.Shard_puts);
   Alcotest.(check bool) "registered via prefix" true (Names.mem a);
   Alcotest.(check bool) "every field registered" true
     (List.for_all (fun f -> Names.mem (Names.kv_shard ~shard:17 f)) Names.shard_fields);
@@ -205,7 +203,7 @@ let test_progress_beats_and_determinism () =
 
 let suite =
   [
-    Alcotest.test_case "kv_shard names: minted, memoized, registered" `Quick test_kv_shard_names;
+    Alcotest.test_case "kv_shard names: minted, registered" `Quick test_kv_shard_names;
     Alcotest.test_case "slo verdicts per shard" `Quick test_slo_verdicts;
     Alcotest.test_case "slo json shape" `Quick test_slo_json_shape;
     Alcotest.test_case "store populates per-shard metrics" `Quick
