@@ -668,7 +668,12 @@ let experiment_cmd =
         Printf.printf "wrote %s\n" path)
       metrics_out
   in
-  let id = Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc:"Experiment id (e1..e20) or all.") in
+  let id =
+    let doc =
+      Printf.sprintf "Experiment id (%s) or all." (String.concat ", " Sbft_harness.Experiments.ids)
+    in
+    Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc)
+  in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Also print CSV.") in
   let html =
     Arg.(value & opt (some string) None & info [ "html" ] ~docv:"FILE" ~doc:"Write an HTML report.")
@@ -732,31 +737,13 @@ let labels_cmd =
 
 let trace_cmd =
   let go seed =
-    let cfg = Sbft_core.Config.make ~n:6 ~f:1 ~clients:2 () in
-    let sys = Sbft_core.System.create ~seed ~trace_level:Sbft_sim.Trace.On cfg in
-    let flow =
-      Sbft_harness.Flow.attach (Sbft_core.System.network sys)
-        ~describe:(fun m -> Format.asprintf "%a" Sbft_core.Msg.pp m)
-    in
-    let read_start = ref 0 in
-    Sbft_core.System.write sys ~client:6 ~value:7
-      ~k:(fun () ->
-        read_start := Sbft_sim.Engine.now (Sbft_core.System.engine sys);
-        Sbft_core.System.read sys ~client:7
-          ~k:(fun o -> Printf.printf "read -> %s\n\n" (outcome_str o))
-          ())
-      ();
-    Sbft_core.System.quiesce sys;
-    (* The paper's Figure 4: projections of the operations' events at
-       their clients. *)
-    let name = endpoint_name ~n:6 in
-    print_string
-      (Sbft_harness.Flow.projection ~until:(!read_start - 1) ~endpoint:6 ~name flow);
+    let r = Sbft_harness.Flow.figure4 ~seed in
+    Printf.printf "read -> %s\n\n" (outcome_str r.outcome);
+    print_string r.write_projection;
     print_newline ();
-    print_string (Sbft_harness.Flow.projection ~from_time:!read_start ~endpoint:7 ~name flow);
-    let m = Sbft_sim.Engine.metrics (Sbft_core.System.engine sys) in
+    print_string r.read_projection;
     Printf.printf "\nmessage counters:\n";
-    List.iter (fun (k, v) -> Printf.printf "  %-24s %d\n" k v) (Sbft_sim.Metrics.counters m)
+    List.iter (fun (k, v) -> Printf.printf "  %-24s %d\n" k v) r.counters
   in
   let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"PRNG seed.") in
   Cmd.v

@@ -65,16 +65,17 @@ let () =
   System.quiesce sys;
 
   phase "baseline contrast: Kanjani et al. (3f+1, unbounded timestamps), poisoned";
-  let k = Sbft_baselines.Kanjani.create ~seed:31L ~n:4 ~f:1 ~clients:2 () in
-  Sbft_baselines.Kanjani.poison k ~ids:[ 0; 1 ];
+  let module B = Sbft_baselines.Baseline in
+  let k = B.create ~seed:31L B.Kanjani ~n:4 ~f:1 ~clients:2 () in
+  B.poison k ~ids:[ 0; 1 ];
   let read_after_write label =
-    Sbft_baselines.Kanjani.write k ~client:4 ~value:8888
+    B.write k ~client:4 ~value:8888
       ~k:(fun () ->
-        Sbft_baselines.Kanjani.read k ~client:5
+        B.read k ~client:5
           ~k:(fun o -> Printf.printf "  %s: wrote 8888, read -> %s\n" label (outcome_str o))
           ())
       ()
   in
   read_after_write "after write #1";
-  Sbft_baselines.Kanjani.quiesce k;
+  B.quiesce k;
   Printf.printf "  (the poisoned max-int timestamp wins every read, and max+1 overflows: stuck forever)\n"

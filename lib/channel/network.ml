@@ -278,6 +278,13 @@ let inject t ~src ~dst msg =
   Metrics.incr (Engine.metrics t.engine) Names.net_injected;
   enqueue t ~span:Event.no_span ~src ~dst ~delay_ticks:1 msg
 
+let corrupt_channels t rng ~density garbage =
+  for src = 0 to t.n - 1 do
+    for dst = 0 to t.n - 1 do
+      if src <> dst && Rng.chance rng density then inject t ~src ~dst (garbage rng)
+    done
+  done
+
 let in_flight t = t.queued
 
 let node_counters t =

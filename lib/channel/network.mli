@@ -103,6 +103,12 @@ val inject : 'msg t -> src:int -> dst:int -> 'msg -> unit
     subsequent legitimate traffic — models arbitrary initial channel
     contents. *)
 
+val corrupt_channels : 'msg t -> Sbft_sim.Rng.t -> density:float -> (Sbft_sim.Rng.t -> 'msg) -> unit
+(** [corrupt_channels t rng ~density garbage] models arbitrary initial
+    channel contents: for every ordered pair of distinct endpoints, in
+    order of sender then receiver, it draws [Rng.chance rng density]
+    and on success {!inject}s one [garbage rng] message. *)
+
 val partition : 'msg t -> groups:int list list -> unit
 (** Split the network: endpoints in different groups (unlisted
     endpoints form isolated singletons) cannot exchange {e new}

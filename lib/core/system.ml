@@ -100,13 +100,7 @@ let corrupt_server t id ~severity = Server.corrupt (server t id) t.fault_rng ~se
 let corrupt_client t id = Client.corrupt (client t id) t.fault_rng
 
 let corrupt_channels t ~density =
-  let eps = Config.endpoints t.cfg in
-  for src = 0 to eps - 1 do
-    for dst = 0 to eps - 1 do
-      if src <> dst && Rng.chance t.fault_rng density then
-        Network.inject t.net ~src ~dst (Msg.garbage t.sys t.fault_rng)
-    done
-  done
+  Network.corrupt_channels t.net t.fault_rng ~density (Msg.garbage t.sys)
 
 let corrupt_everything t ~severity =
   Array.iteri (fun id _ -> corrupt_server t id ~severity) t.servers;

@@ -9,6 +9,7 @@ module Theorem1 = Sbft_byz.Theorem1
 module History = Sbft_spec.History
 module Sbls = Sbft_labels.Sbls
 module Mw_ts = Sbft_labels.Mw_ts
+module Baseline = Sbft_baselines.Baseline
 
 let seeds = [ 11L; 23L; 37L ]
 
@@ -24,14 +25,6 @@ let make_core ?(seed = 11L) ?(n = 6) ?(f = 1) ?(clients = 4) ?(allow_unsafe = fa
   let sys = System.create ~seed ~delay:(Delay.uniform ~max:dmax) cfg in
   (match strategy with Some s -> ignore (Strategy.install_all sys s) | None -> ());
   sys
-
-let first_write_completion (h : 'ts History.t) =
-  List.fold_left
-    (fun acc op ->
-      match op with
-      | History.Write { resp = Some r; _ } -> ( match acc with None -> Some r | Some a -> Some (min a r))
-      | _ -> acc)
-    None (History.ops h)
 
 (* ------------------------------------------------------------------ *)
 
@@ -164,7 +157,9 @@ let e4_regularity () =
         let _ =
           Workload.run ~spec:{ Workload.default with ops_per_client = 20; write_ratio = 0.4 } reg
         in
-        let after = Option.value ~default:max_int (first_write_completion (System.history sys)) in
+        let after =
+          Option.value ~default:max_int (History.first_write_completion (System.history sys))
+        in
         let c = reg.check_regular ~after () in
         let ch, ab, vi, sk = !totals in
         totals := (ch + c.checked, ab + reg.aborted_reads (), vi + c.violations, sk + c.skipped))
@@ -197,7 +192,7 @@ let e5_stabilization () =
           Workload.run ~spec:{ Workload.default with ops_per_client = 20; write_ratio = 0.3 } reg
         in
         let h = System.history sys in
-        let after = Option.value ~default:max_int (first_write_completion h) in
+        let after = Option.value ~default:max_int (History.first_write_completion h) in
         List.iter
           (fun op ->
             match op with
@@ -261,7 +256,7 @@ let stabilization_telemetry () =
     Workload.run ~spec:{ Workload.default with ops_per_client = 20; write_ratio = 0.3 } reg
   in
   let h = System.history sys in
-  let after = Option.value ~default:max_int (first_write_completion h) in
+  let after = Option.value ~default:max_int (History.first_write_completion h) in
   let stale_reads =
     (Sbft_spec.Regularity.check ~after ~ts_prec:Mw_ts.prec h).violations
     |> List.map (fun (v : Sbft_spec.Regularity.violation) -> v.read_id)
@@ -306,15 +301,11 @@ let e6_bounded_labels () =
     let sys = make_core ~seed ~n:6 ~f:1 ~clients:3 () in
     run_writes (Register.core sys)
   in
-  let kanjani_clean seed =
-    let k = Sbft_baselines.Kanjani.create ~seed ~n:4 ~f:1 ~clients:3 () in
-    run_writes (Register.kanjani ~n:4 ~f:1 ~clients:3 k)
-  in
-  let kanjani_poisoned seed =
-    let k = Sbft_baselines.Kanjani.create ~seed ~n:4 ~f:1 ~clients:3 () in
+  let kanjani ~poisoned seed =
+    let k = Baseline.create ~seed Baseline.Kanjani ~n:4 ~f:1 ~clients:3 () in
     (* One transient fault plants a huge timestamp on one server. *)
-    Sbft_baselines.Kanjani.corrupt_server k 0;
-    run_writes (Register.kanjani ~n:4 ~f:1 ~clients:3 k)
+    if poisoned then Baseline.corrupt_server k 0;
+    run_writes (Register.baseline k)
   in
   let label_rows =
     List.map
@@ -352,8 +343,8 @@ let e6_bounded_labels () =
     (label_rows
     @ [
         growth_row "ours after 180 writes (label bits)" ours;
-        growth_row "kanjani after 180 writes (int bits)" kanjani_clean;
-        growth_row "kanjani after 180 writes, poisoned ts (int bits)" kanjani_poisoned;
+        growth_row "kanjani after 180 writes (int bits)" (kanjani ~poisoned:false);
+        growth_row "kanjani after 180 writes, poisoned ts (int bits)" (kanjani ~poisoned:true);
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -372,7 +363,7 @@ let e7_mwmr_order () =
             ~writers ~readers:reg.reader_clients reg
         in
         let h = System.history sys in
-        let after = Option.value ~default:max_int (first_write_completion h) in
+        let after = Option.value ~default:max_int (History.first_write_completion h) in
         let c = reg.check_regular ~after () in
         reg_viol := !reg_viol + c.violations;
         order_viol :=
@@ -427,35 +418,16 @@ let e8_baselines () =
     if scen = "transient" || scen = "byz+transient" then System.corrupt_everything sys ~severity:`Heavy;
     Register.core sys
   in
-  let build_abd scen seed =
-    let n = 3 and f = 1 and clients = 4 in
-    let sys = Sbft_baselines.Abd.create ~seed ~n ~f ~clients () in
-    if scen = "f byzantine" || scen = "byz+transient" then Sbft_baselines.Abd.make_byzantine sys (n - 1);
+  (* E8's deployments: server n-1 turns Byzantine; the transient
+     fault poisons f+1 servers (one for ABD) and corrupts channels. *)
+  let build_baseline protocol ~n ~poisoned scen seed =
+    let sys = Baseline.create ~seed protocol ~n ~f:1 ~clients:4 () in
+    if scen = "f byzantine" || scen = "byz+transient" then Baseline.make_byzantine sys (n - 1);
     if scen = "transient" || scen = "byz+transient" then begin
-      Sbft_baselines.Abd.poison sys ~ids:[ 0 ];
-      Sbft_baselines.Abd.corrupt_channels sys ~density:0.2
+      Baseline.poison sys ~ids:poisoned;
+      Baseline.corrupt_channels sys ~density:0.2
     end;
-    Register.abd ~n ~f ~clients sys
-  in
-  let build_mr scen seed =
-    let n = 6 and f = 1 and clients = 4 in
-    let sys = Sbft_baselines.Mr_safe.create ~seed ~n ~f ~clients () in
-    if scen = "f byzantine" || scen = "byz+transient" then Sbft_baselines.Mr_safe.make_byzantine sys (n - 1);
-    if scen = "transient" || scen = "byz+transient" then begin
-      Sbft_baselines.Mr_safe.poison sys ~ids:[ 0; 1 ];
-      Sbft_baselines.Mr_safe.corrupt_channels sys ~density:0.2
-    end;
-    Register.mr_safe ~n ~f ~clients sys
-  in
-  let build_kanjani scen seed =
-    let n = 4 and f = 1 and clients = 4 in
-    let sys = Sbft_baselines.Kanjani.create ~seed ~n ~f ~clients () in
-    if scen = "f byzantine" || scen = "byz+transient" then Sbft_baselines.Kanjani.make_byzantine sys (n - 1);
-    if scen = "transient" || scen = "byz+transient" then begin
-      Sbft_baselines.Kanjani.poison sys ~ids:[ 0; 1 ];
-      Sbft_baselines.Kanjani.corrupt_channels sys ~density:0.2
-    end;
-    Register.kanjani ~n ~f ~clients sys
+    Register.baseline sys
   in
   let run build =
     List.map
@@ -498,9 +470,9 @@ let e8_baselines () =
         "expected shape: baselines violate under transient (and abd under byzantine); ours never";
       ]
     (describe "sbft-core (ours)" (run build_core)
-    @ describe "kanjani 3f+1" (run build_kanjani)
-    @ describe "mr-safe" (run build_mr)
-    @ describe "abd" (run build_abd))
+    @ describe "kanjani 3f+1" (run (build_baseline Baseline.Kanjani ~n:4 ~poisoned:[ 0; 1 ]))
+    @ describe "mr-safe" (run (build_baseline Baseline.Mr_safe ~n:6 ~poisoned:[ 0; 1 ]))
+    @ describe "abd" (run (build_baseline Baseline.Abd ~n:3 ~poisoned:[ 0 ])))
 
 (* ------------------------------------------------------------------ *)
 
@@ -516,7 +488,9 @@ let e9_tightness () =
         let reg = Register.core sys in
         let o = Workload.run ~spec:{ Workload.default with ops_per_client = 15 } reg in
         if o.livelocked then incr live;
-        let after = Option.value ~default:max_int (first_write_completion (System.history sys)) in
+        let after =
+          Option.value ~default:max_int (History.first_write_completion (System.history sys))
+        in
         viol := !viol + (reg.check_regular ~after ()).violations;
         aborts := !aborts + reg.aborted_reads ())
       seeds;
@@ -1204,7 +1178,7 @@ let e21_scale () =
       Workload.run ~spec:{ Workload.default with ops_per_client = 2000; write_ratio = 0.1 } reg
     in
     let h = System.history sys in
-    let after = Option.value ~default:max_int (first_write_completion h) in
+    let after = Option.value ~default:max_int (History.first_write_completion h) in
     audit "n=31 f=6 run" h ~after ~ts_prec:Mw_ts.prec
   in
   Table.make ~id:"E21"

@@ -1,5 +1,6 @@
 module Network = Sbft_channel.Network
 module Engine = Sbft_sim.Engine
+module System = Sbft_core.System
 
 type entry = { time : int; event : [ `Send | `Deliver ]; src : int; dst : int; label : string }
 
@@ -79,3 +80,33 @@ let projection ?(from_time = 0) ?(until = max_int) ~endpoint ~name t =
       Buffer.add_string buf line)
     (group [] relevant);
   Buffer.contents buf
+
+type figure4 = {
+  outcome : Sbft_spec.History.read_outcome;
+  write_projection : string;
+  read_projection : string;
+  counters : (string * int) list;
+}
+
+let figure4 ~seed =
+  let n = 6 in
+  let cfg = Sbft_core.Config.make ~n ~f:1 ~clients:2 () in
+  let sys = System.create ~seed ~trace_level:Sbft_sim.Trace.On cfg in
+  let flow =
+    attach (System.network sys) ~describe:(fun m -> Format.asprintf "%a" Sbft_core.Msg.pp m)
+  in
+  let engine = System.engine sys in
+  let outcome = ref Sbft_spec.History.Incomplete and read_start = ref 0 in
+  System.write sys ~client:n ~value:7
+    ~k:(fun () ->
+      read_start := Engine.now engine;
+      System.read sys ~client:(n + 1) ~k:(fun o -> outcome := o) ())
+    ();
+  System.quiesce sys;
+  let name i = if i < n then Printf.sprintf "s%d" i else Printf.sprintf "c%d" i in
+  {
+    outcome = !outcome;
+    write_projection = projection ~until:(!read_start - 1) ~endpoint:n ~name flow;
+    read_projection = projection ~from_time:!read_start ~endpoint:(n + 1) ~name flow;
+    counters = Sbft_sim.Metrics.counters (Engine.metrics engine);
+  }

@@ -7,8 +7,9 @@
     live run: attach a wiretap to the network, run operations, then
     render any endpoint's projection as text.
 
-    Works for any message type (the describer stringifies); the [trace]
-    CLI subcommand and the diagram tests use it with the core protocol. *)
+    Works for any message type (the describer stringifies); {!figure4},
+    the session behind the [trace] CLI subcommand, and the diagram tests
+    use it with the core protocol. *)
 
 type entry = {
   time : int;
@@ -41,3 +42,17 @@ val projection :
 
 val stats : t -> (string * int) list
 (** Message-label histogram of the capture, sorted. *)
+
+type figure4 = {
+  outcome : Sbft_spec.History.read_outcome;  (** what the read returned *)
+  write_projection : string;  (** the writer's lifeline until the read starts *)
+  read_projection : string;  (** the reader's lifeline from the read's start *)
+  counters : (string * int) list;  (** the engine's counters, sorted by name *)
+}
+
+val figure4 : seed:int64 -> figure4
+(** One write/read cycle of the core protocol (n = 6, f = 1, two
+    clients), traced at [On] with a capture attached: client 6 writes
+    7, then client 7 reads.  The two projections are the paper's
+    Figure 4 for each operation; endpoints are named ["s0"]..["s5"],
+    ["c6"], ["c7"]. *)

@@ -8,9 +8,6 @@ module Metrics = Sbft_sim.Metrics
 type check = { checked : int; skipped : int; violations : int; detail : string list }
 
 type t = {
-  name : string;
-  n : int;
-  f : int;
   writer_clients : int list;
   reader_clients : int list;
   write : client:int -> value:int -> k:(unit -> unit) -> unit;
@@ -41,20 +38,10 @@ let latencies h =
     (History.ops h);
   (Array.of_list (List.rev !w), Array.of_list (List.rev !r))
 
-let completed_writes h =
-  List.length
-    (List.filter (function History.Write { resp = Some _; _ } -> true | _ -> false) (History.ops h))
-
-let first_write_completion h =
-  List.fold_left
-    (fun acc op ->
-      match op with
-      | History.Write { resp = Some r; _ } -> (
-          match acc with None -> Some r | Some a -> Some (min a r))
-      | _ -> acc)
-    None (History.ops h)
-
-let make_checks (type ts) ~(prec : ts -> ts -> bool) (h : ts History.t) =
+(* Everything but the operations and the label width is read off the
+   history and the engine. *)
+let make (type ts) ~(prec : ts -> ts -> bool) (h : ts History.t) ~engine ~writers ~readers ~write
+    ~read ~quiesce ~max_ts_bits =
   let regular ~after () =
     let r = Regularity.check ~after ~ts_prec:prec h in
     {
@@ -82,117 +69,42 @@ let make_checks (type ts) ~(prec : ts -> ts -> bool) (h : ts History.t) =
       detail = (match r.cycle with Some c -> [ c ] | None -> []);
     }
   in
-  (regular, safe, atomic)
+  {
+    writer_clients = writers;
+    reader_clients = readers;
+    write;
+    read;
+    engine;
+    quiesce;
+    check_regular = regular;
+    check_safe = safe;
+    check_atomic = atomic;
+    op_latencies = (fun () -> latencies h);
+    completed_reads = (fun () -> History.completed_reads h);
+    aborted_reads = (fun () -> History.aborted_reads h);
+    completed_writes = (fun () -> History.completed_writes h);
+    first_write_completion = (fun () -> History.first_write_completion h);
+    messages_sent = (fun () -> Metrics.get (Engine.metrics engine) Sbft_sim.Metric_names.net_sent);
+    max_ts_bits;
+  }
 
 let core sys =
-  let cfg = Sbft_core.System.config sys in
-  let h = Sbft_core.System.history sys in
-  let engine = Sbft_core.System.engine sys in
-  let regular, safe, atomic = make_checks ~prec:Sbft_labels.Mw_ts.prec h in
-  let sbls = Sbft_core.System.label_system sys in
-  {
-    name = "sbft-core";
-    n = cfg.n;
-    f = cfg.f;
-    writer_clients = Sbft_core.Config.client_ids cfg;
-    reader_clients = Sbft_core.Config.client_ids cfg;
-    write = (fun ~client ~value ~k -> Sbft_core.System.write sys ~client ~value ~k ());
-    read = (fun ~client ~k -> Sbft_core.System.read sys ~client ~k ());
-    engine;
-    quiesce = (fun ~max_events -> Sbft_core.System.quiesce ~max_events sys);
-    check_regular = regular;
-    check_safe = safe;
-    check_atomic = atomic;
-    op_latencies = (fun () -> latencies h);
-    completed_reads = (fun () -> History.completed_reads h);
-    aborted_reads = (fun () -> History.aborted_reads h);
-    completed_writes = (fun () -> completed_writes h);
-    first_write_completion = (fun () -> first_write_completion h);
-    messages_sent = (fun () -> Metrics.get (Engine.metrics engine) Sbft_sim.Metric_names.net_sent);
-    max_ts_bits = (fun () -> Sbft_labels.Sbls.size_bits sbls);
-  }
+  let module S = Sbft_core.System in
+  let clients = Sbft_core.Config.client_ids (S.config sys) in
+  let sbls = S.label_system sys in
+  make ~prec:Sbft_labels.Mw_ts.prec (S.history sys) ~engine:(S.engine sys) ~writers:clients
+    ~readers:clients
+    ~write:(fun ~client ~value ~k -> S.write sys ~client ~value ~k ())
+    ~read:(fun ~client ~k -> S.read sys ~client ~k ())
+    ~quiesce:(fun ~max_events -> S.quiesce ~max_events sys)
+    ~max_ts_bits:(fun () -> Sbft_labels.Sbls.size_bits sbls)
 
-let unbounded_bits max_ts = Sbft_labels.Unbounded.size_bits { Sbft_labels.Unbounded.ts = max_ts; writer = 0 }
-
-let client_span n clients = List.init clients (fun i -> n + i)
-
-let abd ~n ~f ~clients sys =
-  let module A = Sbft_baselines.Abd in
-  let h = A.history sys in
-  let engine = A.engine sys in
-  let regular, safe, atomic = make_checks ~prec:Sbft_labels.Unbounded.prec h in
-  {
-    name = "abd";
-    n;
-    f;
-    writer_clients = client_span n clients;
-    reader_clients = client_span n clients;
-    write = (fun ~client ~value ~k -> A.write sys ~client ~value ~k ());
-    read = (fun ~client ~k -> A.read sys ~client ~k ());
-    engine;
-    quiesce = (fun ~max_events -> A.quiesce ~max_events sys);
-    check_regular = regular;
-    check_safe = safe;
-    check_atomic = atomic;
-    op_latencies = (fun () -> latencies h);
-    completed_reads = (fun () -> History.completed_reads h);
-    aborted_reads = (fun () -> History.aborted_reads h);
-    completed_writes = (fun () -> completed_writes h);
-    first_write_completion = (fun () -> first_write_completion h);
-    messages_sent = (fun () -> Metrics.get (Engine.metrics engine) Sbft_sim.Metric_names.net_sent);
-    max_ts_bits = (fun () -> unbounded_bits (A.max_ts sys));
-  }
-
-let mr_safe ~n ~f ~clients sys =
-  let module M = Sbft_baselines.Mr_safe in
-  let h = M.history sys in
-  let engine = M.engine sys in
-  let regular, safe, atomic = make_checks ~prec:Sbft_labels.Unbounded.prec h in
-  {
-    name = "mr-safe";
-    n;
-    f;
-    writer_clients = [ n ];
-    reader_clients = client_span n clients;
-    write = (fun ~client:_ ~value ~k -> M.write sys ~value ~k ());
-    read = (fun ~client ~k -> M.read sys ~client ~k ());
-    engine;
-    quiesce = (fun ~max_events -> M.quiesce ~max_events sys);
-    check_regular = regular;
-    check_safe = safe;
-    check_atomic = atomic;
-    op_latencies = (fun () -> latencies h);
-    completed_reads = (fun () -> History.completed_reads h);
-    aborted_reads = (fun () -> History.aborted_reads h);
-    completed_writes = (fun () -> completed_writes h);
-    first_write_completion = (fun () -> first_write_completion h);
-    messages_sent = (fun () -> Metrics.get (Engine.metrics engine) Sbft_sim.Metric_names.net_sent);
-    max_ts_bits = (fun () -> unbounded_bits (M.max_ts sys));
-  }
-
-let kanjani ~n ~f ~clients sys =
-  let module K = Sbft_baselines.Kanjani in
-  let h = K.history sys in
-  let engine = K.engine sys in
-  let regular, safe, atomic = make_checks ~prec:Sbft_labels.Unbounded.prec h in
-  {
-    name = "kanjani";
-    n;
-    f;
-    writer_clients = client_span n clients;
-    reader_clients = client_span n clients;
-    write = (fun ~client ~value ~k -> K.write sys ~client ~value ~k ());
-    read = (fun ~client ~k -> K.read sys ~client ~k ());
-    engine;
-    quiesce = (fun ~max_events -> K.quiesce ~max_events sys);
-    check_regular = regular;
-    check_safe = safe;
-    check_atomic = atomic;
-    op_latencies = (fun () -> latencies h);
-    completed_reads = (fun () -> History.completed_reads h);
-    aborted_reads = (fun () -> History.aborted_reads h);
-    completed_writes = (fun () -> completed_writes h);
-    first_write_completion = (fun () -> first_write_completion h);
-    messages_sent = (fun () -> Metrics.get (Engine.metrics engine) Sbft_sim.Metric_names.net_sent);
-    max_ts_bits = (fun () -> unbounded_bits (K.max_ts sys));
-  }
+let baseline sys =
+  let module B = Sbft_baselines.Baseline in
+  let module U = Sbft_labels.Unbounded in
+  make ~prec:U.prec (B.history sys) ~engine:(B.engine sys) ~writers:(B.writers sys)
+    ~readers:(B.clients sys)
+    ~write:(fun ~client ~value ~k -> B.write sys ~client ~value ~k ())
+    ~read:(fun ~client ~k -> B.read sys ~client ~k ())
+    ~quiesce:(fun ~max_events -> B.quiesce ~max_events sys)
+    ~max_ts_bits:(fun () -> U.size_bits { U.ts = B.max_ts sys; writer = 0 })

@@ -9,9 +9,6 @@
 type check = { checked : int; skipped : int; violations : int; detail : string list }
 
 type t = {
-  name : string;
-  n : int;
-  f : int;
   writer_clients : int list;  (** endpoints allowed to write *)
   reader_clients : int list;  (** endpoints allowed to read *)
   write : client:int -> value:int -> k:(unit -> unit) -> unit;
@@ -34,11 +31,6 @@ type t = {
 
 val core : Sbft_core.System.t -> t
 
-val abd : n:int -> f:int -> clients:int -> Sbft_baselines.Abd.t -> t
-(** The baselines keep their deployment shape private, so the adapter
-    takes the same [n]/[f]/[clients] the system was created with. *)
-
-val mr_safe : n:int -> f:int -> clients:int -> Sbft_baselines.Mr_safe.t -> t
-(** Single-writer: [writer_clients] is just endpoint [n]. *)
-
-val kanjani : n:int -> f:int -> clients:int -> Sbft_baselines.Kanjani.t -> t
+val baseline : Sbft_baselines.Baseline.t -> t
+(** Any of the three §V baselines; [Mr_safe]'s [writer_clients] is just
+    endpoint [n]. *)

@@ -74,6 +74,17 @@ let completed_reads t =
 let aborted_reads t =
   List.length (List.filter (function Read { outcome = Abort; _ } -> true | _ -> false) (ops t))
 
+let completed_writes t =
+  List.length (List.filter (function Write { resp = Some _; _ } -> true | _ -> false) (ops t))
+
+let first_write_completion t =
+  List.fold_left
+    (fun acc op ->
+      match op with
+      | Write { resp = Some r; _ } -> ( match acc with None -> Some r | Some a -> Some (min a r))
+      | _ -> acc)
+    None (ops t)
+
 let pp pp_ts fmt t =
   let pp_resp fmt = function Some r -> Format.pp_print_int fmt r | None -> Format.pp_print_char fmt '?' in
   List.iter

@@ -55,4 +55,10 @@ val completed_reads : 'ts t -> int
 
 val aborted_reads : 'ts t -> int
 
+val completed_writes : 'ts t -> int
+
+val first_write_completion : 'ts t -> int option
+(** Virtual time the earliest write completed, if any did — the
+    pseudo-stabilization point the checkers audit from. *)
+
 val pp : (Format.formatter -> 'ts -> unit) -> Format.formatter -> 'ts t -> unit

@@ -5,14 +5,6 @@
 open Sbft_core
 module H = Sbft_spec.History
 
-let first_write_completion h =
-  List.fold_left
-    (fun acc op ->
-      match op with
-      | H.Write { resp = Some r; _ } -> min acc r
-      | _ -> acc)
-    max_int (H.ops h)
-
 let audit ?(strategy = None) ?(corrupt = false) ~n ~f ~seed () =
   let sys = System.create ~seed (Config.make ~n ~f ~clients:4 ()) in
   (match strategy with Some s -> ignore (Sbft_byz.Strategy.install_all sys s) | None -> ());
@@ -22,7 +14,7 @@ let audit ?(strategy = None) ?(corrupt = false) ~n ~f ~seed () =
     Sbft_harness.Workload.run ~spec:{ Sbft_harness.Workload.default with ops_per_client = 12 } reg
   in
   Alcotest.(check bool) "live" false o.livelocked;
-  let after = first_write_completion (System.history sys) in
+  let after = Option.value ~default:max_int (H.first_write_completion (System.history sys)) in
   let c = reg.check_regular ~after () in
   if c.violations > 0 then
     Alcotest.failf "n=%d f=%d seed=%Ld: %s" n f seed (String.concat "; " c.detail)

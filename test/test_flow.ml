@@ -111,6 +111,25 @@ let test_stats_histogram () =
   Alcotest.(check int) "6 GET_TS sends" 6 (List.assoc "get_ts" s);
   Alcotest.(check int) "6 WRITE sends" 6 (List.assoc "write_req" s)
 
+(* The [trace] subcommand's session, called directly. *)
+let test_figure4_session () =
+  let r = Flow.figure4 ~seed:42L in
+  Alcotest.(check bool) "read returns the write" true (r.outcome = Sbft_spec.History.Value 7);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "writer's projection ends before the read" true
+    (contains r.write_projection "projection at c6 (t in [0, "
+    && contains r.write_projection "──GET_TS──▶ s0..s5 (6)");
+  Alcotest.(check bool) "reader's projection starts with the read" true
+    (contains r.read_projection "projection at c7 (t in ["
+    && contains r.read_projection "──FLUSH(l1)──▶ s0..s5 (6)");
+  Alcotest.(check bool) "sends counted" true
+    (List.assoc Sbft_sim.Metric_names.net_sent r.counters > 0);
+  Alcotest.(check bool) "deterministic" true (Flow.figure4 ~seed:42L = r)
+
 let suite =
   [
     Alcotest.test_case "captures both directions" `Quick test_captures_both_directions;
@@ -119,4 +138,5 @@ let suite =
     Alcotest.test_case "projection folds broadcasts" `Quick test_projection_folds_broadcasts;
     Alcotest.test_case "detach stops capture" `Quick test_detach_stops_capture;
     Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
+    Alcotest.test_case "figure-4 session" `Quick test_figure4_session;
   ]

@@ -5,14 +5,6 @@
 open Sbft_core
 module H = Sbft_spec.History
 
-let first_write_completion h =
-  List.fold_left
-    (fun acc op ->
-      match op with
-      | H.Write { resp = Some r; _ } -> ( match acc with None -> Some r | Some a -> Some (min a r))
-      | _ -> acc)
-    None (H.ops h)
-
 let run_and_check ?(n = 6) ?(f = 1) ?(clients = 4) ?strategy ?(corrupt = fun _ -> ()) ~seed () =
   let sys = System.create ~seed (Config.make ~n ~f ~clients ()) in
   (match strategy with Some s -> ignore (Sbft_byz.Strategy.install_all sys s) | None -> ());
@@ -24,7 +16,7 @@ let run_and_check ?(n = 6) ?(f = 1) ?(clients = 4) ?strategy ?(corrupt = fun _ -
       reg
   in
   Alcotest.(check bool) "no livelock" false o.livelocked;
-  let after = Option.value ~default:max_int (first_write_completion (System.history sys)) in
+  let after = Option.value ~default:max_int (H.first_write_completion (System.history sys)) in
   let c = reg.check_regular ~after () in
   if c.violations > 0 then
     Alcotest.failf "regularity violations (seed %Ld): %s" seed (String.concat "; " c.detail);
@@ -154,7 +146,7 @@ let qcheck_regular_after_stabilization =
           ~spec:{ Sbft_harness.Workload.default with ops_per_client = 10 }
           reg
       in
-      let after = Option.value ~default:max_int (first_write_completion (System.history sys)) in
+      let after = Option.value ~default:max_int (H.first_write_completion (System.history sys)) in
       (not o.livelocked) && (reg.check_regular ~after ()).violations = 0)
 
 let suite =
