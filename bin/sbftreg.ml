@@ -115,8 +115,8 @@ let trace_level_arg =
     & opt (enum levels) Sbft_sim.Trace.On
     & info [ "trace-level" ] ~docv:"LEVEL"
         ~doc:
-          "Trace dial: off (zero-overhead), sampled (deterministic subsequence to sinks, \
-           forensic ring kept), on (full stream), forensic (also free-form notes). Never \
+          "Trace dial: off (zero-overhead), sampled (whole span trees of a deterministic \
+           subset of operations), on (full stream), forensic (also free-form notes). Never \
            affects the simulation itself.")
 
 let sample_arg =
@@ -124,7 +124,9 @@ let sample_arg =
     value
     & opt float 0.01
     & info [ "sample" ] ~docv:"RATE"
-        ~doc:"Sampling rate for --trace-level sampled (deterministic given the sample seed).")
+        ~doc:
+          "Sampling rate for --trace-level sampled: the share of operations traced whole \
+           (deterministic given the sample seed).")
 
 let profile_arg =
   Arg.(
@@ -221,8 +223,8 @@ let run_cmd =
     if r.report.violations <> [] then
       print_string
         (Sbft_harness.Forensics.dump_string ~name:(endpoint_name ~n)
-           ~trace:(Sbft_sim.Engine.trace engine) ~history:(Sbft_core.System.history r.sys)
-           r.report.violations);
+           ~events:(Scenario.forensic_events ~level scenario r)
+           ~history:(Sbft_core.System.history r.sys) r.report.violations);
     let w, rd = reg.op_latencies () in
     let pp what s =
       Printf.printf "%s latency: %s\n" what
@@ -276,7 +278,9 @@ let run_cmd =
       value
       & opt int 4096
       & info [ "trace-cap" ] ~docv:"N"
-          ~doc:"Forensic event-ring capacity (sinks always see every event).")
+          ~doc:
+            "Events a violation's forensic dump keeps: the last N of the full stream (re-run \
+             at --trace-level on when the run traced less).")
   in
   let snapshot_every =
     Arg.(

@@ -156,7 +156,7 @@ let on_event acc ~time ev =
 
 let finish_acc span acc =
   match acc.s_op with
-  | None -> None (* a span with no Op_started (sampled out) is not an op *)
+  | None -> None (* a span with no Op_started (cut off by a window) is not an op *)
   | Some (op_id, client, kind, started) ->
       let legs =
         List.rev_map
@@ -288,7 +288,7 @@ let critical_path (o : op) = List.concat_map phase_segments o.phases
 
 (* Attributed share of the op's measured latency.  Phases tile the
    lifetime and each window is fully attributed, so a completely traced
-   op scores 1.0; sampling that drops phase marks shows up here. *)
+   op scores 1.0; a trace that lost phase marks shows up here. *)
 let coverage (o : op) =
   match o.total with
   | None | Some 0 -> if o.phases = [] then 0.0 else 1.0
@@ -297,23 +297,6 @@ let coverage (o : op) =
         List.fold_left (fun acc s -> acc + s.ticks) 0 (critical_path o)
       in
       float_of_int attributed /. float_of_int total
-
-(* ------------------------------------------------------------------ *)
-(* Tree flattening (for the sampled-subtree property).                 *)
-
-let nodes (ops : op list) =
-  List.concat_map
-    (fun o ->
-      ((o.span, "op", o.started)
-       ::
-       List.map (fun p -> (o.span, "ph:" ^ p.name, p.finish)) o.phases)
-      @ List.concat_map
-          (fun p ->
-            List.map
-              (fun l -> (o.span, Printf.sprintf "leg:%d:%s" l.server l.kind, l.req_sent))
-              p.legs)
-          o.phases)
-    ops
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation.                                                        *)

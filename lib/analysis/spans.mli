@@ -19,7 +19,8 @@
     quorum's straggler).  Boundaries are clamped monotone inside the
     window, so the segments always sum exactly to the window length:
     attribution is total by construction, and {!coverage} only drops
-    below 1.0 when sampling removed phase marks. *)
+    below 1.0 when the trace lost phase marks (a window cut mid-op, or
+    an artifact thinned per event rather than per span). *)
 
 type leg = {
   server : int;
@@ -60,8 +61,9 @@ type segment = { phase : string; label : string; ticks : int }
 
 val build : (int * Sbft_sim.Event.t) list -> op list
 (** Assemble span trees from [(time, event)] pairs in emission order.
-    Events without a span id are ignored; spans whose [Op_started] was
-    sampled out are dropped.  Ops are returned in first-seen order. *)
+    Events without a span id are ignored; spans whose [Op_started] is
+    missing (cut off by a forensic window) are dropped.  Ops are
+    returned in first-seen order. *)
 
 val critical_path : op -> segment list
 (** Phase-by-phase attribution of the op's lifetime; segments appear
@@ -69,14 +71,9 @@ val critical_path : op -> segment list
 
 val coverage : op -> float
 (** Attributed ticks / measured total ([Op_finished ticks]); 1.0 for a
-    fully traced finished op, lower when sampling dropped phase marks,
-    0.0 for an op with no phase marks at all. *)
-
-val nodes : op list -> (int * string * int) list
-(** Flatten trees to [(span, node identity, anchor time)] triples —
-    the op itself, each phase, each leg.  A sampled trace's spans must
-    yield a subset of the full trace's triples (the subtree
-    property the tests check). *)
+    fully traced finished op (a head-sampled trace records its spans
+    whole), lower when the trace lost phase marks, 0.0 for an op with
+    no phase marks at all. *)
 
 type agg_row = {
   group : string;  (** ["all"], or ["shard <i>"]/["unsharded"] with [by_shard] *)

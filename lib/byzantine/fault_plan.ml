@@ -75,7 +75,7 @@ let apply ?monitor sys plan =
       let fire () =
         Sbft_sim.Metrics.incr (Engine.metrics engine) Sbft_sim.Metric_names.faults_injected;
         let tr = Engine.trace engine in
-        if Sbft_sim.Trace.enabled tr then
+        if Sbft_sim.Trace.admits tr ~span:Sbft_sim.Event.no_span then
           Sbft_sim.Trace.emit tr ~time:(Engine.now engine)
             (Sbft_sim.Event.Fault_injected { desc = Format.asprintf "%a" pp_event event });
         run_event sys event;

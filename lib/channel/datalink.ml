@@ -49,7 +49,7 @@ let transmit t pkt =
 let retransmit t pkt =
   Metrics.incr (Engine.metrics t.engine) Names.dl_retransmissions;
   let tr = Engine.trace t.engine in
-  if Trace.enabled tr then
+  if Trace.admits tr ~span:Event.no_span then
     Trace.emit tr ~time:(Engine.now t.engine) (Event.Retransmit { label = pkt.label });
   transmit t pkt
 
@@ -84,7 +84,7 @@ let on_ack t label =
         let rtt = Engine.now t.engine - t.current_since in
         Metrics.record (Engine.metrics t.engine) Names.dl_ack_rtt_ticks (float_of_int rtt);
         let tr = Engine.trace t.engine in
-        if Trace.enabled tr then
+        if Trace.admits tr ~span:Event.no_span then
           Trace.emit tr ~time:(Engine.now t.engine) (Event.Ack_roundtrip { label; ticks = rtt });
         t.current <- None;
         start_next t

@@ -154,7 +154,7 @@ let count_kind t k msg =
 let drop t ~span ~src ~dst ~kind reason =
   Metrics.counter_incr t.dropped_c;
   let tr = Engine.trace t.engine in
-  if Trace.enabled tr then
+  if Trace.admits tr ~span then
     Trace.emit tr ~time:(Engine.now t.engine) (Event.Msg_dropped { src; dst; kind; reason; span })
 
 (* Hand [payload] (the sent [msg], or what the tamper hook made of it)
@@ -168,7 +168,7 @@ let dispatch t ~span ~src ~dst msg payload =
       Metrics.counter_incr t.delivered_c;
       t.node_delivered.(dst) <- t.node_delivered.(dst) + 1;
       let tr = Engine.trace t.engine in
-      if Trace.enabled tr then
+      if Trace.admits tr ~span then
         Trace.emit tr ~time:(Engine.now t.engine)
           (Event.Msg_delivered { src; dst; kind = kind_of t payload; span });
       notify t `Deliver ~src ~dst payload;
@@ -246,7 +246,7 @@ let send t ~src ~dst msg =
     t.node_sent.(src) <- t.node_sent.(src) + 1;
     (match t.kinds with Some k -> count_kind t k msg | None -> ());
     let tr = Engine.trace t.engine in
-    if Trace.enabled tr then
+    if Trace.admits tr ~span then
       Trace.emit tr ~time:(Engine.now t.engine)
         (Event.Msg_sent { src; dst; kind = kind_of t msg; span });
     notify t `Send ~src ~dst msg;

@@ -75,10 +75,11 @@ let now t = Engine.now (engine t)
 
 let metrics t = Engine.metrics (engine t)
 
-(* [tracing] guards the *construction* of the event payload at every
-   call site, not just its sinking: with the trace dial Off, the kv
-   put/get hot path allocates no event records at all. *)
-let tracing t = Trace.enabled t.tr
+(* [tracing t span] guards the *construction* of the event payload at
+   every call site, not just its sinking: with the trace dial Off, or
+   for a span the head sampler passed over, the kv put/get hot path
+   allocates no event records at all. *)
+let tracing t (span : span) = Trace.admits t.tr ~span:span.sid
 
 let emit t ev = Trace.emit t.tr ~time:(now t) ev
 
@@ -99,7 +100,7 @@ let phase_done t span ~hist ~phase =
   let at = now t in
   let ticks = at - span.ph in
   Metrics.hist_record (Lazy.force hist) (float_of_int ticks);
-  if tracing t then
+  if tracing t span then
     emit t (Event.Op_phase { op_id = span.op; client = t.id; phase; ticks; span = span.sid });
   span.ph <- at;
   ticks
@@ -113,7 +114,7 @@ let write ?op_id ?span_k t ~value k =
   let span = fresh_span t ~op_id in
   t.wspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
-  if tracing t then
+  if tracing t span then
     emit t (Event.Op_started { op_id = span.op; client = t.id; kind = "write"; span = span.sid });
   t.wphase <- W_collect { value; k; got };
   Network.with_span t.net span.sid (fun () ->
@@ -130,7 +131,7 @@ let on_ts_reply t ~src ts =
       if Hashtbl.length got >= Config.quorum t.cfg then begin
         (match t.wspan with
         | Some span ->
-            if tracing t then
+            if tracing t span then
               emit t
                 (Event.Quorum_formed
                    {
@@ -158,7 +159,7 @@ let restart_write t ~value ~k =
   (match t.wspan with
   | Some span ->
       let at = now t in
-      if tracing t then
+      if tracing t span then
         emit t
           (Event.Op_phase
              { op_id = span.op; client = t.id; phase = "retry"; ticks = at - span.ph; span = span.sid });
@@ -177,14 +178,14 @@ let on_write_ack t ~src ~ts ~ack =
         if n_acks >= Config.witness_threshold t.cfg then begin
           (match t.wspan with
           | Some span ->
-              if tracing t then
+              if tracing t span then
                 emit t
                   (Event.Quorum_formed
                      { op_id = span.op; client = t.id; phase = "ack"; size = n_acks; span = span.sid });
               ignore (phase_done t span ~hist:t.meters.write_commit ~phase:"commit");
               let total = now t - span.t0 in
               Metrics.hist_record (Lazy.force t.meters.write_total) (float_of_int total);
-              if tracing t then
+              if tracing t span then
                 emit t
                   (Event.Op_finished
                      {
@@ -224,7 +225,7 @@ let start_reading t ~k ~label =
   (match t.rspan with
   | Some span ->
       let safe_count = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 t.safe in
-      if tracing t then
+      if tracing t span then
         emit t
           (Event.Quorum_formed
              { op_id = span.op; client = t.id; phase = "flush"; size = safe_count; span = span.sid });
@@ -248,10 +249,10 @@ let read ?op_id ?span_k t k =
   let span = fresh_span t ~op_id in
   t.rspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
-  if tracing t then
+  if tracing t span then
     emit t (Event.Op_started { op_id = span.op; client = t.id; kind = "read"; span = span.sid });
   let label = Read_labels.choose t.rl in
-  if tracing t then
+  if tracing t span then
     emit t (Event.Epoch_changed { node = t.id; epoch = label; what = "read_label" });
   t.rphase <- R_flush { k; label };
   Network.with_span t.net span.sid (fun () ->
@@ -273,7 +274,7 @@ let finish_read t ~k ~label outcome =
         | Sbft_spec.History.Incomplete -> ("incomplete", t.meters.read_abort)
       in
       Metrics.hist_record (Lazy.force total_hist) (float_of_int total);
-      if tracing t then
+      if tracing t span then
         emit t
           (Event.Op_finished
              {

@@ -67,7 +67,8 @@ let handle t ~src msg =
         (Lazy.force (if ack then t.meters.label_adoptions else t.meters.label_rejections));
       let engine = Network.engine t.net in
       let tr = Engine.trace engine in
-      if Trace.enabled tr then
+      (* the adoption belongs to the write whose request carried it in *)
+      if Trace.admits tr ~span:(Network.current_span t.net) then
         Trace.emit tr ~time:(Engine.now engine)
           (Event.Label_adopted { server = t.id; writer = src; ack });
       Network.send t.net ~src:t.id ~dst:src (Msg.Write_ack { ts; ack });

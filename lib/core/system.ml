@@ -28,12 +28,12 @@ let client_at t i =
       t.clients.(i) <- Some c;
       c
 
-let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level
-    ?(trace_capacity = 4096) ?sample ?transport ?engine cfg =
+let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level ?sample ?transport
+    ?engine cfg =
   let engine =
     match engine with
     | Some e -> e
-    | None -> Engine.create ?trace_level ~trace_capacity ?sample ~seed ()
+    | None -> Engine.create ?trace_level ?sample ~seed ()
   in
   let net =
     Network.create engine ~endpoints:(Config.endpoints cfg) ~servers:cfg.n ~delay

@@ -14,7 +14,6 @@ val create :
   ?seed:int64 ->
   ?delay:Sbft_channel.Delay.t ->
   ?trace_level:Sbft_sim.Trace.level ->
-  ?trace_capacity:int ->
   ?sample:float ->
   ?transport:Sbft_channel.Network.transport ->
   ?engine:Sbft_sim.Engine.t ->
@@ -22,14 +21,11 @@ val create :
   t
 (** Build and wire a deployment. Default seed [42L], default delay
     [Delay.uniform ~max:10], default transport [Direct].
-    [trace_level]/[sample] configure the engine
-    trace (see {!Sbft_sim.Engine.create}); none of them perturb the
-    simulation itself.  [trace_capacity] sizes the forensic event ring
-    (default 4096 entries; sinks always see every event regardless).
-    Pass
-    [Over_datalink] to run the register over the full channel stack —
-    stabilizing data-links over bounded lossy non-FIFO channels — at
-    roughly an order of magnitude more low-level packets.  Pass
+    [trace_level]/[sample] configure the engine trace (see
+    {!Sbft_sim.Engine.create}); neither perturbs the simulation itself.
+    Pass [Over_datalink] to run the register over the full channel
+    stack — stabilizing data-links over bounded lossy non-FIFO channels
+    — at roughly an order of magnitude more low-level packets.  Pass
     [engine] to share one virtual clock across several deployments
     (e.g. the shards of {!Sbft_kv.Store}); [seed] and the trace options
     are then ignored in favour of the shared engine's. *)

@@ -59,7 +59,7 @@ let fire t ~rule ~shard ~idx ~detail =
     let engine = Store.engine t.store in
     Metrics.incr (Engine.metrics engine) (Names.alerts rule);
     let tr = Engine.trace engine in
-    if Trace.enabled tr then
+    if Trace.admits tr ~span:Event.no_span then
       Trace.emit tr ~time:(Engine.now engine)
         (Event.Alert { shard; rule; severity = severity_of rule; detail; window = idx })
   end

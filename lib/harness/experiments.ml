@@ -1196,13 +1196,13 @@ let e21_scale () =
 (* ------------------------------------------------------------------ *)
 
 let e22_observability () =
-  (* What the PR-6 trace dial costs on a heavy run: the same 10^5-op
+  (* What the trace dial costs on a heavy run: the same 10^5-op
      workload against a 16-shard store at every level, wall-clock
-     timed.  [Off] is the no-op fast path the ISSUE requires to stay
-     within a few percent of a build with no observability; [Sampled]
-     shows that the sink stream (what a JSONL artifact would hold)
-     collapses by ~100x while the ring still retains a full forensic
-     window; [Forensic] adds the free-form narration tier. *)
+     timed, with one counting sink attached.  [Off] is the no-op fast
+     path; [Sampled] head-samples whole spans, so the sink stream (what
+     a JSONL artifact would hold) collapses by ~100x and unsampled
+     operations build no events at all; [Forensic] adds the free-form
+     narration tier. *)
   let module Trace = Sbft_sim.Trace in
   let module Store = Sbft_kv.Store in
   let clients = 8 and shards = 16 and keys = 64 in
@@ -1235,7 +1235,6 @@ let e22_observability () =
     Store.quiesce kv;
     let wall = Clock.elapsed_s t0 in
     let fired = Engine.events_fired engine in
-    let ring = List.length (Trace.entries (Engine.trace engine)) in
     let ops = Store.ops_issued kv in
     ( wall,
       [
@@ -1245,7 +1244,6 @@ let e22_observability () =
         fmt "%.0f" (float_of_int ops /. wall);
         fmt "%d" fired;
         fmt "%d" !sink_events;
-        fmt "%d" ring;
       ] )
   in
   let off_wall, off_row = drive Trace.Off in
@@ -1254,13 +1252,13 @@ let e22_observability () =
   let forensic_wall, forensic_row = drive Trace.Forensic in
   let vs w = fmt "%+.1f%% vs off" (100.0 *. ((w /. off_wall) -. 1.0)) in
   Table.make ~id:"E22" ~title:"Observability overhead: 10^5 ops over 16 shards, trace dial swept"
-    ~header:[ "level"; "ops"; "wall s"; "ops/s"; "fired"; "sink events"; "ring" ]
+    ~header:[ "level"; "ops"; "wall s"; "ops/s"; "fired"; "sink events" ]
     ~notes:
       [
         "identical workload and seeds at every level; only observation differs";
         fmt "wall-clock deltas: sampled %s, on %s, forensic %s" (vs sampled_wall) (vs on_wall)
           (vs forensic_wall);
-        "sampled keeps the full ring (forensic window) while thinning sinks ~100x";
+        "sampled records 1% of operations as whole span trees and builds no event for the rest";
         "timings are wall-clock on the current machine; ratios are the portable signal";
       ]
     [ off_row; sampled_row; on_row; forensic_row ]

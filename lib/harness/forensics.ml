@@ -1,6 +1,5 @@
 module History = Sbft_spec.History
 module Regularity = Sbft_spec.Regularity
-module Trace = Sbft_sim.Trace
 module Event = Sbft_sim.Event
 
 type op_info = { op : int; client : int; kind : string; inv : int; resp : int option }
@@ -39,7 +38,7 @@ let pp_edges fmt ops =
 
 let default_name i = Printf.sprintf "n%d" i
 
-let dump_violation ?(name = default_name) fmt ~trace ~history (v : Regularity.violation) =
+let dump_violation ?(name = default_name) fmt ~events ~history (v : Regularity.violation) =
   let ops = List.filter_map (op_info history) (List.sort_uniq compare v.ops) in
   Format.fprintf fmt "@[<v>violation: %s@," v.detail;
   Format.fprintf fmt "  implicated operations:@,";
@@ -53,7 +52,7 @@ let dump_violation ?(name = default_name) fmt ~trace ~history (v : Regularity.vi
       let until =
         List.fold_left (fun acc i -> max acc (Option.value ~default:i.inv i.resp)) 0 ops
       in
-      let window = Trace.window trace ~from_time ~until in
+      let window = List.filter (fun (time, _) -> time >= from_time && time <= until) events in
       let implicated = List.map (fun i -> i.op) ops in
       let relevant =
         List.filter
@@ -63,46 +62,42 @@ let dump_violation ?(name = default_name) fmt ~trace ~history (v : Regularity.vi
       in
       Format.fprintf fmt "  trace window [%d, %d] (%d events, %d shown):@," from_time until
         (List.length window) (List.length relevant);
-      if Trace.enabled trace then begin
-        List.iter (fun (time, ev) -> Format.fprintf fmt "    [%d] %a@," time Event.pp ev) relevant;
-        (* the causal cone: the happened-before slice of the window
-           that can reach (or be reached from) the violating read —
-           everything else in the window is noise *)
-        if v.read_id >= 0 then begin
-          let cone =
-            Sbft_analysis.Causality.cone (Sbft_analysis.Causality.build window) ~op_id:v.read_id
-          in
-          if Array.length cone.nodes > 0 then begin
-            Format.fprintf fmt "  causal cone of read %d (%d of %d events):@," v.read_id
-              (Array.length cone.nodes) (List.length window);
-            String.split_on_char '\n' (Sbft_analysis.Causality.ascii ~name cone)
-            |> List.iter (fun line -> if line <> "" then Format.fprintf fmt "    %s@," line)
-          end
-        end;
-        (* where the implicated ops spent their time: the span
-           assembler rebuilds each op's critical path from the window,
-           so a violation report answers "was the stale read racing a
-           slow commit?" without a separate spans invocation *)
-        let spans_in_window =
-          List.filter
-            (fun (o : Sbft_analysis.Spans.op) -> List.mem o.op_id implicated)
-            (Sbft_analysis.Spans.build window)
+      List.iter (fun (time, ev) -> Format.fprintf fmt "    [%d] %a@," time Event.pp ev) relevant;
+      (* the causal cone: the happened-before slice of the window that
+         can reach (or be reached from) the violating read — everything
+         else in the window is noise *)
+      if v.read_id >= 0 then begin
+        let cone =
+          Sbft_analysis.Causality.cone (Sbft_analysis.Causality.build window) ~op_id:v.read_id
         in
-        if spans_in_window <> [] then begin
-          Format.fprintf fmt "  critical paths of implicated operations:@,";
-          List.iter
-            (fun o ->
-              String.split_on_char '\n'
-                (Format.asprintf "%a" Sbft_analysis.Spans.pp_waterfall o)
-              |> List.iter (fun line -> if line <> "" then Format.fprintf fmt "    %s@," line))
-            spans_in_window
+        if Array.length cone.nodes > 0 then begin
+          Format.fprintf fmt "  causal cone of read %d (%d of %d events):@," v.read_id
+            (Array.length cone.nodes) (List.length window);
+          String.split_on_char '\n' (Sbft_analysis.Causality.ascii ~name cone)
+          |> List.iter (fun line -> if line <> "" then Format.fprintf fmt "    %s@," line)
         end
-      end
-      else Format.fprintf fmt "    (trace was disabled; re-run with tracing for the event log)@,");
+      end;
+      (* where the implicated ops spent their time: the span assembler
+         rebuilds each op's critical path from the window, so a
+         violation report answers "was the stale read racing a slow
+         commit?" without a separate spans invocation *)
+      let spans_in_window =
+        List.filter
+          (fun (o : Sbft_analysis.Spans.op) -> List.mem o.op_id implicated)
+          (Sbft_analysis.Spans.build window)
+      in
+      if spans_in_window <> [] then begin
+        Format.fprintf fmt "  critical paths of implicated operations:@,";
+        List.iter
+          (fun o ->
+            String.split_on_char '\n' (Format.asprintf "%a" Sbft_analysis.Spans.pp_waterfall o)
+            |> List.iter (fun line -> if line <> "" then Format.fprintf fmt "    %s@," line))
+          spans_in_window
+      end);
   Format.fprintf fmt "@]"
 
-let dump ?name fmt ~trace ~history violations =
-  List.iter (fun v -> dump_violation ?name fmt ~trace ~history v) violations
+let dump ?name fmt ~events ~history violations =
+  List.iter (fun v -> dump_violation ?name fmt ~events ~history v) violations
 
-let dump_string ?name ~trace ~history violations =
-  Format.asprintf "%a" (fun fmt () -> dump ?name fmt ~trace ~history violations) ()
+let dump_string ?name ~events ~history violations =
+  Format.asprintf "%a" (fun fmt () -> dump ?name fmt ~events ~history violations) ()

@@ -6,17 +6,18 @@
     causally-ordered event log of exactly the operations involved.
     Violations carry the implicated operation ids
     ({!Sbft_spec.Regularity.violation}[.ops]), operation events carry
-    the same ids ({!Sbft_sim.Event}), so the dump can slice the trace
-    ring to the window [\[min inv, max resp\]] of those operations and
-    print, per violation:
+    the same ids ({!Sbft_sim.Event}), so the dump slices [events] — the
+    run's retained event log, oldest first (see
+    {!Scenario.forensic_events}) — to the window [\[min inv, max resp\]]
+    of those operations and prints, per violation:
 
     - each implicated operation with its client and real-time interval;
     - every happened-before edge between them (A → B iff A responded
       before B was invoked, the paper's precedence), concurrency made
       explicit;
-    - the retained trace events in the window, filtered to the
-      implicated spans plus every non-operation event (messages,
-      faults) that fired inside it;
+    - the events in the window, filtered to the implicated spans plus
+      every non-operation event (messages, faults) that fired inside
+      it;
     - the violating read's causal cone through the window, rendered as
       an ASCII space-time diagram ({!Sbft_analysis.Causality}) —
       message-level happened-before, not just operation-level;
@@ -30,7 +31,7 @@
 val dump_violation :
   ?name:(int -> string) ->
   Format.formatter ->
-  trace:Sbft_sim.Trace.t ->
+  events:(int * Sbft_sim.Event.t) list ->
   history:'ts Sbft_spec.History.t ->
   Sbft_spec.Regularity.violation ->
   unit
@@ -38,14 +39,14 @@ val dump_violation :
 val dump :
   ?name:(int -> string) ->
   Format.formatter ->
-  trace:Sbft_sim.Trace.t ->
+  events:(int * Sbft_sim.Event.t) list ->
   history:'ts Sbft_spec.History.t ->
   Sbft_spec.Regularity.violation list ->
   unit
 
 val dump_string :
   ?name:(int -> string) ->
-  trace:Sbft_sim.Trace.t ->
+  events:(int * Sbft_sim.Event.t) list ->
   history:'ts Sbft_spec.History.t ->
   Sbft_spec.Regularity.violation list ->
   string

@@ -170,17 +170,15 @@ let execute ?sink ?(level = Trace.On) ?sample ?(profile = false) ?on_system
     else Error "fault plan references endpoints outside the system"
   in
   let cfg = Config.make ~allow_unsafe:true ~n:t.n ~f:t.f ~clients:t.clients () in
-  let sys =
-    System.create ~seed:t.seed ~delay ~trace_level:level ?sample ~trace_capacity:t.trace_cap cfg
-  in
+  let sys = System.create ~seed:t.seed ~delay ~trace_level:level ?sample cfg in
   let engine = System.engine sys in
   let tr = Engine.trace engine in
   let prof = Engine.profile engine in
   if profile then Sbft_sim.Profile.enable prof;
   (* Sinks see the level-filtered stream: at [Sampled] the recorded
-     [events] (and any [sink]) are the thinned artifact, while the ring
-     keeps the forensic window.  The profiler's event attribution
-     follows the same stream — it counts what the artifact contains. *)
+     [events] (and any [sink]) are the thinned artifact.  The
+     profiler's event attribution follows the same stream — it counts
+     what the artifact contains. *)
   let events = ref [] in
   if collect_events then
     Trace.add_sink tr (fun ~time ev -> events := (time, ev) :: !events);
@@ -216,8 +214,9 @@ let execute ?sink ?(level = Trace.On) ?sample ?(profile = false) ?on_system
   in
   List.iter
     (fun (v : Regularity.violation) ->
-      Trace.emit tr ~time:(Engine.now engine)
-        (Event.Violation { op_id = v.read_id; kind = violation_kind v; detail = v.detail }))
+      if Trace.admits tr ~span:Event.no_span then
+        Trace.emit tr ~time:(Engine.now engine)
+          (Event.Violation { op_id = v.read_id; kind = violation_kind v; detail = v.detail }))
     report.violations;
   Ok
     {
@@ -230,6 +229,27 @@ let execute ?sink ?(level = Trace.On) ?sample ?(profile = false) ?on_system
       last_fault;
       events = List.rev !events;
     }
+
+(* The last [cap] elements of [l]. *)
+let last cap l =
+  let drop = List.length l - cap in
+  if drop <= 0 then l else List.filteri (fun i _ -> i >= drop) l
+
+let forensic_events ~level t r =
+  match (level : Trace.level) with
+  | On | Forensic -> last t.trace_cap r.events
+  | Off | Sampled -> (
+      (* Runs are deterministic at every level, so re-executing at [On]
+         emits the very stream this run would have.  Keep only the
+         tail as it streams by. *)
+      let tail = Queue.create () in
+      let keep ~time ev =
+        Queue.push (time, ev) tail;
+        if Queue.length tail > t.trace_cap then ignore (Queue.pop tail)
+      in
+      match execute ~sink:keep ~collect_events:false t with
+      | Ok _ -> List.of_seq (Queue.to_seq tail)
+      | Error _ -> [] (* unreachable: [t] already executed once *))
 
 (* ------------------------------------------------------------------ *)
 (* Verdicts.  One word per failure class, ordered by severity: what a

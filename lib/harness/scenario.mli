@@ -26,7 +26,7 @@ type t = {
   corrupt : bool;
   delay : string;  (** delay-policy name, resolved against {!policies} *)
   plan : Sbft_byz.Fault_plan.t;  (** fault timeline, applied at t = 0 *)
-  trace_cap : int;
+  trace_cap : int;  (** events the violation forensics keep ({!forensic_events}) *)
   snapshot_every : int;  (** 0 = no telemetry snapshots *)
 }
 
@@ -93,9 +93,9 @@ val execute :
     dial: they live {e outside} the scenario record because they never
     affect the simulation — the same [t] produces the same history and
     verdict at every level, only [events] (and sinks) see more or less.
-    At [Sampled], [events] is the deterministically thinned stream and
-    the engine ring keeps the forensic window; replay/corpus recording
-    always uses [On].  [profile] arms the engine self-profiler
+    At [Sampled], [events] is the head-sampled stream: whole span
+    trees of a deterministic subset of operations, plus a sample of the
+    span-less events; replay/corpus recording always uses [On].  [profile] arms the engine self-profiler
     ({!Sbft_sim.Profile}) and attributes checker time.  [on_system]
     runs once after the system is built and faults are scheduled but
     before the workload starts — the hook the CLI uses to attach a
@@ -107,6 +107,15 @@ val execute :
     before any simulation for a scenario {!validate} rejects, a
     [sample] outside [0, 1], an unknown strategy or delay-policy name,
     or a fault plan naming endpoints outside the system. *)
+
+val forensic_events : level:Sbft_sim.Trace.level -> t -> run -> (int * Sbft_sim.Event.t) list
+(** The event log {!Forensics} slices a violation's window from: the
+    last [trace_cap] events of the run's [On]-level stream, oldest
+    first.  At [On] and [Forensic] that is the tail of [run.events]
+    (so [run] must come from {!execute} at [level] with
+    [collect_events]); at [Off] and [Sampled] the scenario is
+    re-executed at [On], which emits the same stream because the trace
+    level never changes the run. *)
 
 val violation_kind : Sbft_spec.Regularity.violation -> string
 (** Short tag for the event record: stale/future/unwritten/inversion/order. *)

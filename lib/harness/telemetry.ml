@@ -36,7 +36,7 @@ let take_snapshot t =
     let ts = Server.ts srv in
     let sting = ts.Mw_ts.label.Sbls.sting in
     Hashtbl.replace stings sting ();
-    if Trace.enabled tr then
+    if Trace.admits tr ~span:Event.no_span then
       Trace.emit tr ~time
         (Event.Server_state
            {

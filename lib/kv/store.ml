@@ -45,11 +45,11 @@ type t = {
 let series_keep = 64
 
 let create ?(seed = 42L) ?(delay = Sbft_channel.Delay.uniform ~max:10) ?trace_level ?sample
-    ?trace_capacity ?transport ?series_window ~shards ~n ~f ~clients () =
+    ?transport ?series_window ~shards ~n ~f ~clients () =
   if shards < 1 then invalid_arg "Store.create: need at least one shard";
   (* Validate the per-shard register parameters once, eagerly. *)
   ignore (Config.make ~n ~f ~clients ());
-  let engine = Engine.create ?trace_level ?sample ?trace_capacity ~seed () in
+  let engine = Engine.create ?trace_level ?sample ~seed () in
   let series =
     match series_window with
     | None -> [||]
@@ -141,7 +141,7 @@ let endpoint t client =
    tags the span at invocation; [Spans] then groups ops by shard. *)
 let tag_shard t ~shard sid =
   let tr = Engine.trace t.engine in
-  if Trace.enabled tr then
+  if Trace.admits tr ~span:sid then
     Trace.emit tr ~time:(Engine.now t.engine) (Event.Span_tag { span = sid; tag = "shard"; v = shard })
 
 (* Streaming hook: every op completion feeds the shard's flow series

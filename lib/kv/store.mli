@@ -46,7 +46,6 @@ val create :
   ?delay:Sbft_channel.Delay.t ->
   ?trace_level:Sbft_sim.Trace.level ->
   ?sample:float ->
-  ?trace_capacity:int ->
   ?transport:Sbft_channel.Network.transport ->
   ?series_window:int ->
   shards:int ->
@@ -57,10 +56,10 @@ val create :
   t
 (** [clients] is the number of logical store clients; each holds one
     connection (client endpoint) into every key register it touches.
-    [trace_level]/[sample]/[trace_capacity] configure the shared
-    engine's trace (see {!Sbft_sim.Engine.create}); the store's own
-    per-shard metrics are always on — counters and histograms are part
-    of the engine metrics, not the trace.
+    [trace_level]/[sample] configure the shared engine's trace (see
+    {!Sbft_sim.Engine.create}); the store's own per-shard metrics are
+    always on — counters and histograms are part of the engine
+    metrics, not the trace.
 
     [series_window] switches on the streaming per-shard series
     ({!shard_series}): tumbling windows of that many virtual ticks,

@@ -8,10 +8,12 @@ let system ~k =
 
 let initial sys = { sting = 0; anti = Array.init sys.k (fun i -> i + 1) }
 
-let mem x a =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = x || go (i + 1)) in
-  go 0
+(* A top-level loop rather than a local closure over [x] and [a]:
+   [prec] runs on every write request and in every ≺ check of the read
+   decision, and the closure was allocated on each call. *)
+let rec mem_from x a i = i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
+
+let mem x a = mem_from x a 0
 
 let prec l1 l2 = mem l1.sting l2.anti && not (mem l2.sting l1.anti)
 

@@ -24,7 +24,6 @@ type t
 
 val create :
   ?trace_level:Trace.level ->
-  ?trace_capacity:int ->
   ?sample:float ->
   seed:int64 ->
   unit ->

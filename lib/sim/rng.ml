@@ -38,9 +38,14 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let[@inline] float t =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  v /. 9007199254740992.0 (* 2^53 *)
+let[@inline] unit_float z = Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0 (* 2^53 *)
+
+let[@inline] float t = unit_float (int64 t)
+
+(* Keyed by [mix64 key], not [key], so the values are not those of the
+   generator [create key] draws. *)
+let[@inline] hash_float key i =
+  unit_float (mix64 (Int64.add (mix64 key) (Int64.mul (Int64.of_int i) golden_gamma)))
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

@@ -35,6 +35,12 @@ val int_in : t -> int -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
+val hash_float : int64 -> int -> float
+(** [hash_float key i] is uniform in [\[0, 1)] and a pure function of
+    [(key, i)]: no generator state, so the same pair gives the same
+    value however many draws came before.  What a decision keyed by an
+    id (a head sampler's per-span choice) draws. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

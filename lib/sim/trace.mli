@@ -1,27 +1,29 @@
-(** Typed event trace: bounded in-memory ring plus pluggable sinks,
-    with a verbosity {e level} chosen per run.
+(** Typed event trace: a verbosity {e level} chosen per run, a private
+    sampler, and pluggable sinks.
 
     When tracing, protocol layers emit one {!Event.t} per interesting
-    moment (message lifecycle, operation phase, fault injection).  The
-    ring retains only the most recent [capacity] events, so tracing
-    long runs stays O(capacity); sinks additionally see events as they
-    happen, which is how [--trace-out] streams an unbounded JSONL file
-    while the ring stays small for forensics.
+    moment (message lifecycle, operation phase, fault injection) to
+    every sink as it happens: that is how [--trace-out] streams a JSONL
+    file, how the fuzzer folds coverage and how the profiler counts
+    event kinds.  The trace keeps nothing itself.  An event is built
+    only when some sink will receive it: emitting layers ask {!admits}
+    first and construct the payload only on [true].
 
     Levels scale the observability cost with the run:
 
-    - {!Off} — nothing is recorded; [emit] is one branch, and hot
-      paths that guard event construction behind {!enabled} never
-      allocate the payload.
-    - {!Sampled} — the ring sees {e every} event (so a replayable
-      forensic window always exists) but sinks only see a
-      deterministic pseudo-random subset: million-op runs keep
-      bounded JSONL artifacts.  The sampler is seeded independently of
-      the engine PRNG, so the simulation itself is bit-identical at
-      every level and the sampled stream is a subsequence of the full
-      one for the same seeds.
-    - {!On} — ring and sinks see everything (the default for
-      recorded, replayable runs).
+    - {!Off} — nothing is emitted; {!admits} is one branch.
+    - {!Sampled} — head sampling, decided once per span: an operation's
+      span is sampled or not as a pure function of its span id and the
+      sample seed, and a sampled span is recorded whole (client events,
+      network legs, server adoptions, the kv store's shard tag) while
+      an unsampled one never builds an event.  Events outside any span
+      (injected garbage, faults, snapshots, alerts, violations) take a
+      per-event draw from the private sampler, made before the event is
+      built.  Neither decision draws from the engine PRNG, so the
+      simulation is bit-identical at every level, and the sampled
+      stream is an in-order subsequence of the full one.
+    - {!On} — sinks see every event (the default for recorded,
+      replayable runs).
     - {!Forensic} — additionally records free-form {!log}/{!logf}
       narration ({!Event.Note}), the chattiest tier. *)
 
@@ -35,43 +37,32 @@ val levels : level list
 type t
 
 type sink = time:int -> Event.t -> unit
-(** Sinks run synchronously on each emit (non-[Off] traces only; the
-    sampled subset at {!Sampled}) and must not emit events themselves. *)
+(** Sinks run synchronously on each emit and must not emit events
+    themselves. *)
 
-val create : ?capacity:int -> ?sample:float -> level:level -> unit -> t
-(** [capacity] defaults to 4096 ring entries.  [sample] is the
-    per-event probability a sink sees it at {!Sampled} (default 0.01);
-    the private sampler is seeded with the constant [0x5eed]. *)
-
-val level : t -> level
-
-val enabled : t -> bool
-(** [level t <> Off].  Callers on hot paths should check this first to
-    avoid building the event at all. *)
-
-val forensic : t -> bool
-(** [level t = Forensic]. *)
+val create : ?sample:float -> level:level -> unit -> t
+(** [sample] is the share of spans, and of span-less events, that
+    {!Sampled} keeps (default 0.01). *)
 
 val add_sink : t -> sink -> unit
 
+val admits : t -> span:int -> bool
+(** Whether the sinks receive an event of [span] ({!Event.no_span} for
+    an event outside any span): [false] at {!Off} or with no sink,
+    [true] at {!On} and {!Forensic}.  At {!Sampled}, a span's answer is
+    the same on every call; a span-less query draws the per-event
+    sampler, so ask exactly once per event, right before building it,
+    and {!emit} it on [true]. *)
+
 val emit : t -> time:int -> Event.t -> unit
-(** Record a typed event (no-op when [Off]; ring-only for unsampled
-    events at [Sampled]). *)
+(** Hand an event {!admits} accepted to every sink (a no-op at {!Off}). *)
 
 val log : t -> time:int -> string -> unit
 (** Record a free-form {!Event.Note} — {!Forensic} level only. *)
 
 val logf : t -> time:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted {!log}; the message is only built at {!Forensic}. *)
-
-val entries : t -> (int * Event.t) list
-(** Retained events, oldest first. *)
-
-val window : t -> from_time:int -> until:int -> (int * Event.t) list
-(** Retained events with [from_time <= t <= until], oldest first. *)
-
-val dump : t -> Format.formatter -> unit
-(** Print all retained events, one per line, as ["[%d] %a"]. *)
+(** Formatted {!log}; the message is only built at {!Forensic} with a
+    sink attached. *)
 
 val jsonl_sink : out_channel -> sink
 (** A sink that writes each event as one JSON line (see

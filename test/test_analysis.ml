@@ -316,6 +316,9 @@ let test_telemetry () =
     Sbft_core.System.create ~seed:5L ~trace_level:Sbft_sim.Trace.On
       (Sbft_core.Config.make ~n:6 ~f:1 ~clients:2 ())
   in
+  let snapshots_in_trace = ref 0 in
+  Sbft_sim.Trace.add_sink (Sbft_sim.Engine.trace (Sbft_core.System.engine traced))
+    (fun ~time:_ ev -> match ev with E.Server_state _ -> incr snapshots_in_trace | _ -> ());
   let _ = Sbft_harness.Telemetry.attach ~snapshot_every:20 traced in
   let reg2 = Sbft_harness.Register.core traced in
   let _ =
@@ -323,11 +326,7 @@ let test_telemetry () =
       ~spec:{ Sbft_harness.Workload.default with ops_per_client = 6 }
       reg2
   in
-  let snapshots_in_trace =
-    Sbft_sim.Trace.entries (Sbft_sim.Engine.trace (Sbft_core.System.engine traced))
-    |> List.filter (fun (_, ev) -> match ev with E.Server_state _ -> true | _ -> false)
-  in
-  Alcotest.(check bool) "Server_state events in trace" true (List.length snapshots_in_trace >= 6)
+  Alcotest.(check bool) "Server_state events in trace" true (!snapshots_in_trace >= 6)
 
 let test_telemetry_disabled () =
   let sys =

@@ -1,4 +1,4 @@
-(* Tests for counters, series, histograms, and the typed trace ring. *)
+(* Tests for counters, series, histograms, and the typed trace. *)
 
 open Sbft_sim
 
@@ -54,60 +54,83 @@ let test_reset () =
   Alcotest.(check bool) "histogram reset" true (Metrics.histogram m "h" = None)
 
 (* ------------------------------------------------------------------ *)
-(* trace ring *)
+(* trace dial and sinks *)
 
-let note_entries t =
+(* A trace at [level] with one sink collecting what it receives; the
+   closure returns it oldest first. *)
+let collecting ?sample level =
+  let t = Trace.create ?sample ~level () in
+  let got = ref [] in
+  Trace.add_sink t (fun ~time ev -> got := (time, ev) :: !got);
+  (t, fun () -> List.rev !got)
+
+let notes events =
   List.map
     (fun (time, ev) ->
       match ev with Event.Note { detail } -> (time, detail) | e -> (time, Event.name e))
-    (Trace.entries t)
+    events
 
 let test_trace_disabled_is_noop () =
-  let t = Trace.create ~level:Trace.Off () in
+  let t, got = collecting Trace.Off in
   Trace.log t ~time:1 "x";
   Trace.emit t ~time:2 (Event.Note { detail = "y" });
-  Alcotest.(check int) "nothing retained" 0 (List.length (Trace.entries t))
+  Alcotest.(check bool) "admits nothing" false (Trace.admits t ~span:0);
+  Alcotest.(check int) "nothing delivered" 0 (List.length (got ()))
 
 let test_trace_retention () =
-  let t = Trace.create ~capacity:4 ~level:Trace.Forensic () in
+  let t, got = collecting Trace.Forensic in
   for i = 1 to 3 do
     Trace.log t ~time:i (string_of_int i)
   done;
   Alcotest.(check (list (pair int string)))
-    "oldest first" [ (1, "1"); (2, "2"); (3, "3") ] (note_entries t);
+    "oldest first" [ (1, "1"); (2, "2"); (3, "3") ] (notes (got ()));
   (* Free-form notes are forensic-only: at [On] they cost nothing. *)
-  let on = Trace.create ~level:Trace.On () in
+  let on, got_on = collecting Trace.On in
   Trace.log on ~time:1 "x";
-  Alcotest.(check int) "notes gated below Forensic" 0 (List.length (Trace.entries on))
+  Alcotest.(check int) "notes gated below Forensic" 0 (List.length (got_on ()))
 
-let test_trace_ring_wrap () =
-  let t = Trace.create ~capacity:3 ~level:Trace.Forensic () in
-  for i = 1 to 10 do
-    Trace.log t ~time:i (string_of_int i)
-  done;
-  Alcotest.(check (list (pair int string)))
-    "exactly capacity newest, oldest first"
-    [ (8, "8"); (9, "9"); (10, "10") ]
-    (note_entries t)
+let test_trace_admits_needs_a_sink () =
+  (* nothing is built for a trace no sink reads, at any level *)
+  List.iter
+    (fun level ->
+      let t = Trace.create ~sample:1.0 ~level () in
+      Alcotest.(check bool)
+        (Trace.level_to_string level ^ ": no sink, nothing admitted")
+        false
+        (Trace.admits t ~span:0 || Trace.admits t ~span:Event.no_span);
+      Trace.add_sink t (fun ~time:_ _ -> ());
+      Alcotest.(check bool)
+        (Trace.level_to_string level ^ ": a sink admits unless off")
+        (level <> Trace.Off) (Trace.admits t ~span:0))
+    Trace.levels
 
-let test_trace_window () =
-  let t = Trace.create ~level:Trace.Forensic () in
-  for i = 1 to 9 do
-    Trace.log t ~time:i (string_of_int i)
-  done;
-  Alcotest.(check (list (pair int string)))
-    "inclusive window" [ (4, "4"); (5, "5"); (6, "6") ]
-    (List.map
-       (fun (time, ev) ->
-         match ev with Event.Note { detail } -> (time, detail) | e -> (time, Event.name e))
-       (Trace.window t ~from_time:4 ~until:6))
+let test_trace_head_sampling () =
+  let t, _ = collecting ~sample:0.25 Trace.Sampled in
+  let spans = List.init 4000 Fun.id in
+  let first = List.map (fun span -> Trace.admits t ~span) spans in
+  (* once per span: a second pass, on another trace, agrees call for call *)
+  let t', _ = collecting ~sample:0.25 Trace.Sampled in
+  Alcotest.(check (list bool)) "a pure function of the span id" first
+    (List.map (fun span -> Trace.admits t' ~span) spans);
+  let kept = List.length (List.filter Fun.id first) in
+  Alcotest.(check bool) (Printf.sprintf "about a quarter kept (%d of 4000)" kept) true
+    (kept > 850 && kept < 1150);
+  (* span decisions never advance the per-event sampler: span-less
+     draws come out the same with or without span queries between them *)
+  let draws interleave =
+    let t, _ = collecting ~sample:0.5 Trace.Sampled in
+    List.init 200 (fun i ->
+        if interleave then ignore (Trace.admits t ~span:i : bool);
+        Trace.admits t ~span:Event.no_span)
+  in
+  Alcotest.(check (list bool)) "span-less draws independent of spans" (draws false) (draws true)
 
 let test_trace_logf_lazy () =
-  let t = Trace.create ~level:Trace.Forensic () in
+  let t, got = collecting Trace.Forensic in
   Trace.logf t ~time:7 "n=%d s=%s" 42 "hi";
-  Alcotest.(check (list (pair int string))) "formatted" [ (7, "n=42 s=hi") ] (note_entries t);
+  Alcotest.(check (list (pair int string))) "formatted" [ (7, "n=42 s=hi") ] (notes (got ()));
   (* When disabled, the formatter must never run — %t's closure is the witness. *)
-  let off = Trace.create ~level:Trace.Off () in
+  let off, _ = collecting Trace.Off in
   let ran = ref false in
   Trace.logf off ~time:1 "%t" (fun fmt ->
       ran := true;
@@ -115,20 +138,19 @@ let test_trace_logf_lazy () =
   Alcotest.(check bool) "disabled logf builds nothing" false !ran
 
 let test_trace_typed_events () =
-  let t = Trace.create ~level:Trace.On () in
+  let t, got = collecting Trace.On in
   Trace.emit t ~time:3 (Event.Msg_sent { src = 6; dst = 0; kind = "write_req"; span = Event.no_span });
   Trace.emit t ~time:5
     (Event.Op_finished
        { op_id = 9; client = 6; kind = "write"; outcome = "ok"; ticks = 2; span = Event.no_span });
-  (match Trace.entries t with
+  match got () with
   | [ (3, e1); (5, e2) ] ->
       Alcotest.(check string) "name 1" "msg_sent" (Event.name e1);
       Alcotest.(check (list int)) "endpoints" [ 6; 0 ] (Event.endpoints e1);
       Alcotest.(check (option int)) "no op_id on msg" None (Event.op_id e1);
-      Alcotest.(check (option int)) "op_id threaded" (Some 9) (Event.op_id e2)
-  | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es));
-  Alcotest.(check bool) "pp renders" true
-    (String.length (Format.asprintf "%a" (fun fmt t -> Trace.dump t fmt) t) > 0)
+      Alcotest.(check (option int)) "op_id threaded" (Some 9) (Event.op_id e2);
+      Alcotest.(check bool) "pp renders" true (String.length (Event.to_string e2) > 0)
+  | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
 
 (* ------------------------------------------------------------------ *)
 (* JSON + the JSONL sink *)
@@ -163,7 +185,7 @@ let test_event_to_json () =
 let test_jsonl_sink () =
   let path = Filename.temp_file "sbft_trace" ".jsonl" in
   let oc = open_out path in
-  let t = Trace.create ~capacity:2 ~level:Trace.On () in
+  let t = Trace.create ~level:Trace.On () in
   Trace.add_sink t (Trace.jsonl_sink oc);
   Trace.emit t ~time:1 (Event.Op_started { op_id = 0; client = 6; kind = "write"; span = 0 });
   Trace.emit t ~time:4 (Event.Quorum_formed { op_id = 0; client = 6; phase = "ts"; size = 5; span = 0 });
@@ -179,7 +201,6 @@ let test_jsonl_sink () =
   close_in ic;
   Sys.remove path;
   let lines = List.rev !lines in
-  (* the sink streams every event even though the ring only kept 2 *)
   Alcotest.(check int) "one line per event" 3 (List.length lines);
   List.iter
     (fun line ->
@@ -198,8 +219,8 @@ let suite =
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled_is_noop;
     Alcotest.test_case "trace retention" `Quick test_trace_retention;
-    Alcotest.test_case "trace ring wrap" `Quick test_trace_ring_wrap;
-    Alcotest.test_case "trace window" `Quick test_trace_window;
+    Alcotest.test_case "trace admits only with a sink" `Quick test_trace_admits_needs_a_sink;
+    Alcotest.test_case "trace head sampling per span" `Quick test_trace_head_sampling;
     Alcotest.test_case "trace logf" `Quick test_trace_logf_lazy;
     Alcotest.test_case "typed events" `Quick test_trace_typed_events;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;

@@ -118,23 +118,23 @@ let test_config_accessors () =
   Alcotest.(check bool) "pp renders" true (String.length (Format.asprintf "%a" Config.pp cfg) > 0)
 
 let test_trace_records_deliveries () =
-  let sys =
-    System.create ~seed:13L ~trace_level:Sbft_sim.Trace.On (Config.make ~n:6 ~f:1 ~clients:2 ())
+  let write_one ?trace_level () =
+    let sys = System.create ~seed:13L ?trace_level (Config.make ~n:6 ~f:1 ~clients:2 ()) in
+    let entries = ref [] in
+    Sbft_sim.Trace.add_sink (Sbft_sim.Engine.trace (System.engine sys)) (fun ~time ev ->
+        entries := (time, ev) :: !entries);
+    System.write sys ~client:6 ~value:1 ();
+    System.quiesce sys;
+    !entries
   in
-  System.write sys ~client:6 ~value:1 ();
-  System.quiesce sys;
-  let entries = Sbft_sim.Trace.entries (Sbft_sim.Engine.trace (System.engine sys)) in
+  let entries = write_one ~trace_level:Sbft_sim.Trace.On () in
   Alcotest.(check bool) "trace populated when enabled" true (List.length entries > 0);
   Alcotest.(check bool) "entries mention deliveries" true
     (List.exists
        (fun (_, ev) -> match ev with Sbft_sim.Event.Msg_delivered _ -> true | _ -> false)
        entries);
-  (* And silent when disabled. *)
-  let sys2 = System.create ~seed:13L (Config.make ~n:6 ~f:1 ~clients:2 ()) in
-  System.write sys2 ~client:6 ~value:1 ();
-  System.quiesce sys2;
-  Alcotest.(check int) "no trace when disabled" 0
-    (List.length (Sbft_sim.Trace.entries (Sbft_sim.Engine.trace (System.engine sys2))))
+  (* And silent when disabled, even with a sink attached. *)
+  Alcotest.(check int) "no trace when disabled" 0 (List.length (write_one ()))
 
 let test_server_states_accessor () =
   let sys = System.create ~seed:12L (Config.make ~n:6 ~f:1 ~clients:2 ()) in

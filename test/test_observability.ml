@@ -7,10 +7,11 @@ module Sim = Sbft_sim
 module System = Sbft_core.System
 module Config = Sbft_core.Config
 
-let run_small () =
+let run_small ?sink () =
   let sys =
     System.create ~seed:21L ~trace_level:Sim.Trace.On (Config.make ~n:6 ~f:1 ~clients:2 ())
   in
+  Option.iter (Sim.Trace.add_sink (Sim.Engine.trace (System.engine sys))) sink;
   System.write sys ~client:6 ~value:1
     ~k:(fun () ->
       System.read sys ~client:7
@@ -46,8 +47,9 @@ let test_op_spans () =
     <= sum Sim.Metric_names.write_total_ticks +. 0.5)
 
 let test_trace_op_ids_match_history () =
-  let sys = run_small () in
-  let entries = Sim.Trace.entries (Sim.Engine.trace (System.engine sys)) in
+  let events = ref [] in
+  let sys = run_small ~sink:(fun ~time ev -> events := (time, ev) :: !events) () in
+  let entries = List.rev !events in
   let history_ids =
     List.filter_map
       (function
@@ -182,13 +184,17 @@ let test_artifacts_json () =
         (member [ "regularity"; "checked" ] = Some (Sim.Json.Int 12))
 
 let test_forensics_dump () =
-  let tr = Sim.Trace.create ~level:Sim.Trace.On () in
-  Sim.Trace.emit tr ~time:12 (Sim.Event.Op_started { op_id = 0; client = 6; kind = "write"; span = 0 });
-  Sim.Trace.emit tr ~time:14 (Sim.Event.Fault_injected { desc = "corrupt s2" });
-  Sim.Trace.emit tr ~time:15 (Sim.Event.Op_started { op_id = 7; client = 9; kind = "write"; span = 1 });
-  Sim.Trace.emit tr ~time:20 (Sim.Event.Op_finished { op_id = 0; client = 6; kind = "write"; outcome = "ok"; ticks = 8; span = 0 });
-  Sim.Trace.emit tr ~time:40 (Sim.Event.Op_started { op_id = 1; client = 7; kind = "read"; span = 2 });
-  Sim.Trace.emit tr ~time:50 (Sim.Event.Op_finished { op_id = 1; client = 7; kind = "read"; outcome = "value"; ticks = 10; span = 2 });
+  let events =
+    [
+      (12, Sim.Event.Op_started { op_id = 0; client = 6; kind = "write"; span = 0 });
+      (14, Sim.Event.Fault_injected { desc = "corrupt s2" });
+      (15, Sim.Event.Op_started { op_id = 7; client = 9; kind = "write"; span = 1 });
+      (20, Sim.Event.Op_finished { op_id = 0; client = 6; kind = "write"; outcome = "ok"; ticks = 8; span = 0 });
+      (40, Sim.Event.Op_started { op_id = 1; client = 7; kind = "read"; span = 2 });
+      (50, Sim.Event.Op_finished { op_id = 1; client = 7; kind = "read"; outcome = "value"; ticks = 10; span = 2 });
+      (51, Sim.Event.Fault_injected { desc = "corrupt s3" });
+    ]
+  in
   let h : unit H.t = H.create () in
   let w = H.begin_write h ~client:6 ~value:1 ~time:12 in
   H.end_write h ~id:w ~time:20 ~ts:None;
@@ -202,7 +208,7 @@ let test_forensics_dump () =
       ops = [ r; w ];
     }
   in
-  let s = Sbft_harness.Forensics.dump_string ~trace:tr ~history:h [ v ] in
+  let s = Sbft_harness.Forensics.dump_string ~events ~history:h [ v ] in
   let has sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -212,7 +218,8 @@ let test_forensics_dump () =
   Alcotest.(check bool) "happened-before edge" true (has "write 0 -> read 1");
   Alcotest.(check bool) "window includes the write's events" true (has "write start");
   Alcotest.(check bool) "non-op events inside the window kept" true (has "FAULT corrupt s2");
-  Alcotest.(check bool) "unimplicated op filtered out" false (has "op=7")
+  Alcotest.(check bool) "unimplicated op filtered out" false (has "op=7");
+  Alcotest.(check bool) "events after the window cut" false (has "corrupt s3")
 
 let suite =
   [

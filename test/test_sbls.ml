@@ -128,6 +128,27 @@ let qcheck_canonicalized_garbage_domination =
       let nxt = Sbls.next sys6 inputs in
       List.for_all (fun l -> Sbls.prec l nxt) inputs)
 
+(* [prec] against the definition written over lists: s1 ∈ A2 ∧ s2 ∉ A1,
+   on valid labels and on raw garbage (out-of-range stings, unsorted or
+   over-long antisting arrays) alike. *)
+let qcheck_prec_reference =
+  QCheck.Test.make ~name:"sbls: prec equals a List.mem reference" ~count:2000
+    QCheck.(triple (int_bound 100_000) bool bool)
+    (fun (seed, garbage1, garbage2) ->
+      let r = Sbft_sim.Rng.create (Int64.of_int seed) in
+      let draw garbage = if garbage then Sbls.random_garbage sys6 r else Sbls.random sys6 r in
+      let l1 = draw garbage1 in
+      let l2 = draw garbage2 in
+      let mem x a = List.mem x (Array.to_list a) in
+      let reference a b = mem a.Sbls.sting b.Sbls.anti && not (mem b.Sbls.sting a.Sbls.anti) in
+      (* the second pair makes l1 ≺ l2-shaped cases common, not just
+         the ~1 in 6 that independent draws give *)
+      let l2' = { l2 with anti = Array.append [| l1.sting |] l2.anti } in
+      Sbls.prec l1 l2 = reference l1 l2
+      && Sbls.prec l2 l1 = reference l2 l1
+      && Sbls.prec l1 l2' = reference l1 l2'
+      && Sbls.prec l2' l1 = reference l2' l1)
+
 let suite =
   [
     Alcotest.test_case "system parameters" `Quick test_system_params;
@@ -147,4 +168,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_domination;
     QCheck_alcotest.to_alcotest qcheck_domination_large_k;
     QCheck_alcotest.to_alcotest qcheck_canonicalized_garbage_domination;
+    QCheck_alcotest.to_alcotest qcheck_prec_reference;
   ]

@@ -164,17 +164,22 @@ let test_json_roundtrip_stable () =
   in
   Alcotest.(check bool) "event streams equal" true (events' = r.events)
 
-let subtree_prop =
-  QCheck.Test.make ~name:"sampled span trees are subtrees of the full trace's" ~count:12
+(* Head sampling records a span whole or not at all, so every tree a
+   sampled run rebuilds is exactly the full run's tree for that span. *)
+let sampled_trees_prop =
+  QCheck.Test.make ~name:"sampled span trees equal the full trace's" ~count:12
     QCheck.(pair (int_bound 1000) (int_bound 3))
     (fun (seed, strat) ->
       let strategy = List.nth [ None; Some "silent"; None; Some "equivocate" ] strat in
       let s = scenario ~seed:(Int64.of_int (seed + 1)) ~strategy () in
-      let full = run ~level:Sbft_sim.Trace.On s in
-      let sampled = run ~level:Sbft_sim.Trace.Sampled ~sample:0.35 s in
-      let full_nodes = Spans.nodes (Spans.build full.events) in
-      let sampled_nodes = Spans.nodes (Spans.build sampled.events) in
-      List.for_all (fun n -> List.mem n full_nodes) sampled_nodes)
+      let full = Spans.build (run ~level:Sbft_sim.Trace.On s).events in
+      let sampled = Spans.build (run ~level:Sbft_sim.Trace.Sampled ~sample:0.35 s).events in
+      sampled <> []
+      && List.length sampled < List.length full
+      && List.for_all
+           (fun (op : Spans.op) ->
+             List.exists (fun (o : Spans.op) -> o.span = op.span && o = op) full)
+           sampled)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation. *)
@@ -277,7 +282,7 @@ let suite =
     Alcotest.test_case "critical paths deterministic across re-execution" `Quick
       test_critical_path_deterministic;
     Alcotest.test_case "events survive the JSON round trip" `Quick test_json_roundtrip_stable;
-    QCheck_alcotest.to_alcotest subtree_prop;
+    QCheck_alcotest.to_alcotest sampled_trees_prop;
     Alcotest.test_case "aggregate: percentiles and breakdown" `Quick test_aggregate;
     Alcotest.test_case "trends: numeric-leaf extraction" `Quick test_trends_extract;
     Alcotest.test_case "trends: drift tolerance and growth" `Quick test_trends_drift;

@@ -1,9 +1,10 @@
-(* The PR-6 trace dial.  Three contracts: (1) the sampled stream is a
+(* The trace dial.  Four contracts: (1) the sampled stream is a
    deterministic subsequence of the full stream for the same scenario
-   and sampler seed; (2) the dial never perturbs the simulation — same
-   verdict and same virtual end-time at every level; (3) a forensic
-   ring window recorded at [Sampled] replays to the same verdict, and
-   the window's events all reappear in the full replay stream. *)
+   and sample seed; (2) the dial never perturbs the simulation — same
+   verdict and same virtual end-time at every level; (3) a sampled
+   artifact holds whole span trees and replays cleanly; (4) violation
+   forensics print the same dump at every level, re-running the
+   scenario at [On] when the run traced less. *)
 
 module Scenario = Sbft_harness.Scenario
 module Trace = Sbft_sim.Trace
@@ -49,34 +50,72 @@ let test_off_emits_nothing () =
   Alcotest.(check bool) "fired thunks still counted at Off" true
     (Engine.events_fired (System.engine off.sys) > 0)
 
-let test_sampled_ring_keeps_forensic_window () =
-  (* At Sampled, sinks are thinned but the ring must retain the full
-     recent window — that is the level's whole point. *)
-  let r = execute ~level:Trace.Sampled ~sample:0.01 small in
-  let ring = Trace.entries (Engine.trace (System.engine r.sys)) in
-  let full = execute ~level:Trace.On small in
-  Alcotest.(check bool) "ring saw more than the sinks" true
-    (List.length ring > List.length r.events);
-  (* ring capacity (4096) exceeds this run's volume: window = full stream *)
-  Alcotest.(check int) "ring holds the whole run" (List.length full.events) (List.length ring)
-
-let test_forensic_window_replays_to_same_verdict () =
-  let recorded = execute ~level:Trace.Sampled ~sample:0.05 small in
-  let window = Trace.entries (Engine.trace (System.engine recorded.sys)) in
-  (* round-trip through the artifact header, exactly as `sbftreg replay`
-     would *)
-  let h = Scenario.to_header ~trace_level:"sampled" small in
-  let s' =
-    match Scenario.of_header h with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "of_header: %s" e
+let test_sampled_artifact_whole_spans () =
+  let s = { small with ops_per_client = 40; seed = 7L } in
+  let r = execute ~level:Trace.Sampled ~sample:0.1 s in
+  let path = Filename.temp_file "sbft_sampled" ".jsonl" in
+  ignore (Scenario.record ~path ~fingerprint:"" ~note:"" ~trace_level:Trace.Sampled s r : string);
+  let file = Sbft_analysis.Trace_file.load path in
+  Sys.remove path;
+  let h, events =
+    match file with
+    | Ok { header = Some h; events } -> (h, events)
+    | Ok { header = None; _ } -> Alcotest.fail "artifact has no header"
+    | Error e -> Alcotest.failf "load: %s" e
   in
-  let replayed = execute ~level:Trace.On s' in
-  Alcotest.(check bool) "window nonempty" true (window <> []);
-  Alcotest.(check bool) "same verdict" true
-    (Scenario.verdict_of_run recorded = Scenario.verdict_of_run replayed);
-  let v = Replay.compare_subsequence ~expected:window ~got:replayed.events in
-  Alcotest.(check bool) "forensic window contained in the replay" true (v.divergence = None)
+  let ops = Sbft_analysis.Spans.build events in
+  Alcotest.(check bool) "some spans sampled" true (ops <> []);
+  Alcotest.(check bool) "not every span sampled" true (List.length ops < 2 * 40);
+  List.iter
+    (fun (op : Sbft_analysis.Spans.op) ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "span %d coverage" op.span) 1.0
+        (Sbft_analysis.Spans.coverage op))
+    ops;
+  match Scenario.replay h events with
+  | Error e -> Alcotest.failf "replay: %s" e
+  | Ok rep ->
+      Alcotest.(check bool) "verdict reproduced" true rep.verdict_ok;
+      Alcotest.(check bool) "zero divergence" true (rep.stream.divergence = None)
+
+let forensic_dump level s =
+  let r = execute ~level s in
+  Sbft_harness.Forensics.dump_string
+    ~events:(Scenario.forensic_events ~level s r)
+    ~history:(System.history r.sys) r.report.violations
+
+let test_forensic_dump_every_level () =
+  let h =
+    match Sbft_analysis.Trace_file.load (Filename.concat "corpus" "theorem1-n5-stale.trace") with
+    | Ok { header = Some h; _ } -> h
+    | Ok { header = None; _ } -> Alcotest.fail "corpus entry has no header"
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  let s =
+    match Scenario.of_header h with Ok s -> s | Error e -> Alcotest.failf "of_header: %s" e
+  in
+  let on = forensic_dump Trace.On s in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length on && (String.sub on i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "the dump shows the causal cone" true (contains "causal cone of read 11");
+  Alcotest.(check string) "off" on (forensic_dump Trace.Off s);
+  Alcotest.(check string) "sampled" on (forensic_dump Trace.Sampled s)
+
+let test_forensic_events_keep_trace_cap () =
+  let full = execute ~level:Trace.On small in
+  let cap = 50 in
+  let tail = List.filteri (fun i _ -> i >= List.length full.events - cap) full.events in
+  let s = { small with trace_cap = cap } in
+  List.iter
+    (fun level ->
+      let r = execute ~level s in
+      let got = Scenario.forensic_events ~level s r in
+      Alcotest.(check int) (Trace.level_to_string level ^ ": cap events") cap (List.length got);
+      Alcotest.(check bool) (Trace.level_to_string level ^ ": the on stream's tail") true
+        (got = tail))
+    [ Trace.Off; Trace.Sampled; Trace.On ]
 
 let test_compare_for_level_dispatch () =
   let e t d = (t, Event.Note { detail = d }) in
@@ -119,10 +158,12 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_sampled_subsequence;
     Alcotest.test_case "off emits nothing, run unchanged" `Quick test_off_emits_nothing;
-    Alcotest.test_case "sampled ring keeps the forensic window" `Quick
-      test_sampled_ring_keeps_forensic_window;
-    Alcotest.test_case "forensic window replays to same verdict" `Quick
-      test_forensic_window_replays_to_same_verdict;
+    Alcotest.test_case "sampled artifact: whole spans, clean replay" `Quick
+      test_sampled_artifact_whole_spans;
+    Alcotest.test_case "forensic dump identical at off, sampled and on" `Quick
+      test_forensic_dump_every_level;
+    Alcotest.test_case "forensic events: the on stream's last trace_cap" `Quick
+      test_forensic_events_keep_trace_cap;
     Alcotest.test_case "compare_for_level dispatch" `Quick test_compare_for_level_dispatch;
     Alcotest.test_case "header trace_level roundtrip + default" `Quick
       test_header_trace_level_roundtrip;
