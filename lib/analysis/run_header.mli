@@ -33,7 +33,7 @@ type t = {
   plan : string list;  (** fault timeline, one compact event string each *)
   verdict : string;  (** recorded checker verdict, "" = not recorded *)
   note : string;  (** free-form provenance, e.g. the lemma exercised *)
-  trace_cap : int;  (** forensic ring capacity *)
+  trace_cap : int;  (** events a violation's forensic dump keeps *)
   snapshot_every : int;  (** server-state snapshot period, 0 = off *)
   trace_level : string;
       (** {!Sbft_sim.Trace.level_to_string} of the level the artifact

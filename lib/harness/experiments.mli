@@ -110,7 +110,7 @@ val e22_observability : unit -> Table.t
 (** Observability overhead: one 10^5-op workload against a 16-shard
     store with the trace dial at every level, wall-clock timed.  Fired
     thunks are identical across rows (the dial never perturbs the
-    simulation); only wall time, sink volume and ring retention move. *)
+    simulation); only wall time and sink volume move. *)
 
 val e23_time_to_stabilize : unit -> Table.t
 (** Time-to-stabilize vs fault density: transient heavy corruption of

@@ -8,9 +8,9 @@ let system ~k =
 
 let initial sys = { sting = 0; anti = Array.init sys.k (fun i -> i + 1) }
 
-(* A top-level loop rather than a local closure over [x] and [a]:
-   [prec] runs on every write request and in every ≺ check of the read
-   decision, and the closure was allocated on each call. *)
+(* A top-level loop: a local closure over [x] and [a] would be
+   allocated on every call, and [prec] runs on every write request and
+   in every ≺ check of the read decision. *)
 let rec mem_from x a i = i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
 
 let mem x a = mem_from x a 0

@@ -38,7 +38,8 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let[@inline] unit_float z = Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0 (* 2^53 *)
+let[@inline] unit_float z =
+  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0 (* 2^53 *)
 
 let[@inline] float t = unit_float (int64 t)
 
