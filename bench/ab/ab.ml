@@ -1,4 +1,4 @@
-(* A/B driver for the repository benchmark.
+(* A/B runner for the repository benchmark.
 
      ab.exe --base REV --change REV [--workloads W,...] [--seeds S,...]
             [--pairs N] [--seconds T] [--work DIR] [--what TEXT] [--out FILE]
