@@ -77,6 +77,36 @@ let test_sampled_artifact_whole_spans () =
       Alcotest.(check bool) "verdict reproduced" true rep.verdict_ok;
       Alcotest.(check bool) "zero divergence" true (rep.stream.divergence = None)
 
+let test_sampled_ring_keeps_forensic_window () =
+  (* At Sampled, sinks are thinned but the forensic window must still
+     hold the full recent stream: that is the level's whole point. *)
+  let r = execute ~level:Trace.Sampled ~sample:0.01 small in
+  let window = Scenario.forensic_events ~level:Trace.Sampled small r in
+  let full = execute ~level:Trace.On small in
+  Alcotest.(check bool) "window saw more than the sinks" true
+    (List.length window > List.length r.events);
+  (* trace_cap (4096) exceeds this run's volume: window = full stream *)
+  Alcotest.(check int) "window holds the whole run" (List.length full.events)
+    (List.length window)
+
+let test_forensic_window_replays_to_same_verdict () =
+  let recorded = execute ~level:Trace.Sampled ~sample:0.05 small in
+  let window = Scenario.forensic_events ~level:Trace.Sampled small recorded in
+  (* round-trip through the artifact header, exactly as `sbftreg replay`
+     would *)
+  let h = Scenario.to_header ~trace_level:"sampled" small in
+  let s' =
+    match Scenario.of_header h with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "of_header: %s" e
+  in
+  let replayed = execute ~level:Trace.On s' in
+  Alcotest.(check bool) "window nonempty" true (window <> []);
+  Alcotest.(check bool) "same verdict" true
+    (Scenario.verdict_of_run recorded = Scenario.verdict_of_run replayed);
+  let v = Replay.compare_subsequence ~expected:window ~got:replayed.events in
+  Alcotest.(check bool) "forensic window contained in the replay" true (v.divergence = None)
+
 let forensic_dump level s =
   let r = execute ~level s in
   Sbft_harness.Forensics.dump_string
@@ -160,6 +190,10 @@ let suite =
     Alcotest.test_case "off emits nothing, run unchanged" `Quick test_off_emits_nothing;
     Alcotest.test_case "sampled artifact: whole spans, clean replay" `Quick
       test_sampled_artifact_whole_spans;
+    Alcotest.test_case "sampled ring keeps the forensic window" `Quick
+      test_sampled_ring_keeps_forensic_window;
+    Alcotest.test_case "forensic window replays to same verdict" `Quick
+      test_forensic_window_replays_to_same_verdict;
     Alcotest.test_case "forensic dump identical at off, sampled and on" `Quick
       test_forensic_dump_every_level;
     Alcotest.test_case "forensic events: the on stream's last trace_cap" `Quick
