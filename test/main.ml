@@ -45,6 +45,7 @@ let () =
       ("report", Test_report.suite);
       ("misc", Test_misc.suite);
       ("determinism", Test_determinism.suite);
+      ("golden-tables", Test_golden_tables.suite);
       ("resilience-f2", Test_f2.suite);
       ("fault-plan", Test_fault_plan.suite);
       ("fuzz+shrink", Test_fuzz.suite);
