@@ -25,6 +25,8 @@ check: build test lint
 loc:
 	@find lib bin -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
+# The E12 micro-benchmarks; the experiment tables are
+# `sbftreg experiment ID|all`.
 bench:
 	dune exec bench/main.exe
 

@@ -1,12 +1,11 @@
-(* Benchmark driver: regenerates every experiment table (E1..E11, the
-   paper's theorems/lemmas as measurements — see DESIGN.md) and then
-   runs the Bechamel micro-benchmarks for the hot primitives (E12).
+(* Benchmark driver: the Bechamel micro-benchmarks for the hot
+   primitives (E12) and the committed perf baseline.  The experiment
+   tables are [sbftreg experiment ID|all].
 
    Usage:
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- tables  -- experiment tables only
-     dune exec bench/main.exe -- micro   -- micro-benchmarks only
-     dune exec bench/main.exe -- e4      -- one experiment *)
+     dune exec bench/main.exe                  -- micro-benchmarks
+     dune exec bench/main.exe -- micro         -- the same
+     dune exec bench/main.exe -- --json FILE   -- perf baseline + micro table as JSON *)
 
 open Bechamel
 open Toolkit
@@ -161,8 +160,6 @@ let micro () =
       else Printf.printf "%-42s %10.0f ns/run\n" name est)
     (micro_rows ())
 
-let tables () = List.iter Sbft_harness.Table.print (Sbft_harness.Experiments.all ())
-
 (* Machine-readable bench artifact: the throughput rates the CI gate
    tracks (engine events/sec, fuzz schedules/sec, checker µs per
    10k-op history + oracle speedup) plus the E12 micro table in ns. *)
@@ -185,16 +182,8 @@ let json path =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "tables" :: _ -> tables ()
-  | _ :: "micro" :: _ -> micro ()
-  | _ :: "--json" :: path :: _ -> json path
-  | _ :: id :: _ -> (
-      match Sbft_harness.Experiments.by_id id with
-      | Some f -> Sbft_harness.Table.print (f ())
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s, tables, micro, --json FILE\n" id
-            (String.concat ", " Sbft_harness.Experiments.ids);
-          exit 1)
+  | [ _ ] | [ _; "micro" ] -> micro ()
+  | [ _; "--json"; path ] -> json path
   | _ ->
-      tables ();
-      micro ()
+      prerr_endline "usage: main.exe [micro | --json FILE]; tables: sbftreg experiment ID|all";
+      exit 1
