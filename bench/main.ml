@@ -39,6 +39,20 @@ let wtsg_build n =
          let g = Sbft_labels.Wtsg.build witnesses in
          ignore (Sbft_labels.Wtsg.best g ~min_weight:3)))
 
+(* The decision over current replies, shaped like a kv read: all but one
+   of [n] servers report the newest of two consecutive writes. *)
+let wtsg_current n =
+  let sys = Sbft_labels.Sbls.system ~k:n in
+  let old_ts = Sbft_labels.Mw_ts.initial sys in
+  let new_ts = Sbft_labels.Mw_ts.next sys ~writer:1 [ old_ts ] in
+  let replied = Array.make n true in
+  let values = Array.init n (fun s -> if s = 0 then 1 else 2) in
+  let stamps = Array.init n (fun s -> if s = 0 then old_ts else new_ts) in
+  Test.make
+    ~name:(Printf.sprintf "wtsg.best_current n=%d" n)
+    (Staged.stage (fun () ->
+         ignore (Sbft_labels.Wtsg.best_current ~replied ~values ~stamps ~min_weight:3)))
+
 let end_to_end n f =
   Test.make
     ~name:(Printf.sprintf "sim: system n=%d + write + read" n)
@@ -127,6 +141,7 @@ let micro_rows () =
         sbls_k 21;
         wtsg_build 6;
         wtsg_build 21;
+        wtsg_current 6;
         end_to_end 6 1;
         end_to_end 11 2;
         engine_queue ();

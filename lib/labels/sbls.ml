@@ -34,42 +34,81 @@ let dedup xs =
       end)
     xs
 
+(* [next] runs on every write, so it allocates only its result and one
+   byte of marks per universe element; the helpers are top-level for the
+   same reason as [mem_from]. *)
+let marked marks x = x >= 0 && x < Bytes.length marks && Bytes.unsafe_get marks x <> '\000'
+
+let mark marks x = if x >= 0 && x < Bytes.length marks then Bytes.unsafe_set marks x '\001'
+
+let rec mark_antistings marks = function
+  | [] -> ()
+  | l :: rest ->
+      for i = 0 to Array.length l.anti - 1 do
+        mark marks l.anti.(i)
+      done;
+      mark_antistings marks rest
+
+(* The smallest unmarked universe element, or 0 when every one is
+   marked. *)
+let rec first_free marks c =
+  if c >= Bytes.length marks then 0 else if marked marks c then first_free marks (c + 1) else c
+
+(* [anti.(0 .. len - 1)] holds [x]: the duplicate check for stings
+   outside the universe, which have no mark. *)
+let rec holds anti len x i = i < len && (anti.(i) = x || holds anti len x (i + 1))
+
+(* Appends the distinct stings of [ls] to [anti] from index [len], in
+   input order, until [anti] is full; returns the new length. *)
+let rec add_stings marks anti len = function
+  | l :: rest when len < Array.length anti ->
+      let s = l.sting in
+      let dup = if s >= 0 && s < Bytes.length marks then marked marks s else holds anti len s 0 in
+      if dup then add_stings marks anti len rest
+      else begin
+        anti.(len) <- s;
+        mark marks s;
+        add_stings marks anti (len + 1) rest
+      end
+  | _ -> len
+
+(* Fills [anti] from index [len] with the unmarked universe elements
+   from [c] up, skipping [sting].  The universe always has enough:
+   at most k stings are marked, and m - k - 1 >= k. *)
+let rec pad marks anti ~sting len c =
+  if len < Array.length anti then
+    if marked marks c || c = sting then pad marks anti ~sting len (c + 1)
+    else begin
+      anti.(len) <- c;
+      pad marks anti ~sting (len + 1) (c + 1)
+    end
+
 let next sys ls =
+  let marks = Bytes.make sys.m '\000' in
   (* Sting: the smallest universe element absent from every input
      antisting set.  Out-of-range antisting entries (corruption) cannot
-     exclude an in-range candidate, so totality is preserved. *)
-  let excluded = Hashtbl.create 64 in
-  List.iter (fun l -> Array.iter (fun x -> Hashtbl.replace excluded x ()) l.anti) ls;
-  let sting =
-    let rec find c =
-      if c >= sys.m then
-        (* Only reachable on corrupted over-long input: fall back to the
-           candidate excluded by the fewest sets. *)
-        0
-      else if Hashtbl.mem excluded c then find (c + 1)
-      else c
-    in
-    find 0
-  in
-  (* Antistings: every input sting (so each input label precedes the
-     result), padded with small fresh universe elements up to size k. *)
-  let stings = dedup (List.map (fun l -> l.sting) ls) in
-  let stings = List.filteri (fun i _ -> i < sys.k) stings in
-  let present = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace present s ()) stings;
-  let pad = ref [] in
-  let needed = ref (sys.k - List.length stings) in
-  let c = ref 0 in
-  while !needed > 0 && !c < sys.m do
-    if (not (Hashtbl.mem present !c)) && !c <> sting then begin
-      pad := !c :: !pad;
-      Hashtbl.replace present !c ();
-      decr needed
-    end;
-    incr c
+     exclude an in-range candidate.  When the input antistings cover the
+     whole universe, which takes corrupted or over-long input, the sting
+     falls back to 0. *)
+  mark_antistings marks ls;
+  let sting = first_free marks 0 in
+  (* Antistings: the first k distinct input stings, so each input label
+     precedes the result, padded with the smallest universe elements
+     that are neither one of them nor the sting.  Input stings are
+     copied as they are, out-of-range ones included. *)
+  Bytes.fill marks 0 sys.m '\000';
+  let anti = Array.make sys.k 0 in
+  pad marks anti ~sting (add_stings marks anti 0 ls) 0;
+  (* Insertion sort of k distinct entries. *)
+  for i = 1 to sys.k - 1 do
+    let x = anti.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && anti.(!j) > x do
+      anti.(!j + 1) <- anti.(!j);
+      decr j
+    done;
+    anti.(!j + 1) <- x
   done;
-  let anti = Array.of_list (stings @ List.rev !pad) in
-  Array.sort Int.compare anti;
   { sting; anti }
 
 let valid sys l =

@@ -58,8 +58,20 @@ val compare : t -> t -> int
 val next : system -> t list -> t
 (** [next sys ls] returns a label dominating every label of [ls]
     whenever [List.length ls <= k] and each antisting set has at most
-    [k] entries.  On over-long (corrupted) input it still returns a
-    well-formed label, dominating a best-effort subset. *)
+    [k] entries.
+
+    The sting is the smallest universe element no input antisting set
+    holds.  The antistings are the first [k] distinct input stings, in
+    list order, padded with the smallest elements that are neither one
+    of them nor the sting, and sorted.  So the result depends only on
+    the {e set} of inputs when they have at most [k] distinct stings.
+
+    On corrupted input the result still has an in-range sting and [k]
+    distinct sorted antistings, but it need not be {!valid}: input
+    stings are copied as they are, out-of-range ones included.  When
+    the input antisting sets cover the whole universe, which takes
+    over-long or corrupted input, the sting is 0, and the result does
+    not dominate the inputs whose antisting sets hold 0. *)
 
 val valid : system -> t -> bool
 (** Well-formedness: sting in range, exactly [k] sorted distinct

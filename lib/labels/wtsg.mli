@@ -37,8 +37,10 @@ type node = { value : int; ts : Mw_ts.t; weight : int }
 type t
 
 val build : witness list -> t
-(** Local WTsG over current replies (all ranks 0), or union WTsG when
-    the witness list also includes each server's [old_vals] history. *)
+(** The WTsG over any witness list.  The read builds it only for the
+    union graph: each server's current pair at rank 0 and its
+    [old_vals] history after it.  The local graph over current replies
+    alone is decided by {!best_current}, which builds nothing. *)
 
 val nodes : t -> node list
 (** All nodes, heaviest first (deterministic order). *)
@@ -59,5 +61,22 @@ val best : t -> min_weight:int -> node option
     recency vote, preferring [≺]-maximal then heaviest for ties.
     [None] when no node reaches the threshold — the signal that servers
     are in a transitory phase. *)
+
+val best_current :
+  replied:bool array -> values:int array -> stamps:Mw_ts.t array -> min_weight:int -> node option
+(** The read decision over current replies: [best (build ws)
+    ~min_weight] where [ws] holds one rank-0 witness
+    ⟨[values.(s)], [stamps.(s)]⟩ for each server [s] with
+    [replied.(s)], computed from the arrays without building a graph.
+
+    Each server reports exactly one pair, so two distinct nodes never
+    share a witness: the recency vote never decides ({!newer} is always
+    false) and every qualifying node is undefeated.  The rule is
+    therefore vote-free.  A pair's weight is the number of servers
+    reporting it; among pairs of weight at least [min_weight] it
+    returns the first [≺]-maximal one in the node order of {!nodes},
+    else the first one, else [None].  O(n²) pair comparisons for [n]
+    servers, more only when qualifying pairs precede one another; it
+    allocates only the returned node. *)
 
 val pp : Format.formatter -> t -> unit

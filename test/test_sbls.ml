@@ -149,6 +149,116 @@ let qcheck_prec_reference =
       && Sbls.prec l1 l2' = reference l1 l2'
       && Sbls.prec l2' l1 = reference l2' l1)
 
+(* [Sbls.next] as it stood when it was built from hashtables and lists:
+   the reference the allocation-free version must equal on every input,
+   corrupted and over-long ones included. *)
+module Ref_next = struct
+  let dedup xs =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun x ->
+        if Hashtbl.mem seen x then false
+        else begin
+          Hashtbl.add seen x ();
+          true
+        end)
+      xs
+
+  let next (sys : Sbls.system) (ls : Sbls.t list) =
+    let excluded = Hashtbl.create 64 in
+    List.iter (fun (l : Sbls.t) -> Array.iter (fun x -> Hashtbl.replace excluded x ()) l.anti) ls;
+    let sting =
+      let rec find c = if c >= sys.m then 0 else if Hashtbl.mem excluded c then find (c + 1) else c in
+      find 0
+    in
+    let stings = dedup (List.map (fun (l : Sbls.t) -> l.sting) ls) in
+    let stings = List.filteri (fun i _ -> i < sys.k) stings in
+    let present = Hashtbl.create 16 in
+    List.iter (fun s -> Hashtbl.replace present s ()) stings;
+    let pad = ref [] in
+    let needed = ref (sys.k - List.length stings) in
+    let c = ref 0 in
+    while !needed > 0 && !c < sys.m do
+      if (not (Hashtbl.mem present !c)) && !c <> sting then begin
+        pad := !c :: !pad;
+        Hashtbl.replace present !c ();
+        decr needed
+      end;
+      incr c
+    done;
+    let anti = Array.of_list (stings @ List.rev !pad) in
+    Array.sort Int.compare anti;
+    { Sbls.sting; anti }
+end
+
+let same_label (a : Sbls.t) (b : Sbls.t) = a.sting = b.sting && a.anti = b.anti
+
+let ref_ks = [| 2; 3; 4; 5; 6; 7; 8; 11; 21 |]
+
+(* A label system and an input list drawn from one seed, so every
+   counterexample is a replayable integer: valid labels, raw garbage,
+   a mix, or a chain of [next] outputs (a hot key's timestamps), with
+   up to [max_len k] labels. *)
+let draw_inputs ~max_len seed =
+  let r = Sbft_sim.Rng.create (Int64.of_int seed) in
+  let k = Sbft_sim.Rng.pick r ref_ks in
+  let sys = Sbls.system ~k in
+  let count = Sbft_sim.Rng.int r (max_len k + 1) in
+  let inputs =
+    match Sbft_sim.Rng.int r 4 with
+    | 0 -> List.init count (fun _ -> Sbls.random sys r)
+    | 1 -> List.init count (fun _ -> Sbls.random_garbage sys r)
+    | 2 ->
+        List.init count (fun _ ->
+            if Sbft_sim.Rng.bool r then Sbls.random sys r else Sbls.random_garbage sys r)
+    | _ ->
+        let rec chain l i acc = if i = 0 then acc else chain (Ref_next.next sys [ l ]) (i - 1) (l :: acc) in
+        chain (Sbls.random sys r) count []
+  in
+  (sys, r, inputs)
+
+let qcheck_next_matches_reference =
+  QCheck.Test.make ~name:"sbls: next equals the reference on valid, garbage, over-long and chained input"
+    ~count:3000 (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let sys, _, inputs = draw_inputs ~max_len:(fun k -> (2 * k) + 1) seed in
+      same_label (Sbls.next sys inputs) (Ref_next.next sys inputs))
+
+(* The fallback sting: when the input antistings cover the whole
+   universe no candidate is free, and the sting is 0.  Random garbage
+   practically never gets there, so the inputs are built by hand: the
+   universe is dealt round-robin over [count] labels. *)
+let test_next_covered_universe () =
+  List.iter
+    (fun k ->
+      let sys = Sbls.system ~k in
+      List.iter
+        (fun count ->
+          let inputs =
+            List.init count (fun i ->
+                {
+                  Sbls.sting = sys.m + i;
+                  anti = Array.of_list (List.filter (fun x -> x mod count = i) (List.init sys.m Fun.id));
+                })
+          in
+          let nxt = Sbls.next sys inputs in
+          Alcotest.(check int) (Printf.sprintf "k=%d, %d sets: fallback sting" k count) 0 nxt.sting;
+          Alcotest.(check bool)
+            (Printf.sprintf "k=%d, %d sets: equals the reference" k count)
+            true
+            (same_label nxt (Ref_next.next sys inputs)))
+        [ 1; 2; k; k + 3 ])
+    [ 2; 4; 6; 21 ]
+
+let qcheck_next_order_free =
+  QCheck.Test.make ~name:"sbls: next ignores the order of at most k inputs" ~count:2000
+    (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let sys, r, inputs = draw_inputs ~max_len:(fun k -> k) seed in
+      let shuffled = Array.of_list inputs in
+      Sbft_sim.Rng.shuffle r shuffled;
+      same_label (Sbls.next sys inputs) (Sbls.next sys (Array.to_list shuffled)))
+
 let suite =
   [
     Alcotest.test_case "system parameters" `Quick test_system_params;
@@ -169,4 +279,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_domination_large_k;
     QCheck_alcotest.to_alcotest qcheck_canonicalized_garbage_domination;
     QCheck_alcotest.to_alcotest qcheck_prec_reference;
+    QCheck_alcotest.to_alcotest qcheck_next_matches_reference;
+    Alcotest.test_case "next falls back to sting 0 on a covered universe" `Quick
+      test_next_covered_universe;
+    QCheck_alcotest.to_alcotest qcheck_next_order_free;
   ]

@@ -218,6 +218,26 @@ let test_inject_reaches_untouched_client () =
   Alcotest.(check int) "delivered" (delivered + 1) (count Sbft_sim.Metric_names.net_delivered);
   Alcotest.(check int) "nothing dropped" dropped (count Sbft_sim.Metric_names.net_dropped)
 
+(* The client's protocol path allocates little: after a warm-up, a write
+   followed by a read on an idle n = 6 register costs at most 1,250
+   minor words, engine, network, servers and history included. *)
+let test_write_read_allocation () =
+  let sys = make ~clients:2 () in
+  let pair value =
+    System.write sys ~client:6 ~value ~k:(fun () -> System.read sys ~client:7 ()) ();
+    System.quiesce sys
+  in
+  for value = 1 to 200 do
+    pair value
+  done;
+  let pairs = 2000 in
+  let before = Gc.minor_words () in
+  for value = 1 to pairs do
+    pair value
+  done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  if per_pair > 1250.0 then Alcotest.failf "%.0f minor words per write-then-read, budget 1250" per_pair
+
 let suite =
   [
     Alcotest.test_case "write then read" `Quick test_write_then_read;
@@ -237,4 +257,5 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "fresh footprint O(n + clients)" `Quick test_fresh_footprint_linear;
     Alcotest.test_case "inject reaches an untouched client" `Quick test_inject_reaches_untouched_client;
+    Alcotest.test_case "write-then-read allocation" `Quick test_write_read_allocation;
   ]

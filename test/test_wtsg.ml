@@ -127,6 +127,42 @@ let qcheck_weight_bounded_by_servers =
       let g = Wtsg.build witnesses in
       List.for_all (fun (n : Wtsg.node) -> n.weight <= List.length servers) (Wtsg.nodes g))
 
+(* The current-reply rule against the graph it replaces: for one rank-0
+   witness per replying server, [best_current] must return what [best]
+   over [build] returns, at every threshold.  Pairs come from a small
+   pool so that they repeat, with timestamps from a ≺-chain, random
+   valid ones and garbage. *)
+let qcheck_best_current_matches_best =
+  let chain = Array.of_list (ts_chain 6) in
+  QCheck.Test.make ~name:"wtsg: current-reply rule equals best over the local graph" ~count:2000
+    (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let r = Sbft_sim.Rng.create (Int64.of_int seed) in
+      let n = 1 + Sbft_sim.Rng.int r 31 in
+      let stamp () =
+        match Sbft_sim.Rng.int r 3 with
+        | 0 -> Sbft_sim.Rng.pick r chain
+        | 1 -> Mw_ts.random sys r ~clients:3
+        | _ -> Mw_ts.random_garbage sys r
+      in
+      let pool = Array.init (1 + Sbft_sim.Rng.int r 6) (fun _ -> (Sbft_sim.Rng.int r 3, stamp ())) in
+      let replied = Array.init n (fun _ -> Sbft_sim.Rng.int r 4 > 0) in
+      let pairs = Array.init n (fun _ -> Sbft_sim.Rng.pick r pool) in
+      let values = Array.map fst pairs and stamps = Array.map snd pairs in
+      let g =
+        Wtsg.build
+          (List.filter_map
+             (fun s -> if replied.(s) then Some (w s values.(s) stamps.(s)) else None)
+             (List.init n Fun.id))
+      in
+      List.for_all
+        (fun min_weight ->
+          match (Wtsg.best_current ~replied ~values ~stamps ~min_weight, Wtsg.best g ~min_weight) with
+          | None, None -> true
+          | Some a, Some b -> a.value = b.value && Mw_ts.compare a.ts b.ts = 0 && a.weight = b.weight
+          | _ -> false)
+        (List.init (n + 2) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "weights" `Quick test_weights;
@@ -139,4 +175,5 @@ let suite =
     Alcotest.test_case "edges" `Quick test_edges;
     Alcotest.test_case "empty graph" `Quick test_empty;
     QCheck_alcotest.to_alcotest qcheck_weight_bounded_by_servers;
+    QCheck_alcotest.to_alcotest qcheck_best_current_matches_best;
   ]
