@@ -40,18 +40,22 @@ let wtsg_build n =
          ignore (Sbft_labels.Wtsg.best g ~min_weight:3)))
 
 (* The decision over current replies, shaped like a kv read: all but one
-   of [n] servers report the newest of two consecutive writes. *)
+   of [n] servers report the newest of two consecutive writes, added at
+   rank 0 to the domain's table as the client adds them. *)
 let wtsg_current n =
   let sys = Sbft_labels.Sbls.system ~k:n in
   let old_ts = Sbft_labels.Mw_ts.initial sys in
   let new_ts = Sbft_labels.Mw_ts.next sys ~writer:1 [ old_ts ] in
-  let replied = Array.make n true in
-  let values = Array.init n (fun s -> if s = 0 then 1 else 2) in
-  let stamps = Array.init n (fun s -> if s = 0 then old_ts else new_ts) in
   Test.make
-    ~name:(Printf.sprintf "wtsg.best_current n=%d" n)
+    ~name:(Printf.sprintf "wtsg.current n=%d" n)
     (Staged.stage (fun () ->
-         ignore (Sbft_labels.Wtsg.best_current ~replied ~values ~stamps ~min_weight:3)))
+         let table = Sbft_labels.Wtsg.local ~servers:n in
+         for server = 0 to n - 1 do
+           Sbft_labels.Wtsg.add table ~server ~value:(if server = 0 then 1 else 2)
+             ~ts:(if server = 0 then old_ts else new_ts)
+             ~rank:0
+         done;
+         ignore (Sbft_labels.Wtsg.best table ~min_weight:3)))
 
 let end_to_end n f =
   Test.make

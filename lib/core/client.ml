@@ -305,40 +305,39 @@ let finish_read t ~k ~label outcome =
       Array.iteri (fun s safe -> if safe then Network.send t.net ~src:t.id ~dst:s complete) t.safe);
   k outcome
 
-(* Each replying server's current pair at rank 0, then rank i + 1 for
-   the i-th entry of its history: each report is newest-first, and the
-   vote in Wtsg.best leans on that order.  A server contributes at most
-   [history_depth] entries, so a Byzantine one cannot inflate the union
-   graph with an unbounded list. *)
-let union_witnesses t =
-  let rec history server rank entries acc =
-    match entries with
-    | (e : Msg.hist_entry) :: rest when rank <= t.cfg.history_depth ->
-        history server (rank + 1) rest ({ Wtsg.server; value = e.value; ts = e.ts; rank } :: acc)
-    | _ -> acc
-  in
-  let acc = ref [] in
-  for server = 0 to t.cfg.n - 1 do
-    if t.replied.(server) then
-      acc :=
-        history server 1 t.recent.(server)
-          ({ Wtsg.server; value = t.values.(server); ts = t.current.(server); rank = 0 } :: !acc)
-  done;
-  !acc
+(* One server's history at ranks [rank], [rank + 1], ...: each report
+   is newest-first, and the vote in Wtsg.best leans on that order.  A
+   server contributes at most [history_depth] entries, so a Byzantine
+   one cannot inflate the union graph with an unbounded list. *)
+let rec add_history table ~depth ~server rank = function
+  | (e : Msg.hist_entry) :: rest when rank <= depth ->
+      Wtsg.add table ~server ~value:e.value ~ts:e.ts ~rank;
+      add_history table ~depth ~server (rank + 1) rest
+  | _ -> ()
 
+(* The current replies at rank 0 first; only when no pair qualifies
+   does the read add the histories and decide the union graph. *)
 let try_complete t ~k ~label =
   if count t.replied >= Config.quorum t.cfg then begin
-    let threshold = Config.witness_threshold t.cfg in
-    match
-      Wtsg.best_current ~replied:t.replied ~values:t.values ~stamps:t.current
-        ~min_weight:threshold
-    with
+    let n = t.cfg.n and min_weight = Config.witness_threshold t.cfg in
+    let table = Wtsg.local ~servers:n in
+    for server = 0 to n - 1 do
+      if t.replied.(server) then
+        Wtsg.add table ~server ~value:t.values.(server) ~ts:t.current.(server) ~rank:0
+    done;
+    let decided =
+      match Wtsg.best table ~min_weight with
+      | Some _ as node -> node
+      | None ->
+          for server = 0 to n - 1 do
+            if t.replied.(server) then
+              add_history table ~depth:t.cfg.history_depth ~server 1 t.recent.(server)
+          done;
+          Wtsg.best table ~min_weight
+    in
+    match decided with
     | Some node -> finish_read t ~k ~label (Sbft_spec.History.Value node.value)
-    | None -> (
-        let union = Wtsg.build (union_witnesses t) in
-        match Wtsg.best union ~min_weight:threshold with
-        | Some node -> finish_read t ~k ~label (Sbft_spec.History.Value node.value)
-        | None -> finish_read t ~k ~label Sbft_spec.History.Abort)
+    | None -> finish_read t ~k ~label Sbft_spec.History.Abort
   end
 
 let on_flush_ack t ~src ~label =
