@@ -1,4 +1,4 @@
-.PHONY: all build test check lint loc bench bench-json artifacts clean
+.PHONY: all build test check lint loc bench count-gate artifacts clean
 
 all: build
 
@@ -25,17 +25,56 @@ check: build test lint
 loc:
 	@find lib bin -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
-# The E12 micro-benchmarks; the experiment tables are
-# `sbftreg experiment ID|all`.
+# The E12 micro-benchmarks.  The experiment tables are
+# `sbftreg experiment ID|all`; the within-run ratio gate is `sbftreg
+# bench`; wall-clock speed is bench/suite's, compared with bench/ab.
 bench:
 	dune exec bench/main.exe
 
-# Regenerate the committed perf baseline (engine events/sec, fuzz
-# schedules/sec, checker µs per 10k-op history, tracing-overhead rows,
-# series and open-loop-generator overhead rows, E12 micro table); CI
-# gates `sbftreg bench --baseline BENCH_PR10.json` against it.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+# Exact per-op count gate: run each workload named in
+# bench/count-gate.txt once through bench/suite at seed 24 (--seconds 0
+# --scale 0.1 --trace 1) and check every `workload metric op value`
+# line of that file against the printed metrics.  `=` compares the
+# printed text, since two values one digit apart can parse to the same
+# double.  A mismatch, a metric the suite did not print and a malformed
+# line each fail, naming the line; a suite that fails its own checks
+# fails the gate too.  The fuzz.scaling_2d floor needs two cores and is
+# skipped on one.  Workloads run one at a time: a second suite process
+# on the other core pulls fuzz.scaling_2d under its floor.
+count-gate:
+	@dune build bench/suite/suite.exe
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && failed= && \
+	for w in $$(awk '!/^[ \t]*(#|$$)/ { print $$1 }' bench/count-gate.txt | sort -u); do \
+	  ./_build/default/bench/suite/suite.exe --workload "$$w" --seed 24 --seconds 0 \
+	    --scale 0.1 --trace 1 > "$$dir/$$w" || failed="$$failed $$w"; \
+	done; \
+	awk -v cores="$$(nproc)" -v gate=bench/count-gate.txt ' \
+	  FILENAME != gate { \
+	    w = FILENAME; sub(/.*\//, "", w); \
+	    if (NF == 3) printed[w " " $$1] = $$2; \
+	    next \
+	  } \
+	  /^[ \t]*(#|$$)/ { next } \
+	  { \
+	    at = gate ":" FNR ": "; key = $$1 " " $$2; \
+	    if (NF != 4 || ($$3 != "=" && $$3 != "<=" && $$3 != ">=") \
+	        || $$4 !~ /^-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?$$/) { \
+	      print at "malformed line (want: workload metric =|<=|>= value): " $$0; bad++; next \
+	    } \
+	    if (!(key in printed)) { print at key ": not printed by the suite"; bad++; next } \
+	    if ($$2 == "fuzz.scaling_2d" && cores < 2) { \
+	      print at key " >= " $$4 ": skipped on one core (read " printed[key] ")"; next \
+	    } \
+	    v = printed[key]; \
+	    ok = ($$3 == "=") ? (v "") == ($$4 "") : ($$3 == "<=") ? v + 0 <= $$4 + 0 : v + 0 >= $$4 + 0; \
+	    if (!ok) { print at key " read " printed[key] ", want " $$3 " " $$4; bad++ } \
+	    else held++ \
+	  } \
+	  END { \
+	    if (bad) { print "count-gate: " bad " line(s) failed"; exit 1 } \
+	    print "count-gate: " held " lines hold" \
+	  }' "$$dir"/* bench/count-gate.txt && \
+	if [ -n "$$failed" ]; then echo "count-gate: the suite exited non-zero on$$failed"; exit 1; fi
 
 # Sample run artifacts (committed reference inputs for sbftreg
 # replay/analyze/diff/spans/trends; also a smoke test of the whole

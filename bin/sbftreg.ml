@@ -1416,68 +1416,23 @@ let corpus_cmd =
 (* bench *)
 
 let bench_cmd =
-  let go quick json_path baseline_path tolerance =
+  let go () =
     let module B = Sbft_harness.Benchmarks in
-    let tol = ok_or_exit (Diff.tolerance tolerance) in
-    (* an unreadable baseline is bad input: fail before measuring *)
-    let baseline =
-      Option.map (fun path -> (path, ok_or_exit (Sbft_sim.Json.of_file path))) baseline_path
-    in
-    let r = B.run ~quick () in
-    Format.printf "%a@." B.pp r;
-    Option.iter
-      (fun path ->
-        Sbft_harness.Artifacts.write_file ~path (B.to_json r);
-        Printf.printf "wrote %s\n" path)
-      json_path;
-    Option.iter
-      (fun (path, baseline) ->
-        let rep = B.compare_to_baseline ~tolerance:tol ~baseline r in
-        Printf.printf "baseline %s (tolerance %.0f%%):\n" path (tolerance *. 100.);
-        Format.printf "%a@." Diff.pp rep;
-        let regressions = List.length (Diff.drifted rep) in
-        let ungated = List.length (List.filter (fun (row : Diff.row) -> row.a = None) rep.rows) in
-        if regressions > 0 then begin
-          Printf.eprintf "%d metric(s) regressed against %s\n" regressions path;
-          exit 1
-        end;
-        if ungated > 0 then begin
-          Printf.eprintf "%d metric(s) missing from %s — refresh the baseline to cover them\n"
-            ungated path;
-          exit 3
-        end)
-      baseline
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test budgets (sub-second, 1k-op history).")
-  in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write machine-readable results to $(docv).")
-  in
-  let baseline_path =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Compare against a committed bench JSON: exit 1 if a gated rate regressed beyond the \
-             tolerance or an overhead exceeds its 5% budget (or the file is unreadable), 3 if a \
-             gated metric is missing from the baseline.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.3
-      & info [ "tolerance" ] ~docv:"FRAC" ~doc:"Allowed fractional regression (default 0.3).")
+    let rows = B.run () in
+    List.iter (Format.printf "%a@." B.pp_row) rows;
+    let over = List.filter B.over_budget rows in
+    if over <> [] then begin
+      Printf.eprintf "%d ratio(s) past budget\n" (List.length over);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Measure hot-path throughput (engine events/sec, fuzz schedules/sec, checker latency) \
-          and optionally gate against a committed baseline")
-    Term.(const go $ quick $ json_path $ baseline_path $ tolerance)
+         "Time three within-run ratios over seven rounds (series on vs off, open vs closed loop, \
+          checker sweep vs scan) and exit 1 when three quarters of a row's rounds are past its \
+          budget")
+    Term.(const go $ const ())
 
 let () =
   let doc = "stabilizing Byzantine-fault-tolerant MWMR regular register (IPPS 2015 reproduction)" in

@@ -56,12 +56,6 @@ let rel a b =
   if a = b then 0.0
   else Float.abs (a -. b) /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
 
-let of_rows rows =
-  let worst =
-    List.fold_left (fun acc r -> if severity r.verdict > severity acc then r.verdict else acc) Ok rows
-  in
-  { rows; worst }
-
 let both path x y ~tolerance =
   let rel = rel x y in
   let verdict =
@@ -88,7 +82,9 @@ let compare_flat ~tolerance fa fb =
         else if c < 0 then walk (one_side p (Some x) None :: acc) ra fb
         else walk (one_side q None (Some y) :: acc) fa rb
   in
-  of_rows (walk [] (sort fa) (sort fb))
+  let rows = walk [] (sort fa) (sort fb) in
+  let worse acc r = if severity r.verdict > severity acc then r.verdict else acc in
+  { rows; worst = List.fold_left worse Ok rows }
 
 let compare ?(tolerance = 0.2) a b =
   compare_flat ~tolerance (flatten ~keep:comparable a) (flatten ~keep:comparable b)

@@ -1,57 +1,7 @@
-module J = Sbft_sim.Json
 module History = Sbft_spec.History
 module Regularity = Sbft_spec.Regularity
 module Regularity_oracle = Sbft_spec.Regularity_oracle
 module Rng = Sbft_sim.Rng
-module Diff = Sbft_analysis.Diff
-
-type checker = {
-  hist_ops : int;
-  hist_writes : int;
-  hist_reads : int;
-  sweep_us : float;
-  oracle_us : float;
-  speedup : float;
-}
-
-type overhead = {
-  off_events_per_s : float;
-  sampled_events_per_s : float;
-  full_events_per_s : float;
-  sampled_overhead_pct : float;
-  full_overhead_pct : float;
-}
-
-type series_overhead = {
-  base_events_per_s : float;
-  on_events_per_s : float;
-  series_overhead_pct : float;
-}
-
-type loadgen_overhead = {
-  closed_ops_per_s : float;
-  open_ops_per_s : float;
-  loadgen_overhead_pct : float;
-  ops_per_run : int;
-}
-
-type fuzz_parallel_row = {
-  domains : int;
-  schedules_per_s : float; (* total across domains / wall-clock *)
-  executed : int;
-}
-
-type t = {
-  engine_events_per_s : float;
-  engine_runs : int;
-  fuzz_schedules_per_s : float;
-  fuzz_executed : int;
-  fuzz_parallel : fuzz_parallel_row list;
-  checker : checker;
-  overhead : overhead;
-  series : series_overhead;
-  loadgen : loadgen_overhead;
-}
 
 (* A valid steady-state audit workload: sequential completed writes,
    each observed by [reads_per_write] completed reads of its value
@@ -79,396 +29,133 @@ let synthetic_history ~seed ~n_ops ~reads_per_write =
   done;
   h
 
-(* Wall-clock repetition: run [f] until [min_s] seconds elapse (at
-   least once), return (iterations, elapsed_s). *)
-let repeat_for ~min_s f =
-  let t0 = Clock.now_ns () in
-  let iters = ref 0 in
-  while Clock.elapsed_s t0 < min_s || !iters = 0 do
-    f ();
-    incr iters
-  done;
-  (!iters, Clock.elapsed_s t0)
+type budget = Cap of float | Floor of float
 
-let time_once f =
-  let t0 = Clock.now_ns () in
-  let r = f () in
-  (r, Clock.elapsed_s t0)
+type row = { name : string; budget : budget; samples : float array }
 
-(* A fixed mixed scenario executed end to end; throughput is the
-   fired-thunk rate ([Engine.events_fired]), the engine's unit of
-   progress.  Fired thunks — unlike the emitted-event count used before
-   PR 6 — exist at every trace level, so the same yardstick measures
-   the scenario with tracing off, sampled and full. *)
-let bench_scenario = { Scenario.default with seed = 11L; ops_per_client = 25 }
+let rounds = 7
 
-let engine_rate ~level ~min_s =
-  let fired = ref 0 in
-  let one () =
-    match Scenario.execute ~level bench_scenario with
-    | Ok r -> fired := !fired + Sbft_sim.Engine.events_fired (Sbft_core.System.engine r.sys)
-    | Error e -> failwith ("bench_engine: " ^ e)
+let round_s = 0.3
+
+(* Round [i] of two arms: they run one after the other, one run at a
+   time, for [round_s] seconds; arm [a] goes first in even rounds and
+   [b] in odd ones.  Each run returns the work it did; the result is
+   each arm's work per second. *)
+let round i a b =
+  let work = [| 0; 0 |] and secs = [| 0.0; 0.0 |] in
+  let time arm run =
+    let t0 = Clock.now_ns () in
+    work.(arm) <- work.(arm) + run ();
+    secs.(arm) <- secs.(arm) +. Clock.elapsed_s t0
   in
-  let runs, elapsed = repeat_for ~min_s one in
-  (float_of_int !fired /. elapsed, runs)
-
-let bench_engine ~min_s = engine_rate ~level:Sbft_sim.Trace.On ~min_s
-
-(* The tracing-overhead dial: the same scenario at Off / Sampled / On.
-   Off is the no-op fast path the ISSUE requires to stay within a few
-   percent of a build with no observability at all; the overhead
-   percentages quantify what turning the dial up costs. *)
-let bench_overhead ~min_s =
-  let off, _ = engine_rate ~level:Sbft_sim.Trace.Off ~min_s in
-  let sampled, _ = engine_rate ~level:Sbft_sim.Trace.Sampled ~min_s in
-  let full, _ = engine_rate ~level:Sbft_sim.Trace.On ~min_s in
-  let pct slower = if off <= 0.0 then 0.0 else 100.0 *. (1.0 -. (slower /. off)) in
-  {
-    off_events_per_s = off;
-    sampled_events_per_s = sampled;
-    full_events_per_s = full;
-    sampled_overhead_pct = pct sampled;
-    full_overhead_pct = pct full;
-  }
-
-(* The streaming pipeline's hot-path cost: the same Zipfian kv run with
-   tracing off, measured with the per-shard series + online detector
-   attached vs. bare.  The ISSUE's target is <5% fired-thunk throughput
-   cost; the bench gate enforces it as an absolute bound. *)
-let kv_rate ~with_series ~min_s =
-  let fired = ref 0 in
-  let one () =
-    let store =
-      Sbft_kv.Store.create ~seed:17L ~trace_level:Sbft_sim.Trace.Off
-        ?series_window:(if with_series then Some 50 else None)
-        ~shards:8 ~n:6 ~f:1 ~clients:8 ()
-    in
-    if with_series then ignore (Stabilization.attach ~window:50 ~after:0 store);
-    let _ =
-      Workload.run_kv
-        ~spec:{ Workload.default_kv with Workload.kv_ops_per_client = 15; Workload.keys = 32 }
-        store
-    in
-    fired := !fired + Sbft_sim.Engine.events_fired (Sbft_kv.Store.engine store)
+  let t0 = Clock.now_ns () in
+  let rec pairs () =
+    if i land 1 = 0 then (time 0 a; time 1 b) else (time 1 b; time 0 a);
+    if Clock.elapsed_s t0 < round_s then pairs ()
   in
-  let _runs, elapsed = repeat_for ~min_s one in
-  float_of_int !fired /. elapsed
+  pairs ();
+  (float_of_int work.(0) /. secs.(0), float_of_int work.(1) /. secs.(1))
 
-let bench_series ~min_s =
-  (* The absolute 5% gate judges a throughput *ratio*, so machine
-     jitter must not read as overhead.  Measure the two configurations
-     back-to-back in paired rounds — both sides of a pair share the
-     machine's mood — and report the pair with the smallest overhead:
-     if even the friendliest round shows the series layer over budget,
-     the cost is real. *)
-  let rounds = 3 in
-  let round_s = Float.max 0.05 (min_s /. float_of_int rounds) in
-  let best = ref None in
-  for _ = 1 to rounds do
-    let base = kv_rate ~with_series:false ~min_s:round_s in
-    let on = kv_rate ~with_series:true ~min_s:round_s in
-    let pct = if base <= 0.0 then 0.0 else 100.0 *. (1.0 -. (on /. base)) in
-    match !best with
-    | Some (_, _, p) when p <= pct -> ()
-    | _ -> best := Some (base, on, pct)
-  done;
-  let base, on, pct = Option.get !best in
-  { base_events_per_s = base; on_events_per_s = on; series_overhead_pct = pct }
+(* Percent slower per unit of work than [base]. *)
+let overhead ~name ~base arm =
+  let sample i =
+    let b, a = round i base arm in
+    100.0 *. (1.0 -. (a /. b))
+  in
+  { name; budget = Cap 5.0; samples = Array.init rounds sample }
 
-(* The open-loop generator's own machinery cost: the same store shape,
-   seed and completed-op count driven by the closed-loop driver
-   ({!Workload.run_kv}) and by {!Loadgen}'s open-loop engine at a
-   constant rate safely under capacity.  Both sides finish exactly
-   [lg_ops] operations, but the two pacings provoke measurably
-   different protocol traffic (the open loop's spread-out arrivals send
-   a few percent more messages per op than the closed loop's
-   think-then-go clients), so an ops/s ratio conflates schedule shape
-   with machinery cost.  The overhead bound therefore judges
-   wall-clock per {e simulation event}: fired thunks minus the one
-   pacing thunk per op each driver schedules for itself (think-time
-   wakeups on the closed side, arrival slots on the open side).  At
-   equal per-event protocol cost, any per-event gap is exactly the
-   generator's machinery — admission queues, accounting, hist records —
-   which the acceptance criterion caps at 5%.  Runs of the two drivers
-   interleave one-for-one inside each round so both sample the same
-   machine mood; separately-timed windows on a busy host disagree with
-   themselves by more than the budget being enforced. *)
-let lg_ops = 8 * 15
+(* Every kv arm runs on the same 8-shard store at seed 17, tracing off;
+   the series arm attaches the per-shard series and the online
+   detector. *)
+let kv_store ~with_series =
+  let store =
+    Sbft_kv.Store.create ~seed:17L ~trace_level:Sbft_sim.Trace.Off
+      ?series_window:(if with_series then Some 50 else None)
+      ~shards:8 ~n:6 ~f:1 ~clients:8 ()
+  in
+  if with_series then ignore (Stabilization.attach ~window:50 ~after:0 store);
+  store
 
-let lg_store () =
-  Sbft_kv.Store.create ~seed:17L ~trace_level:Sbft_sim.Trace.Off ~shards:8 ~n:6 ~f:1 ~clients:8 ()
+let kv_ops = 8 * 15
 
-(* Each returns the run's fired-thunk count net of its own pacing
-   thunks (one per completed op on both sides). *)
-let lg_closed_one () =
-  let store = lg_store () in
+let fired store = Sbft_sim.Engine.events_fired (Sbft_kv.Store.engine store)
+
+(* The closed loop: 15 ops per client over 32 keys; the run's fired
+   thunks. *)
+let closed ~with_series () =
+  let store = kv_store ~with_series in
   let out =
     Workload.run_kv
       ~spec:{ Workload.default_kv with Workload.kv_ops_per_client = 15; Workload.keys = 32 }
       store
   in
-  if out.Workload.issued_puts + out.Workload.issued_gets <> lg_ops then
-    failwith "bench_loadgen: closed loop did not issue every op";
-  Sbft_sim.Engine.events_fired (Sbft_kv.Store.engine store) - lg_ops
+  if out.Workload.issued_puts + out.Workload.issued_gets <> kv_ops then
+    failwith "bench: closed loop did not issue every op";
+  fired store
 
-let lg_open_one () =
-  let store = lg_store () in
+(* The open loop completes the same ops at a constant rate safely under
+   capacity.  Both drivers schedule one pacing thunk per op of their own
+   (think-time wakeups on the closed side, arrival slots on the open
+   side), so the loadgen row counts fired thunks net of them: at equal
+   per-event protocol cost any gap is the generator's admission queues,
+   accounting and histogram records. *)
+let open_loop () =
+  let store = kv_store ~with_series:false in
   let spec =
     {
       Loadgen.default with
       Loadgen.mode = Loadgen.Open_loop (Loadgen.Const 0.25);
-      duration = 10 * lg_ops;
-      ops = Some lg_ops;
+      duration = 10 * kv_ops;
+      ops = Some kv_ops;
       keys = 32;
-      max_queue = 4 * lg_ops;
+      max_queue = 4 * kv_ops;
     }
   in
   let o = Loadgen.run ~spec store in
-  if o.Loadgen.completed <> lg_ops then
-    failwith "bench_loadgen: open loop did not complete every offered op";
-  Sbft_sim.Engine.events_fired (Sbft_kv.Store.engine store) - lg_ops
+  if o.Loadgen.completed <> kv_ops then
+    failwith "bench: open loop did not complete every offered op";
+  fired store - kv_ops
 
-let bench_loadgen ~min_s =
-  (* Same best-of-rounds discipline as {!bench_series}: if even the
-     friendliest round shows the generator over budget, the cost is
-     real. *)
-  let rounds = 3 in
-  let round_s = Float.max 0.05 (min_s /. float_of_int rounds) in
-  let best = ref None in
-  for _ = 1 to rounds do
-    let t_closed = ref 0.0 and t_open = ref 0.0 in
-    let ev_closed = ref 0 and ev_open = ref 0 in
-    let pairs = ref 0 in
-    let t0 = Clock.now_ns () in
-    while Clock.elapsed_s t0 < round_s || !pairs = 0 do
-      let a = Clock.now_ns () in
-      ev_closed := !ev_closed + lg_closed_one ();
-      let b = Clock.now_ns () in
-      ev_open := !ev_open + lg_open_one ();
-      let c = Clock.now_ns () in
-      t_closed := !t_closed +. (Clock.elapsed_s a -. Clock.elapsed_s b);
-      t_open := !t_open +. (Clock.elapsed_s b -. Clock.elapsed_s c);
-      incr pairs
-    done;
-    let ops = float_of_int (!pairs * lg_ops) in
-    let closed_ops = ops /. !t_closed and open_ops = ops /. !t_open in
-    let closed_ev = float_of_int !ev_closed /. !t_closed in
-    let open_ev = float_of_int !ev_open /. !t_open in
-    let pct = if closed_ev <= 0.0 then 0.0 else 100.0 *. (1.0 -. (open_ev /. closed_ev)) in
-    match !best with
-    | Some (_, _, p) when p <= pct -> ()
-    | _ -> best := Some (closed_ops, open_ops, pct)
-  done;
-  let closed, opened, pct = Option.get !best in
-  {
-    closed_ops_per_s = closed;
-    open_ops_per_s = opened;
-    loadgen_overhead_pct = pct;
-    ops_per_run = lg_ops;
-  }
-
-let bench_fuzz ~iterations =
-  let report, elapsed =
-    time_once (fun () -> Fuzz.run ~base:Scenario.default ~iterations ~seed:7L ())
-  in
-  (float_of_int report.Fuzz.executed /. elapsed, report.Fuzz.executed)
-
-(* Scaling rows: each domain runs a full [iterations]-step campaign, so
-   total work grows with the domain count and the quotient
-   total-executed / wall-clock is the aggregate campaign throughput.
-   On a single-core host the rows flatline (the domains time-slice one
-   CPU); the rows still pin the merge overhead at ~zero and document
-   the scaling shape of the machine that produced the baseline. *)
-let bench_fuzz_parallel ~iterations ~domain_counts =
-  List.map
-    (fun domains ->
-      let p, elapsed =
-        time_once (fun () ->
-            Fuzz.run_parallel ~base:Scenario.default ~iterations ~domains ~seed:7L ())
-      in
-      {
-        domains;
-        schedules_per_s = float_of_int p.Fuzz.total_executed /. elapsed;
-        executed = p.Fuzz.total_executed;
-      })
-    domain_counts
-
-let bench_checker ~n_ops ~min_s =
-  let h = synthetic_history ~seed:21L ~n_ops ~reads_per_write:9 in
-  let writes = List.length (History.writes h) in
-  let reads = History.size h - writes in
+(* Histories checked per second by the sweep over the retired scan.
+   The floor is 0.7x the median of five [sbftreg bench] runs on a 2-vCPU
+   host (30.8x), a 30% margin for how the two checkers' costs shift
+   between hosts. *)
+let sweep_vs_scan () =
+  let h = synthetic_history ~seed:21L ~n_ops:1_000 ~reads_per_write:9 in
   let prec : int -> int -> bool = ( < ) in
-  let sweep_iters, sweep_s =
-    repeat_for ~min_s (fun () -> ignore (Regularity.check ~ts_prec:prec h))
+  if Regularity.check ~ts_prec:prec h <> Regularity_oracle.check ~ts_prec:prec h then
+    failwith "bench: sweep and oracle reports diverge";
+  let sweep () = ignore (Regularity.check ~ts_prec:prec h); 1 in
+  let scan () = ignore (Regularity_oracle.check ~ts_prec:prec h); 1 in
+  let sample i =
+    let fast, slow = round i sweep scan in
+    fast /. slow
   in
-  (* The oracle is quadratic-or-worse: one timed run is all it gets
-     (on 10k ops it costs seconds, not microseconds). *)
-  let oracle_report, oracle_s = time_once (fun () -> Regularity_oracle.check ~ts_prec:prec h) in
-  let sweep_report = Regularity.check ~ts_prec:prec h in
-  if sweep_report <> oracle_report then failwith "bench_checker: sweep and oracle reports diverge";
-  let sweep_us = sweep_s /. float_of_int sweep_iters *. 1e6 in
-  let oracle_us = oracle_s *. 1e6 in
-  {
-    hist_ops = History.size h;
-    hist_writes = writes;
-    hist_reads = reads;
-    sweep_us;
-    oracle_us;
-    speedup = oracle_us /. sweep_us;
-  }
+  { name = "sweep vs scan"; budget = Floor 21.6; samples = Array.init rounds sample }
 
-let run ?(quick = false) () =
-  let min_s = if quick then 0.05 else 0.4 in
-  let engine_events_per_s, engine_runs = bench_engine ~min_s in
-  let fuzz_schedules_per_s, fuzz_executed = bench_fuzz ~iterations:(if quick then 30 else 150) in
-  let fuzz_parallel =
-    bench_fuzz_parallel
-      ~iterations:(if quick then 10 else 60)
-      ~domain_counts:[ 1; 2; 4; 8 ]
-  in
-  let checker = bench_checker ~n_ops:(if quick then 1_000 else 10_000) ~min_s in
-  let overhead = bench_overhead ~min_s in
-  let series = bench_series ~min_s in
-  let loadgen = bench_loadgen ~min_s in
-  {
-    engine_events_per_s;
-    engine_runs;
-    fuzz_schedules_per_s;
-    fuzz_executed;
-    fuzz_parallel;
-    checker;
-    overhead;
-    series;
-    loadgen;
-  }
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.String "sbft-bench/1");
-      ( "engine",
-        J.Obj
-          [
-            ("events_per_s", J.Float r.engine_events_per_s); ("runs_timed", J.Int r.engine_runs);
-          ] );
-      ( "fuzz",
-        J.Obj
-          [
-            ("schedules_per_s", J.Float r.fuzz_schedules_per_s);
-            ("executed", J.Int r.fuzz_executed);
-          ] );
-      ( "fuzz_parallel",
-        J.Obj
-          (List.map
-             (fun row ->
-               ( Printf.sprintf "domains_%d" row.domains,
-                 J.Obj
-                   [
-                     ("schedules_per_s", J.Float row.schedules_per_s);
-                     ("executed", J.Int row.executed);
-                   ] ))
-             r.fuzz_parallel) );
-      ( "checker",
-        J.Obj
-          [
-            ("hist_ops", J.Int r.checker.hist_ops);
-            ("hist_writes", J.Int r.checker.hist_writes);
-            ("hist_reads", J.Int r.checker.hist_reads);
-            ("sweep_us_per_history", J.Float r.checker.sweep_us);
-            ("oracle_us_per_history", J.Float r.checker.oracle_us);
-            ("speedup", J.Float r.checker.speedup);
-          ] );
-      ( "tracing_overhead",
-        J.Obj
-          [
-            ("off_events_per_s", J.Float r.overhead.off_events_per_s);
-            ("sampled_events_per_s", J.Float r.overhead.sampled_events_per_s);
-            ("full_events_per_s", J.Float r.overhead.full_events_per_s);
-            ("sampled_overhead_pct", J.Float r.overhead.sampled_overhead_pct);
-            ("full_overhead_pct", J.Float r.overhead.full_overhead_pct);
-          ] );
-      ( "series_overhead",
-        J.Obj
-          [
-            ("base_events_per_s", J.Float r.series.base_events_per_s);
-            ("on_events_per_s", J.Float r.series.on_events_per_s);
-            ("overhead_pct", J.Float r.series.series_overhead_pct);
-          ] );
-      ( "loadgen_overhead",
-        J.Obj
-          [
-            ("closed_ops_per_s", J.Float r.loadgen.closed_ops_per_s);
-            ("open_ops_per_s", J.Float r.loadgen.open_ops_per_s);
-            ("overhead_pct", J.Float r.loadgen.loadgen_overhead_pct);
-            ("ops_per_run", J.Int r.loadgen.ops_per_run);
-          ] );
-    ]
-
-let pp fmt r =
-  Format.fprintf fmt
-    "@[<v>engine:  %.0f events/s (%d runs timed)@,\
-     fuzz:    %.1f schedules/s (%d executed)@,\
-     fuzzpar: %s@,\
-     checker: %.1f us/history (%d ops: %d writes, %d reads); oracle %.1f us; speedup %.1fx@,\
-     tracing: off %.0f ev/s, sampled %.0f ev/s (%.1f%% slower), full %.0f ev/s (%.1f%% slower)@,\
-     series:  kv off %.0f ev/s, on %.0f ev/s (%.1f%% slower)@,\
-     loadgen: closed %.0f ops/s, open %.0f ops/s (%.1f%% slower; %d ops each)@]"
-    r.engine_events_per_s r.engine_runs r.fuzz_schedules_per_s r.fuzz_executed
-    (String.concat ", "
-       (List.map
-          (fun row -> Printf.sprintf "%dd %.1f sched/s" row.domains row.schedules_per_s)
-          r.fuzz_parallel))
-    r.checker.sweep_us
-    r.checker.hist_ops r.checker.hist_writes r.checker.hist_reads r.checker.oracle_us
-    r.checker.speedup r.overhead.off_events_per_s r.overhead.sampled_events_per_s
-    r.overhead.sampled_overhead_pct r.overhead.full_events_per_s r.overhead.full_overhead_pct
-    r.series.base_events_per_s r.series.on_events_per_s r.series.series_overhead_pct
-    r.loadgen.closed_ops_per_s r.loadgen.open_ops_per_s r.loadgen.loadgen_overhead_pct
-    r.loadgen.ops_per_run
-
-(* ------------------------------------------------------------------ *)
-(* Baseline comparison: the CI regression gate. *)
-
-(* Gated paths of {!to_json}.  A relative row regresses when it is not
-   [Ok] in the worse direction. *)
-type better = Higher | Lower
-
-let relative_gates r =
+let run () =
   [
-    ("engine.events_per_s", Higher);
-    ("fuzz.schedules_per_s", Higher);
-    ("checker.sweep_us_per_history", Lower);
-    ("tracing_overhead.off_events_per_s", Higher);
-    ("series_overhead.on_events_per_s", Higher);
-    ("loadgen_overhead.open_ops_per_s", Higher);
+    overhead ~name:"series on vs off" ~base:(closed ~with_series:false) (closed ~with_series:true);
+    overhead ~name:"open vs closed loop"
+      ~base:(fun () -> closed ~with_series:false () - kv_ops)
+      open_loop;
+    sweep_vs_scan ();
   ]
-  @ List.map
-      (fun row -> (Printf.sprintf "fuzz_parallel.domains_%d.schedules_per_s" row.domains, Higher))
-      r.fuzz_parallel
 
-(* Absolute budgets in percent, independent of machine speed: the
-   streaming series + detector and the open-loop generator must each
-   cost <=5% throughput.  The baseline's own value is not compared —
-   its presence only says the baseline is new enough to carry the row. *)
-let absolute_caps =
-  [ ("series_overhead.overhead_pct", 5.0); ("loadgen_overhead.overhead_pct", 5.0) ]
+let quartiles r =
+  let p = Stats.percentile r.samples in
+  (p 25.0, p 50.0, p 75.0)
 
-let compare_to_baseline ~tolerance ~baseline r =
-  let gates = relative_gates r in
-  let keep p = List.mem_assoc p gates || List.mem_assoc p absolute_caps in
-  let rep =
-    Diff.compare_flat ~tolerance (Diff.flatten ~keep baseline) (Diff.flatten ~keep (to_json r))
+let over_budget r =
+  let q1, _, q3 = quartiles r in
+  match r.budget with Cap c -> q1 > c | Floor f -> q3 < f
+
+let pp_row fmt r =
+  let q1, med, q3 = quartiles r in
+  let unit_, budget =
+    match r.budget with
+    | Cap c -> ("%", Printf.sprintf "q1 <= %g%%" c)
+    | Floor f -> ("x", Printf.sprintf "q3 >= %gx" f)
   in
-  let judge (row : Diff.row) =
-    match (List.assoc_opt row.path absolute_caps, row.a, row.b) with
-    | Some cap, Some _, Some cur ->
-        let verdict = if cur > cap then Diff.Fail else Diff.Ok in
-        { row with a = Some cap; rel = Diff.rel cap cur; verdict }
-    | None, Some base, Some cur ->
-        let worse =
-          match List.assoc row.path gates with Higher -> cur < base | Lower -> cur > base
-        in
-        if worse then row else { row with verdict = Diff.Ok }
-    | _ -> row
-  in
-  Diff.of_rows (List.map judge rep.rows)
+  Format.fprintf fmt "%-20s median %.2f%s [%.2f, %.2f]  %s  %s" r.name med unit_ q1 q3 budget
+    (if over_budget r then "OVER" else "ok")

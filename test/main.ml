@@ -53,5 +53,6 @@ let () =
       ("label-props", Test_label_props.suite);
       ("metamorphic", Test_metamorphic.suite);
       ("loadgen", Test_loadgen.suite);
+      ("mutation", Test_mutation.suite);
       ("cli", Test_cli.suite);
     ]

@@ -201,70 +201,34 @@ let test_diff_scope () =
     (List.map (fun (r : Diff.row) -> (r.path, Diff.label r)) added.rows)
 
 (* ------------------------------------------------------------------ *)
-(* bench baseline gate *)
+(* bench ratio verdict *)
 
 module B = Sbft_harness.Benchmarks
 
-let bench ?(events = 1000.0) ?(sweep_us = 100.0) ?(series_pct = 1.0) ?(loadgen_pct = 1.0) () =
-  {
-    B.engine_events_per_s = events;
-    engine_runs = 1;
-    fuzz_schedules_per_s = 50.0;
-    fuzz_executed = 10;
-    fuzz_parallel = [ { B.domains = 1; schedules_per_s = 40.0; executed = 10 } ];
-    checker =
-      {
-        B.hist_ops = 10;
-        hist_writes = 1;
-        hist_reads = 9;
-        sweep_us;
-        oracle_us = 1e4;
-        speedup = 100.0;
-      };
-    overhead =
-      {
-        B.off_events_per_s = 2000.0;
-        sampled_events_per_s = 1500.0;
-        full_events_per_s = 1000.0;
-        sampled_overhead_pct = 25.0;
-        full_overhead_pct = 50.0;
-      };
-    series =
-      { B.base_events_per_s = 900.0; on_events_per_s = 890.0; series_overhead_pct = series_pct };
-    loadgen =
-      {
-        B.closed_ops_per_s = 100.0;
-        open_ops_per_s = 99.0;
-        loadgen_overhead_pct = loadgen_pct;
-        ops_per_run = 120;
-      };
-  }
-
-let test_bench_gate () =
-  let baseline = B.to_json (bench ()) in
-  let gate ?(baseline = baseline) r = B.compare_to_baseline ~tolerance:(tol 0.3) ~baseline r in
-  let regressed r = List.map (fun (row : Diff.row) -> row.path) (Diff.drifted (gate r)) in
-  Alcotest.(check (list string)) "identical passes" [] (regressed (bench ()));
-  Alcotest.(check (list string)) "31% events drop regresses" [ "engine.events_per_s" ]
-    (regressed (bench ~events:690.0 ()));
-  Alcotest.(check (list string)) "31% sweep rise regresses" [ "checker.sweep_us_per_history" ]
-    (regressed (bench ~sweep_us:(100.0 /. 0.69) ()));
-  Alcotest.(check (list string)) "50% rate rise passes" [] (regressed (bench ~events:1500.0 ()));
-  let without_engine =
-    match baseline with
-    | J.Obj kvs -> J.Obj (List.remove_assoc "engine" kvs)
-    | j -> j
-  in
-  Alcotest.(check (list (pair string string))) "gated path missing from the baseline is NEW"
-    [ ("engine.events_per_s", "NEW") ]
-    (List.filter_map
-       (fun (row : Diff.row) ->
-         if row.verdict = Diff.Ok then None else Some (row.path, Diff.label row))
-       (gate ~baseline:without_engine (bench ())).rows);
-  Alcotest.(check (list string)) "series overhead over budget" [ "series_overhead.overhead_pct" ]
-    (regressed (bench ~series_pct:5.1 ()));
-  Alcotest.(check (list string)) "loadgen overhead over budget" [ "loadgen_overhead.overhead_pct" ]
-    (regressed (bench ~loadgen_pct:5.1 ()))
+let test_bench_verdict () =
+  let row ?(name = "series on vs off") budget samples = { B.name; budget; samples } in
+  let cap = row (B.Cap 5.0) in
+  Alcotest.(check bool) "one round of seven over 5% passes" false
+    (B.over_budget (cap [| 1.0; 2.0; 5.1; 0.5; 3.0; -1.0; 4.9 |]));
+  Alcotest.(check bool) "six rounds of seven over 5% fail" true
+    (B.over_budget (cap [| 5.1; 6.0; 1.0; 7.5; 5.2; 9.0; 5.01 |]));
+  Alcotest.(check bool) "series overhead over budget" true
+    (B.over_budget (cap (Array.make 7 5.1)));
+  Alcotest.(check bool) "loadgen overhead over budget" true
+    (B.over_budget (row ~name:"open vs closed loop" (B.Cap 5.0) (Array.make 7 5.1)));
+  let floor = row ~name:"sweep vs scan" (B.Floor 25.0) in
+  Alcotest.(check bool) "speedup with q3 on its floor passes" false
+    (B.over_budget (floor [| 20.0; 21.0; 22.0; 23.0; 24.0; 25.0; 40.0 |]));
+  Alcotest.(check bool) "speedup with q3 under its floor fails" true
+    (B.over_budget (floor [| 20.0; 21.0; 22.0; 23.0; 24.0; 24.9; 40.0 |]));
+  let r = row ~name:"open vs closed loop" (B.Cap 5.0) [| 3.0; -1.0; 4.5; 0.25; 2.0; 7.0; 1.5 |] in
+  let p = Sbft_harness.Stats.percentile r.samples in
+  Alcotest.(check (list (float 0.0))) "quartiles of seven are the 2nd, 4th and 6th"
+    [ 0.25; 2.0; 4.5 ] [ p 25.0; p 50.0; p 75.0 ];
+  Alcotest.(check string) "printed median and quartiles are Stats.percentile's"
+    (Printf.sprintf "%-20s median %.2f%% [%.2f, %.2f]  q1 <= 5%%  ok" r.name (p 50.0) (p 25.0)
+       (p 75.0))
+    (Format.asprintf "%a" B.pp_row r)
 
 (* ------------------------------------------------------------------ *)
 (* telemetry *)
@@ -356,7 +320,7 @@ let suite =
     Alcotest.test_case "DOT and ASCII renderings" `Quick test_renderings;
     Alcotest.test_case "diff verdict thresholds" `Quick test_diff_verdicts;
     Alcotest.test_case "diff comparable scope" `Quick test_diff_scope;
-    Alcotest.test_case "bench baseline gate" `Quick test_bench_gate;
+    Alcotest.test_case "bench ratio verdict" `Quick test_bench_verdict;
     Alcotest.test_case "telemetry snapshots and series" `Quick test_telemetry;
     Alcotest.test_case "telemetry disabled" `Quick test_telemetry_disabled;
   ]
