@@ -144,8 +144,12 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) protocol ~n ~f ~client
       write_counter = 0;
     }
   in
-  Array.iter (fun s -> Network.register net s.sid (fun ~src msg -> handle_server t s ~src msg)) t.servers;
-  Array.iter (fun c -> Network.register net c.cid (fun ~src msg -> handle_client t c ~src msg)) t.clients;
+  Array.iter
+    (fun s -> Network.register net s.sid (fun ~dst:_ ~src msg -> handle_server t s ~src msg))
+    t.servers;
+  Array.iter
+    (fun c -> Network.register net c.cid (fun ~dst:_ ~src msg -> handle_client t c ~src msg))
+    t.clients;
   t
 
 let client t cid =
@@ -209,7 +213,7 @@ let make_byzantine t id =
     | Kanjani -> Read_r { value = -700 - src; ts = { Ts.ts = Rng.int rng 100; writer = id } }
     | Mr_safe -> Read_r { value = -500 - src; ts = { Ts.ts = Rng.int rng 50; writer = id } }
   in
-  Network.register t.net id (fun ~src msg ->
+  Network.register t.net id (fun ~dst:_ ~src msg ->
       match msg with
       | Read_q -> Network.send t.net ~src:id ~dst:src (forged ~src)
       | Ts_q -> Network.send t.net ~src:id ~dst:src (Ts_r { ts = Ts.initial })

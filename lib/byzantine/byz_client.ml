@@ -13,7 +13,7 @@ let flood sys ~client ~period ~until =
   let sbls = System.label_system sys in
   (* Disconnect the correct automaton: the compromised endpoint ignores
      everything sent to it. *)
-  Network.register net client (fun ~src:_ _ -> ());
+  Network.register net client (fun ~dst:_ ~src:_ _ -> ());
   let junk () =
     match Rng.int rng 5 with
     | 0 -> Msg.Read_req { label = Rng.int_in rng (-1) (cfg.read_label_pool + 2) }
@@ -34,7 +34,7 @@ let ghost_reader sys ~client =
   let net = System.network sys in
   let cfg = System.config sys in
   let rng = Rng.split (System.rng sys) in
-  Network.register net client (fun ~src:_ _ -> ());
+  Network.register net client (fun ~dst:_ ~src:_ _ -> ());
   List.iter
     (fun s ->
       Network.send net ~src:client ~dst:s

@@ -6,7 +6,10 @@ module Trace = Sbft_sim.Trace
 module Event = Sbft_sim.Event
 module Profile = Sbft_sim.Profile
 
-type 'msg handler = src:int -> 'msg -> unit
+type 'msg handler = dst:int -> src:int -> 'msg -> unit
+
+(* The empty slot of [handlers], told apart by physical equality. *)
+let no_handler ~dst:_ ~src:_ _ = ()
 
 type transport = Direct | Over_datalink of { capacity : int; loss : float; max_delay : int }
 
@@ -21,17 +24,18 @@ type 'msg t = {
   profile : Profile.t;
   rng : Rng.t;
   delay : Delay.t;
-  handlers : 'msg handler option array;
+  handlers : 'msg handler array; (* [no_handler] until registered *)
   frontier : int array array;
-  (* [frontier.(src).(dst)]: last scheduled delivery time on that channel;
-     later sends are never scheduled at or before it, which is what makes
-     every channel FIFO regardless of the delay policy.  A sender's row
-     is allocated on its first transmission (the empty array until then),
-     so channel state follows the endpoints that actually talk. *)
+  (* [frontier.(src).(dst)]: last scheduled delivery time on that channel
+     (0: nothing scheduled yet); later sends are never scheduled at or
+     before it, which is what makes every channel FIFO regardless of the
+     delay policy.  A sender's row is the empty array until its first
+     transmission and spans only the destinations it can reach so far
+     (see [frontier_row]), so channel state follows the traffic. *)
   mutable slow : int array; (* [src * n + dst]; empty (all 1) until the first [set_slow] *)
   mutable tamper : (src:int -> dst:int -> 'msg -> 'msg option) option;
   kinds : 'msg kinds option;
-  down : bool array;
+  down : Bytes.t; (* byte [id] is non-zero once endpoint [id] crashed *)
   mutable queued : int;
   transport : transport;
   links : (int * 'msg) Datalink.t option array;
@@ -68,12 +72,12 @@ let create engine ~endpoints ?(servers = 0) ~delay ?kinds ?(transport = Direct) 
     profile = Engine.profile engine;
     rng = Rng.split (Engine.rng engine);
     delay;
-    handlers = Array.make endpoints None;
+    handlers = Array.make endpoints no_handler;
     frontier = Array.make endpoints [||];
     slow = [||];
     tamper = None;
     kinds;
-    down = Array.make endpoints false;
+    down = Bytes.make endpoints '\000';
     queued = 0;
     transport;
     links =
@@ -100,11 +104,11 @@ let endpoints t = t.n
 
 let chan t ~src ~dst = (src * t.n) + dst
 
-let register t id handler = t.handlers.(id) <- Some handler
+let register t id handler = t.handlers.(id) <- handler
 
-let crash t id = t.down.(id) <- true
+let crash t id = Bytes.set t.down id '\001'
 
-let crashed t id = t.down.(id)
+let crashed t id = Bytes.get t.down id <> '\000'
 
 let set_slow t ~src ~dst ~factor =
   if Array.length t.slow = 0 then t.slow <- Array.make (t.n * t.n) 1;
@@ -162,29 +166,30 @@ let drop t ~span ~src ~dst ~kind reason =
    is saved and restored inline instead of through a [with_span]
    closure. *)
 let dispatch t ~span ~src ~dst msg payload =
-  match t.handlers.(dst) with
-  | None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "no_handler"
-  | Some h ->
-      Metrics.counter_incr t.delivered_c;
-      t.node_delivered.(dst) <- t.node_delivered.(dst) + 1;
-      let tr = Engine.trace t.engine in
-      if Trace.admits tr ~span then
-        Trace.emit tr ~time:(Engine.now t.engine)
-          (Event.Msg_delivered { src; dst; kind = kind_of t payload; span });
-      notify t `Deliver ~src ~dst payload;
-      Profile.enter t.profile (if dst < t.servers then Profile.Server_step else Profile.Client_step);
-      let saved = t.span_ctx in
-      t.span_ctx <- span;
-      (match h ~src payload with
-      | () -> t.span_ctx <- saved
-      | exception e ->
-          t.span_ctx <- saved;
-          raise e);
-      Profile.leave t.profile
+  let h = t.handlers.(dst) in
+  if h == no_handler then drop t ~span ~src ~dst ~kind:(kind_of t msg) "no_handler"
+  else begin
+    Metrics.counter_incr t.delivered_c;
+    t.node_delivered.(dst) <- t.node_delivered.(dst) + 1;
+    let tr = Engine.trace t.engine in
+    if Trace.admits tr ~span then
+      Trace.emit tr ~time:(Engine.now t.engine)
+        (Event.Msg_delivered { src; dst; kind = kind_of t payload; span });
+    notify t `Deliver ~src ~dst payload;
+    Profile.enter t.profile (if dst < t.servers then Profile.Server_step else Profile.Client_step);
+    let saved = t.span_ctx in
+    t.span_ctx <- span;
+    (match h ~dst ~src payload with
+    | () -> t.span_ctx <- saved
+    | exception e ->
+        t.span_ctx <- saved;
+        raise e);
+    Profile.leave t.profile
+  end
 
 let deliver t ~span ~src ~dst msg =
   Profile.enter t.profile Profile.Delivery;
-  (if t.down.(dst) then drop t ~span ~src ~dst ~kind:(kind_of t msg) "crashed"
+  (if crashed t dst then drop t ~span ~src ~dst ~kind:(kind_of t msg) "crashed"
    else
      match t.tamper with
      | None -> dispatch t ~span ~src ~dst msg msg
@@ -194,15 +199,24 @@ let deliver t ~span ~src ~dst msg =
          | None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "tampered"));
   Profile.leave t.profile
 
+(* [src]'s frontier row, long enough to hold [dst].  A sender's first
+   row spans the servers when its first destination is one (a client of
+   the server-based register never needs more), every endpoint
+   otherwise; a send past its end copies it into a full-width row, so
+   every frontier, and with it FIFO order, carries over. *)
+let frontier_row t ~src ~dst =
+  let row = t.frontier.(src) in
+  if dst < Array.length row then row
+  else begin
+    let len = Array.length row in
+    let wide = Array.make (if len = 0 && dst < t.servers then t.servers else t.n) 0 in
+    Array.blit row 0 wide 0 len;
+    t.frontier.(src) <- wide;
+    wide
+  end
+
 let enqueue t ~span ~src ~dst ~delay_ticks msg =
-  let row =
-    match t.frontier.(src) with
-    | [||] ->
-        let row = Array.make t.n 0 in
-        t.frontier.(src) <- row;
-        row
-    | row -> row
-  in
+  let row = frontier_row t ~src ~dst in
   let now = Engine.now t.engine in
   let at = max (now + max 1 delay_ticks) (row.(dst) + 1) in
   row.(dst) <- at;
@@ -239,7 +253,7 @@ let transmit_now t ~span ~src ~dst msg =
       Datalink.send (link t ~src ~dst ~capacity ~loss ~max_delay) (span, msg)
 
 let send t ~src ~dst msg =
-  if not t.down.(src) then begin
+  if not (crashed t src) then begin
     Profile.enter t.profile Profile.Delivery;
     let span = t.span_ctx in
     Metrics.counter_incr t.sent_c;

@@ -20,7 +20,10 @@
 
 type 'msg t
 
-type 'msg handler = src:int -> 'msg -> unit
+type 'msg handler = dst:int -> src:int -> 'msg -> unit
+(** A receive handler, called with the endpoint the message reached
+    ([dst]) and its sender ([src]); [dst] lets one closure serve many
+    endpoints. *)
 
 type transport =
   | Direct  (** reliable FIFO channels, delays drawn from the policy *)
@@ -63,7 +66,13 @@ val create :
     A fresh network costs O([endpoints]) words.  Per-channel state
     appears on first use: a sender's delivery frontiers on its first
     transmission, the slow-factor table on the first {!set_slow}, and
-    the data-link table only under [Over_datalink]. *)
+    the data-link table only under [Over_datalink].  A sender's
+    frontier row covers the destinations it can reach so far: [servers]
+    entries when its first destination is a server, every endpoint's
+    otherwise, and every endpoint's from its first send past the
+    servers.  A client that talks only to servers, as in the
+    server-based register, so costs O([servers]) words, not
+    O([endpoints]). *)
 
 val engine : 'msg t -> Sbft_sim.Engine.t
 
@@ -72,7 +81,9 @@ val endpoints : 'msg t -> int
 val register : 'msg t -> int -> 'msg handler -> unit
 (** Attach the receive handler of endpoint [id]. Replaces any previous
     handler (used when a correct server is swapped for a Byzantine
-    one). *)
+    one).  One handler may sit in many slots and tell its endpoints
+    apart by [dst]: a register's client endpoints share one.  A
+    message to an endpoint without a handler is dropped. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueue a message. Delivery is scheduled per the delay policy,

@@ -41,14 +41,16 @@ type t = {
   mutable rspan : span option;
   mutable op_seq : int; (* fallback span ids when driven without a history *)
   rl : Read_labels.t;
-  safe : bool array; (* per server: echoed FLUSH_ACK for the current label *)
+  safe : Bytes.t; (* servers that echoed FLUSH_ACK for the current label *)
   (* Per-server state of the current phase, indexed by server id:
-     allocated once and reset when a phase starts. *)
-  got : bool array; (* collect: TS reply received ... *)
+     allocated once and reset when a phase starts.  The sets are byte
+     sets (see [mem]); a slot of [stamps], [values], [current] or
+     [recent] is read only once its server is in the set beside it. *)
+  got : Bytes.t; (* collect: TS reply received ... *)
   stamps : Msg.ts array; (* ... and its timestamp *)
-  acked : bool array; (* commit: ACK received *)
-  nacked : bool array; (* commit: NACK received *)
-  replied : bool array; (* read: reply received ... *)
+  acked : Bytes.t; (* commit: ACK received *)
+  nacked : Bytes.t; (* commit: NACK received *)
+  replied : Bytes.t; (* read: reply received ... *)
   values : int array; (* ... its current pair ... *)
   current : Msg.ts array;
   recent : Msg.hist_entry list array; (* ... and its old_vals, as received *)
@@ -66,7 +68,23 @@ let aborted_reads t = t.aborted
 
 let is_server t src = Config.is_server t.cfg src
 
-let count set = Array.fold_left (fun n b -> if b then n + 1 else n) 0 set
+(* A set of server ids is one byte per server, non-zero for members. *)
+let mem set s = Bytes.get set s <> '\000'
+
+let add set s = Bytes.set set s '\001'
+
+let clear set = Bytes.fill set 0 (Bytes.length set) '\000'
+
+let count set =
+  let c = ref 0 in
+  for s = 0 to Bytes.length set - 1 do
+    if mem set s then incr c
+  done;
+  !c
+
+(* What [stamps] and [current] hold before a reply fills a slot; every
+   client shares it, since no slot is read before it is filled. *)
+let placeholder = Mw_ts.initial (Sbls.system ~k:2)
 
 let broadcast t msg =
   for s = 0 to t.cfg.n - 1 do
@@ -120,7 +138,7 @@ let wspan_id t = match t.wspan with Some s -> s.sid | None -> Event.no_span
 let rspan_id t = match t.rspan with Some s -> s.sid | None -> Event.no_span
 
 let start_collect t ~value ~k =
-  Array.fill t.got 0 t.cfg.n false;
+  clear t.got;
   t.wphase <- W_collect { value; k };
   Network.with_span t.net (wspan_id t) (fun () -> broadcast t Msg.Get_ts)
 
@@ -136,7 +154,7 @@ let write ?op_id ?span_k t ~value k =
 let on_ts_reply t ~src ts =
   match t.wphase with
   | W_collect { value; k } when is_server t src ->
-      t.got.(src) <- true;
+      add t.got src;
       t.stamps.(src) <- ts;
       let n_got = count t.got in
       if n_got >= Config.quorum t.cfg then begin
@@ -158,11 +176,11 @@ let on_ts_reply t ~src ts =
            on their order. *)
         let collected = ref [] in
         for s = t.cfg.n - 1 downto 0 do
-          if t.got.(s) then collected := t.stamps.(s) :: !collected
+          if mem t.got s then collected := t.stamps.(s) :: !collected
         done;
         let wts = Mw_ts.next t.sys ~writer:t.id !collected in
-        Array.fill t.acked 0 t.cfg.n false;
-        Array.fill t.nacked 0 t.cfg.n false;
+        clear t.acked;
+        clear t.nacked;
         t.wphase <- W_commit { value; k; ts = wts };
         Network.with_span t.net (wspan_id t) (fun () ->
             broadcast t (Msg.Write_req { value; ts = wts }))
@@ -185,7 +203,7 @@ let restart_write t ~value ~k =
 let on_write_ack t ~src ~ts ~ack =
   match t.wphase with
   | W_commit { value; k; ts = wts } when is_server t src && Mw_ts.equal ts wts ->
-      (if ack then t.acked else t.nacked).(src) <- true;
+      add (if ack then t.acked else t.nacked) src;
       let n_acks = count t.acked in
       if n_acks + count t.nacked >= Config.quorum t.cfg then
         if n_acks >= Config.witness_threshold t.cfg then begin
@@ -246,7 +264,9 @@ let start_reading t ~k ~label =
   | None -> ());
   t.rphase <- R_read { k; label };
   Network.with_span t.net (rspan_id t) (fun () ->
-      Array.iteri (fun s safe -> if safe then send_read t ~label s) t.safe)
+      for s = 0 to t.cfg.n - 1 do
+        if mem t.safe s then send_read t ~label s
+      done)
 
 let check_flush_done t =
   match t.rphase with
@@ -256,9 +276,9 @@ let check_flush_done t =
 
 let read ?op_id ?span_k t k =
   if t.rphase <> R_idle then invalid_arg "Client.read: read already in progress";
-  Array.fill t.replied 0 t.cfg.n false;
+  clear t.replied;
   Array.fill t.recent 0 t.cfg.n [];
-  Array.fill t.safe 0 (Array.length t.safe) false;
+  clear t.safe;
   let span = fresh_span t ~op_id in
   t.rspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
@@ -302,7 +322,9 @@ let finish_read t ~k ~label outcome =
   | None -> ());
   let complete = Msg.Complete_read { label } in
   Network.with_span t.net sid (fun () ->
-      Array.iteri (fun s safe -> if safe then Network.send t.net ~src:t.id ~dst:s complete) t.safe);
+      for s = 0 to t.cfg.n - 1 do
+        if mem t.safe s then Network.send t.net ~src:t.id ~dst:s complete
+      done);
   k outcome
 
 (* One server's history at ranks [rank], [rank + 1], ...: each report
@@ -322,7 +344,7 @@ let try_complete t ~k ~label =
     let n = t.cfg.n and min_weight = Config.witness_threshold t.cfg in
     let table = Wtsg.local ~servers:n in
     for server = 0 to n - 1 do
-      if t.replied.(server) then
+      if mem t.replied server then
         Wtsg.add table ~server ~value:t.values.(server) ~ts:t.current.(server) ~rank:0
     done;
     let decided =
@@ -330,7 +352,7 @@ let try_complete t ~k ~label =
       | Some _ as node -> node
       | None ->
           for server = 0 to n - 1 do
-            if t.replied.(server) then
+            if mem t.replied server then
               add_history table ~depth:t.cfg.history_depth ~server 1 t.recent.(server)
           done;
           Wtsg.best table ~min_weight
@@ -345,10 +367,10 @@ let on_flush_ack t ~src ~label =
     Read_labels.clear_pending t.rl ~server:src ~label;
     match t.rphase with
     | R_flush { label = cur; _ } when label = cur ->
-        t.safe.(src) <- true;
+        add t.safe src;
         check_flush_done t
-    | R_read { label = cur; _ } when label = cur && not t.safe.(src) ->
-        t.safe.(src) <- true;
+    | R_read { label = cur; _ } when label = cur && not (mem t.safe src) ->
+        add t.safe src;
         send_read t ~label:cur src
     | _ -> ()
   end
@@ -357,8 +379,8 @@ let on_reply t ~src ~value ~ts ~old ~label =
   if is_server t src then begin
     Read_labels.clear_pending t.rl ~server:src ~label;
     match t.rphase with
-    | R_read { k; label = cur } when label = cur && t.safe.(src) ->
-        t.replied.(src) <- true;
+    | R_read { k; label = cur } when label = cur && mem t.safe src ->
+        add t.replied src;
         t.values.(src) <- value;
         t.current.(src) <- ts;
         t.recent.(src) <- old;
@@ -381,7 +403,9 @@ let handle t ~src msg =
 
 let corrupt t rng =
   Read_labels.corrupt t.rl rng;
-  Array.iteri (fun i _ -> t.safe.(i) <- Rng.bool rng) t.safe;
+  for s = 0 to t.cfg.n - 1 do
+    Bytes.set t.safe s (if Rng.bool rng then '\001' else '\000')
+  done;
   t.write_ts <-
     (if Rng.bool rng then Some (Mw_ts.random_garbage t.sys rng) else t.write_ts)
 
@@ -393,7 +417,6 @@ let abandon t =
 
 let create cfg sys net ~meters ~id =
   if Config.is_server cfg id then invalid_arg "Client.create: id is a server endpoint";
-  let no_ts = Mw_ts.initial sys in
   {
     cfg;
     sys;
@@ -407,14 +430,14 @@ let create cfg sys net ~meters ~id =
     rspan = None;
     op_seq = 0;
     rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
-    safe = Array.make cfg.n false;
-    got = Array.make cfg.n false;
-    stamps = Array.make cfg.n no_ts;
-    acked = Array.make cfg.n false;
-    nacked = Array.make cfg.n false;
-    replied = Array.make cfg.n false;
+    safe = Bytes.make cfg.n '\000';
+    got = Bytes.make cfg.n '\000';
+    stamps = Array.make cfg.n placeholder;
+    acked = Bytes.make cfg.n '\000';
+    nacked = Bytes.make cfg.n '\000';
+    replied = Bytes.make cfg.n '\000';
     values = Array.make cfg.n 0;
-    current = Array.make cfg.n no_ts;
+    current = Array.make cfg.n placeholder;
     recent = Array.make cfg.n [];
     write_ts = None;
     aborted = 0;

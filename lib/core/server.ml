@@ -125,5 +125,5 @@ let create cfg sys net ~meters ~id =
       writes_applied = 0;
     }
   in
-  Network.register net id (fun ~src msg -> handle t ~src msg);
+  Network.register net id (fun ~dst:_ ~src msg -> handle t ~src msg);
   t

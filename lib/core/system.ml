@@ -15,7 +15,7 @@ type t = {
   meters : Meters.t; (* shared by the servers and clients *)
   clients : Client.t option array;
   (* by [id - n], created on first use (see [client] in the interface):
-     an idle client costs one slot and its delivery closure *)
+     an idle client costs one slot *)
   history : Msg.ts History.t;
   fault_rng : Rng.t;
 }
@@ -47,12 +47,13 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level ?sample ?
   let t =
     { cfg; engine; net; sys; servers; meters; clients; history = History.create (); fault_rng }
   in
-  (* Each client endpoint's handler is registered once, here, and
-     creates the automaton at its first message: a Byzantine takeover
-     that replaces the handler is never undone by the automaton's later
-     creation. *)
-  for i = 0 to cfg.clients - 1 do
-    Network.register net (cfg.n + i) (fun ~src msg -> Client.handle (client_at t i) ~src msg)
+  (* One handler serves every client endpoint.  It is registered once,
+     here, and creates the automaton at the endpoint's first message: a
+     Byzantine takeover that replaces one endpoint's handler is never
+     undone by the automaton's later creation. *)
+  let to_client ~dst ~src msg = Client.handle (client_at t (dst - cfg.n)) ~src msg in
+  for id = cfg.n to Config.endpoints cfg - 1 do
+    Network.register net id to_client
   done;
   t
 
@@ -112,7 +113,7 @@ let corrupt_everything t ~severity =
 
 let replace_server_handler t id handler =
   if not (Config.is_server t.cfg id) then invalid_arg "System.replace_server_handler";
-  Network.register t.net id handler
+  Network.register t.net id (fun ~dst:_ ~src msg -> handler ~src msg)
 
 let server_states t =
   Array.to_list (Array.map (fun s -> (Server.id s, Server.value s, Server.ts s)) t.servers)

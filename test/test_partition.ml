@@ -11,7 +11,7 @@ let test_partition_parks_and_heals () =
   let e = Sbft_sim.Engine.create ~seed:1L () in
   let net = Network.create e ~endpoints:4 ~delay:(Sbft_channel.Delay.fixed 2) () in
   let seen = ref [] in
-  Network.register net 2 (fun ~src:_ m -> seen := m :: !seen);
+  Network.register net 2 (fun ~dst:_ ~src:_ m -> seen := m :: !seen);
   Network.partition net ~groups:[ [ 0; 1 ]; [ 2; 3 ] ];
   Alcotest.(check bool) "cross-cut" true (Network.partitioned net ~src:0 ~dst:2);
   Alcotest.(check bool) "same side" false (Network.partitioned net ~src:0 ~dst:1);

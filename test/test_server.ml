@@ -16,7 +16,7 @@ let setup ?(n = 6) ?(f = 1) () =
   let server = Server.create cfg sys net ~meters:(Meters.create (Engine.metrics engine)) ~id:0 in
   let client = cfg.n in
   let inbox = ref [] in
-  Network.register net client (fun ~src msg -> inbox := (src, msg) :: !inbox);
+  Network.register net client (fun ~dst:_ ~src msg -> inbox := (src, msg) :: !inbox);
   (engine, net, sys, server, client, fun () -> List.rev !inbox)
 
 let ts_of sys i =

@@ -187,9 +187,10 @@ let test_config_validation () =
   let unsafe = Config.make ~allow_unsafe:true ~n:5 ~f:1 ~clients:1 () in
   Alcotest.(check int) "unsafe config built" 5 unsafe.n
 
-(* A fresh register costs O(n + clients) words beyond its engine:
-   channel and client state appear on first use, not (n + clients)^2 up
-   front. *)
+(* A fresh register costs O(n + clients) words beyond its engine, at
+   most 16 per endpoint: channel and client state appear on first use,
+   not (n + clients)^2 up front, and every client endpoint shares one
+   handler. *)
 let test_fresh_footprint_linear () =
   List.iter
     (fun clients ->
@@ -198,10 +199,32 @@ let test_fresh_footprint_linear () =
       let words =
         Obj.reachable_words (Obj.repr sys) - Obj.reachable_words (Obj.repr (System.engine sys))
       in
-      let budget = 32 * (n + clients) in
+      let budget = 16 * (n + clients) in
       if words > budget then
         Alcotest.failf "clients=%d: %d words beyond the engine, budget %d" clients words budget)
     [ 64; 512 ]
+
+(* A client's first operation costs O(n) words: on a warm n = 6
+   register, fresh clients' first reads grow it by as many words at 64
+   clients as at 512, and by at most 128 each.  A client's channel row
+   spans only the servers it talks to, and its flags are byte sets. *)
+let test_first_operation_linear_in_n () =
+  let growth clients =
+    let n = 6 in
+    let sys = make ~n ~clients () in
+    System.write sys ~client:n ~value:1 ~k:(fun () -> System.read sys ~client:(n + 1) ()) ();
+    System.quiesce sys;
+    let before = Obj.reachable_words (Obj.repr sys) in
+    for client = n + 2 to n + 3 do
+      System.read sys ~client ();
+      System.quiesce sys
+    done;
+    float_of_int (Obj.reachable_words (Obj.repr sys) - before) /. 2.0
+  in
+  let small = growth 64 and large = growth 512 in
+  if small <> large || large > 128.0 then
+    Alcotest.failf "a first read grows the register by %.1f words at 64 clients, %.1f at 512 (budget 128)"
+      small large
 
 (* Garbage in the channel to a client that never ran an operation still
    reaches a (fresh, correct) automaton: it is delivered, not dropped
@@ -256,6 +279,8 @@ let suite =
     Alcotest.test_case "larger deployment n=16" `Quick test_larger_deployment;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "fresh footprint O(n + clients)" `Quick test_fresh_footprint_linear;
+    Alcotest.test_case "a client's first operation costs O(n) words" `Quick
+      test_first_operation_linear_in_n;
     Alcotest.test_case "inject reaches an untouched client" `Quick test_inject_reaches_untouched_client;
     Alcotest.test_case "write-then-read allocation" `Quick test_write_read_allocation;
   ]
