@@ -36,9 +36,10 @@ bench:
 # --scale 0.1 --trace 1) and check every `workload metric op value`
 # line of that file against the printed metrics.  `=` compares the
 # printed text, since two values one digit apart can parse to the same
-# double.  A mismatch, a metric the suite did not print and a malformed
-# line each fail, naming the line; a suite that fails its own checks
-# fails the gate too.  The fuzz.scaling_2d floor needs two cores and is
+# double; kv words per op and heap per key have `<=` ceilings.  A
+# mismatch, a metric the suite did not print and a malformed line each
+# fail, naming the line; a suite that fails its own checks fails the
+# gate too.  The fuzz.scaling_2d floor needs two cores and is
 # skipped on one.  Workloads run one at a time: a second suite process
 # on the other core pulls fuzz.scaling_2d under its floor.
 count-gate:
