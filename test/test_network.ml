@@ -166,6 +166,43 @@ let test_fifo_across_widened_row () =
   Engine.run e;
   Alcotest.(check (list (pair int string))) "send order" [ (2, "long"); (2, "short") ] (got ())
 
+(* Each direction of a server-client pair has a frontier of its own: a
+   reply sent after a slow request arrives at its own delay.  The
+   client's later send to another client widens its row, which must
+   keep every frontier it held and give the new channel a cell of its
+   own. *)
+let test_directions_have_own_frontiers () =
+  let e = Engine.create ~seed:99L () in
+  let ticks = ref 0 in
+  let net = Network.create e ~endpoints:4 ~servers:2 ~delay:(fun _ ~src:_ ~dst:_ -> !ticks) () in
+  let arrived = ref [] in
+  for id = 0 to 3 do
+    Network.register net id (fun ~dst:_ ~src:_ msg -> arrived := (msg, Engine.now e) :: !arrived)
+  done;
+  let send ~src ~dst ~delay msg =
+    ticks := delay;
+    Network.send net ~src ~dst msg
+  in
+  send ~src:2 ~dst:0 ~delay:50 "request";
+  send ~src:1 ~dst:2 ~delay:30 "slow reply";
+  send ~src:0 ~dst:2 ~delay:1 "reply";
+  send ~src:2 ~dst:3 ~delay:1 "widen";
+  send ~src:0 ~dst:2 ~delay:1 "second reply";
+  send ~src:2 ~dst:0 ~delay:1 "second request";
+  send ~src:1 ~dst:2 ~delay:1 "second slow reply";
+  Engine.run e;
+  List.iter
+    (fun (msg, at) -> Alcotest.(check (option int)) msg (Some at) (List.assoc_opt msg !arrived))
+    [
+      ("request", 50);
+      ("slow reply", 30);
+      ("reply", 1);
+      ("widen", 1);
+      ("second reply", 2);
+      ("second request", 51);
+      ("second slow reply", 31);
+    ]
+
 let qcheck_fifo_random_delays =
   QCheck.Test.make ~name:"network: per-channel FIFO under any delay policy" ~count:50
     QCheck.(pair (int_bound 10_000) (int_range 1 40))
@@ -198,5 +235,7 @@ let suite =
     Alcotest.test_case "classify metrics" `Quick test_classify_metrics;
     Alcotest.test_case "in-flight accounting" `Quick test_in_flight;
     Alcotest.test_case "FIFO holds across a widened row" `Quick test_fifo_across_widened_row;
+    Alcotest.test_case "a server->client send ignores the pair's client->server frontier" `Quick
+      test_directions_have_own_frontiers;
     QCheck_alcotest.to_alcotest qcheck_fifo_random_delays;
   ]
