@@ -129,7 +129,7 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) protocol ~n ~f ~client
   if protocol = Mr_safe && clients < 1 then
     invalid_arg "Baseline.create: Mr_safe needs its writer client";
   let engine = Engine.create ~seed () in
-  let net = Network.create engine ~endpoints:(n + clients) ~delay () in
+  let net = Network.create engine ~endpoints:(n + clients) ~servers:n ~delay () in
   let t =
     {
       protocol;

@@ -20,18 +20,19 @@ type 'msg t = {
   n : int;
   servers : int;
   (* endpoints [0, servers) run server automata; the rest are clients.
-     Only used to attribute handler time to the right profiler phase. *)
+     Sets which row holds a channel's frontier (see [enqueue]) and which
+     profiler phase a handler's time is charged to. *)
   profile : Profile.t;
   rng : Rng.t;
   delay : Delay.t;
   handlers : 'msg handler array; (* [no_handler] until registered *)
   frontier : int array array;
-  (* [frontier.(src).(dst)]: last scheduled delivery time on that channel
-     (0: nothing scheduled yet); later sends are never scheduled at or
-     before it, which is what makes every channel FIFO regardless of the
-     delay policy.  A sender's row is the empty array until its first
-     transmission and spans only the destinations it can reach so far
-     (see [frontier_row]), so channel state follows the traffic. *)
+  (* Per channel, the last scheduled delivery time (0: nothing scheduled
+     yet); later sends are never scheduled at or before it, which is
+     what makes every channel FIFO regardless of the delay policy.  A
+     row is the empty array until one of its channels is first used and
+     spans only the cells used so far (see [enqueue]), so channel state
+     follows the traffic. *)
   mutable slow : int array; (* [src * n + dst]; empty (all 1) until the first [set_slow] *)
   mutable tamper : (src:int -> dst:int -> 'msg -> 'msg option) option;
   kinds : 'msg kinds option;
@@ -112,7 +113,7 @@ let crashed t id = Bytes.get t.down id <> '\000'
 
 let set_slow t ~src ~dst ~factor =
   if Array.length t.slow = 0 then t.slow <- Array.make (t.n * t.n) 1;
-  t.slow.(chan t ~src ~dst) <- max 1 factor
+  t.slow.(chan t ~src ~dst) <- Int.max 1 factor
 
 let slow_factor t ~src ~dst = if Array.length t.slow = 0 then 1 else t.slow.(chan t ~src ~dst)
 
@@ -199,27 +200,34 @@ let deliver t ~span ~src ~dst msg =
          | None -> drop t ~span ~src ~dst ~kind:(kind_of t msg) "tampered"));
   Profile.leave t.profile
 
-(* [src]'s frontier row, long enough to hold [dst].  A sender's first
-   row spans the servers when its first destination is one (a client of
-   the server-based register never needs more), every endpoint
-   otherwise; a send past its end copies it into a full-width row, so
-   every frontier, and with it FIFO order, carries over. *)
-let frontier_row t ~src ~dst =
-  let row = t.frontier.(src) in
-  if dst < Array.length row then row
+(* [owner]'s frontier row, at least [len] cells long: a longer row
+   copies the old one, so every frontier, and with it FIFO order,
+   carries over. *)
+let frontier_row t owner len =
+  let row = t.frontier.(owner) in
+  if len <= Array.length row then row
   else begin
-    let len = Array.length row in
-    let wide = Array.make (if len = 0 && dst < t.servers then t.servers else t.n) 0 in
-    Array.blit row 0 wide 0 len;
-    t.frontier.(src) <- wide;
+    let wide = Array.make len 0 in
+    Array.blit row 0 wide 0 (Array.length row);
+    t.frontier.(owner) <- wide;
     wide
   end
 
+(* The cell of channel [src -> dst].  A client [c]'s row holds both
+   directions of its channels to the servers, [c -> j] at [j] and
+   [j -> c] at [servers + j], and from its first send to another client
+   [d] on, [c -> d] at [servers + d]; a server's row holds its channels
+   to servers, which carry only garbage and forgeries.  So a server
+   keeps nothing for the clients it answers, no two channels share a
+   cell, and without servers every row is indexed by [dst]. *)
 let enqueue t ~span ~src ~dst ~delay_ticks msg =
-  let row = frontier_row t ~src ~dst in
+  let s = t.servers in
+  let owner = if src < s && dst >= s then dst else src in
+  let i = if dst < s then dst else if src < s then s + src else s + dst in
+  let row = frontier_row t owner (if owner < s then s else if i < 2 * s then 2 * s else s + t.n) in
   let now = Engine.now t.engine in
-  let at = max (now + max 1 delay_ticks) (row.(dst) + 1) in
-  row.(dst) <- at;
+  let at = Int.max (now + Int.max 1 delay_ticks) (row.(i) + 1) in
+  row.(i) <- at;
   t.queued <- t.queued + 1;
   Engine.schedule t.engine ~delay:(at - now) (fun () ->
       t.queued <- t.queued - 1;

@@ -57,22 +57,27 @@ val create :
     events carry an empty kind.
     [delay] applies to [Direct] transport; [Over_datalink] channels
     pace themselves by their own [max_delay]. Default [Direct].
-    [servers] tells the engine self-profiler which endpoints run server
-    automata (ids [0 .. servers-1]); handler time at those endpoints is
-    charged to [Server_step], the rest to [Client_step].  Default [0]
-    (everything counts as client time); irrelevant unless the engine's
-    {!Sbft_sim.Profile} is enabled.
+    [servers] names the endpoints that run server automata (ids
+    [0 .. servers-1]).  It sets where channel state lives (below), and
+    the engine self-profiler charges handler time at those endpoints to
+    [Server_step], the rest to [Client_step].  Default [0]: no
+    endpoint is a server.
 
     A fresh network costs O([endpoints]) words.  Per-channel state
-    appears on first use: a sender's delivery frontiers on its first
+    appears on first use: a channel's delivery frontier on its first
     transmission, the slow-factor table on the first {!set_slow}, and
-    the data-link table only under [Over_datalink].  A sender's
-    frontier row covers the destinations it can reach so far: [servers]
-    entries when its first destination is a server, every endpoint's
-    otherwise, and every endpoint's from its first send past the
-    servers.  A client that talks only to servers, as in the
-    server-based register, so costs O([servers]) words, not
-    O([endpoints]). *)
+    the data-link table only under [Over_datalink].  A frontier lives
+    in one endpoint's row, which grows only as far as its channels
+    need.  A client's row holds both directions of its channels to the
+    servers, [2 * servers] ints, and grows to [servers + endpoints]
+    from its first send to another client.  A server's row holds only
+    its channels to other servers, which carry garbage and forgeries
+    alone, so a server keeps nothing for the clients it answers.  A
+    client that talks only to servers, as in the server-based register,
+    so costs O([servers]) words and the servers nothing per client;
+    a register's channel state grows with the clients that have used
+    it, not with [endpoints].  Without servers, an endpoint's row spans
+    every endpoint from its first send. *)
 
 val engine : 'msg t -> Sbft_sim.Engine.t
 

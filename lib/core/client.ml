@@ -12,15 +12,39 @@ module Event = Sbft_sim.Event
 
 type read_outcome = Sbft_spec.History.read_outcome
 
+(* A phase carries its per-server state, indexed by server id, so an
+   idle client keeps none.  The sets are byte sets (see [mem]); a slot
+   of [stamps], [values], [current] or [recent] is read only once its
+   server is in the set beside it. *)
 type write_phase =
   | W_idle
-  | W_collect of { value : int; k : unit -> unit }
-  | W_commit of { value : int; k : unit -> unit; ts : Msg.ts }
+  | W_collect of {
+      value : int;
+      k : unit -> unit;
+      got : Bytes.t; (* TS reply received ... *)
+      stamps : Msg.ts array; (* ... and its timestamp *)
+    }
+  | W_commit of {
+      value : int;
+      k : unit -> unit;
+      ts : Msg.ts;
+      acked : Bytes.t; (* ACK received *)
+      nacked : Bytes.t; (* NACK received *)
+    }
+
+(* One read's state, from its flush to its decision. *)
+type reading = {
+  safe : Bytes.t; (* servers that echoed FLUSH_ACK for the read's label *)
+  replied : Bytes.t; (* reply received ... *)
+  values : int array; (* ... its current pair ... *)
+  current : Msg.ts array;
+  recent : Msg.hist_entry list array; (* ... and its old_vals, as received *)
+}
 
 type read_phase =
   | R_idle
-  | R_flush of { k : read_outcome -> unit; label : int }
-  | R_read of { k : read_outcome -> unit; label : int }
+  | R_flush of { k : read_outcome -> unit; label : int; st : reading }
+  | R_read of { k : read_outcome -> unit; label : int; st : reading }
 
 (* One live span per operation: [op] is the history operation id when
    the caller (System) provides one, [sid] the run-global span id
@@ -41,26 +65,13 @@ type t = {
   mutable rspan : span option;
   mutable op_seq : int; (* fallback span ids when driven without a history *)
   rl : Read_labels.t;
-  safe : Bytes.t; (* servers that echoed FLUSH_ACK for the current label *)
-  (* Per-server state of the current phase, indexed by server id:
-     allocated once and reset when a phase starts.  The sets are byte
-     sets (see [mem]); a slot of [stamps], [values], [current] or
-     [recent] is read only once its server is in the set beside it. *)
-  got : Bytes.t; (* collect: TS reply received ... *)
-  stamps : Msg.ts array; (* ... and its timestamp *)
-  acked : Bytes.t; (* commit: ACK received *)
-  nacked : Bytes.t; (* commit: NACK received *)
-  replied : Bytes.t; (* read: reply received ... *)
-  values : int array; (* ... its current pair ... *)
-  current : Msg.ts array;
-  recent : Msg.hist_entry list array; (* ... and its old_vals, as received *)
   mutable write_ts : Msg.ts option;
   mutable aborted : int;
 }
 
 let id t = t.id
 
-let busy t = t.wphase <> W_idle || t.rphase <> R_idle
+let busy t = match (t.wphase, t.rphase) with W_idle, R_idle -> false | _ -> true
 
 let last_write_ts t = t.write_ts
 
@@ -73,7 +84,7 @@ let mem set s = Bytes.get set s <> '\000'
 
 let add set s = Bytes.set set s '\001'
 
-let clear set = Bytes.fill set 0 (Bytes.length set) '\000'
+let empty_set t = Bytes.make t.cfg.n '\000'
 
 let count set =
   let c = ref 0 in
@@ -83,7 +94,7 @@ let count set =
   !c
 
 (* What [stamps] and [current] hold before a reply fills a slot; every
-   client shares it, since no slot is read before it is filled. *)
+   phase shares it, since no slot is read before it is filled. *)
 let placeholder = Mw_ts.initial (Sbls.system ~k:2)
 
 let broadcast t msg =
@@ -138,12 +149,13 @@ let wspan_id t = match t.wspan with Some s -> s.sid | None -> Event.no_span
 let rspan_id t = match t.rspan with Some s -> s.sid | None -> Event.no_span
 
 let start_collect t ~value ~k =
-  clear t.got;
-  t.wphase <- W_collect { value; k };
+  t.wphase <- W_collect { value; k; got = empty_set t; stamps = Array.make t.cfg.n placeholder };
   Network.with_span t.net (wspan_id t) (fun () -> broadcast t Msg.Get_ts)
 
 let write ?op_id ?span_k t ~value k =
-  if t.wphase <> W_idle then invalid_arg "Client.write: write already in progress";
+  (match t.wphase with
+  | W_idle -> ()
+  | W_collect _ | W_commit _ -> invalid_arg "Client.write: write already in progress");
   let span = fresh_span t ~op_id in
   t.wspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
@@ -153,10 +165,10 @@ let write ?op_id ?span_k t ~value k =
 
 let on_ts_reply t ~src ts =
   match t.wphase with
-  | W_collect { value; k } when is_server t src ->
-      add t.got src;
-      t.stamps.(src) <- ts;
-      let n_got = count t.got in
+  | W_collect { value; k; got; stamps } when is_server t src ->
+      add got src;
+      stamps.(src) <- ts;
+      let n_got = count got in
       if n_got >= Config.quorum t.cfg then begin
         (match t.wspan with
         | Some span ->
@@ -176,12 +188,10 @@ let on_ts_reply t ~src ts =
            on their order. *)
         let collected = ref [] in
         for s = t.cfg.n - 1 downto 0 do
-          if mem t.got s then collected := t.stamps.(s) :: !collected
+          if mem got s then collected := stamps.(s) :: !collected
         done;
         let wts = Mw_ts.next t.sys ~writer:t.id !collected in
-        clear t.acked;
-        clear t.nacked;
-        t.wphase <- W_commit { value; k; ts = wts };
+        t.wphase <- W_commit { value; k; ts = wts; acked = empty_set t; nacked = empty_set t };
         Network.with_span t.net (wspan_id t) (fun () ->
             broadcast t (Msg.Write_req { value; ts = wts }))
       end
@@ -202,10 +212,10 @@ let restart_write t ~value ~k =
 
 let on_write_ack t ~src ~ts ~ack =
   match t.wphase with
-  | W_commit { value; k; ts = wts } when is_server t src && Mw_ts.equal ts wts ->
-      add (if ack then t.acked else t.nacked) src;
-      let n_acks = count t.acked in
-      if n_acks + count t.nacked >= Config.quorum t.cfg then
+  | W_commit { value; k; ts = wts; acked; nacked } when is_server t src && Mw_ts.equal ts wts ->
+      add (if ack then acked else nacked) src;
+      let n_acks = count acked in
+      if n_acks + count nacked >= Config.quorum t.cfg then
         if n_acks >= Config.witness_threshold t.cfg then begin
           (match t.wspan with
           | Some span ->
@@ -252,33 +262,42 @@ let send_read t ~label s =
   Read_labels.mark_pending t.rl ~server:s ~label;
   Network.send t.net ~src:t.id ~dst:s (Msg.Read_req { label })
 
-let start_reading t ~k ~label =
+let start_reading t ~k ~label ~st =
   (match t.rspan with
   | Some span ->
-      let safe_count = count t.safe in
+      let safe_count = count st.safe in
       if tracing t span then
         emit t
           (Event.Quorum_formed
              { op_id = span.op; client = t.id; phase = "flush"; size = safe_count; span = span.sid });
       ignore (phase_done t span ~hist:t.meters.read_flush ~phase:"flush")
   | None -> ());
-  t.rphase <- R_read { k; label };
+  t.rphase <- R_read { k; label; st };
   Network.with_span t.net (rspan_id t) (fun () ->
       for s = 0 to t.cfg.n - 1 do
-        if mem t.safe s then send_read t ~label s
+        if mem st.safe s then send_read t ~label s
       done)
+
+let fresh_reading t =
+  let n = t.cfg.n in
+  {
+    safe = empty_set t;
+    replied = empty_set t;
+    values = Array.make n 0;
+    current = Array.make n placeholder;
+    recent = Array.make n [];
+  }
 
 let check_flush_done t =
   match t.rphase with
-  | R_flush { k; label } ->
-      if Read_labels.pending_count t.rl ~label <= t.cfg.f then start_reading t ~k ~label
+  | R_flush { k; label; st } ->
+      if Read_labels.pending_count t.rl ~label <= t.cfg.f then start_reading t ~k ~label ~st
   | _ -> ()
 
 let read ?op_id ?span_k t k =
-  if t.rphase <> R_idle then invalid_arg "Client.read: read already in progress";
-  clear t.replied;
-  Array.fill t.recent 0 t.cfg.n [];
-  clear t.safe;
+  (match t.rphase with
+  | R_idle -> ()
+  | R_flush _ | R_read _ -> invalid_arg "Client.read: read already in progress");
   let span = fresh_span t ~op_id in
   t.rspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
@@ -287,12 +306,12 @@ let read ?op_id ?span_k t k =
   let label = Read_labels.choose t.rl in
   if tracing t span then
     emit t (Event.Epoch_changed { node = t.id; epoch = label; what = "read_label" });
-  t.rphase <- R_flush { k; label };
+  t.rphase <- R_flush { k; label; st = fresh_reading t };
   Network.with_span t.net span.sid (fun () ->
       broadcast t (Msg.Flush { label });
       check_flush_done t)
 
-let finish_read t ~k ~label outcome =
+let finish_read t ~k ~label ~st outcome =
   t.rphase <- R_idle;
   (match outcome with Sbft_spec.History.Abort -> t.aborted <- t.aborted + 1 | _ -> ());
   let sid = rspan_id t in
@@ -323,7 +342,7 @@ let finish_read t ~k ~label outcome =
   let complete = Msg.Complete_read { label } in
   Network.with_span t.net sid (fun () ->
       for s = 0 to t.cfg.n - 1 do
-        if mem t.safe s then Network.send t.net ~src:t.id ~dst:s complete
+        if mem st.safe s then Network.send t.net ~src:t.id ~dst:s complete
       done);
   k outcome
 
@@ -339,38 +358,38 @@ let rec add_history table ~depth ~server rank = function
 
 (* The current replies at rank 0 first; only when no pair qualifies
    does the read add the histories and decide the union graph. *)
-let try_complete t ~k ~label =
-  if count t.replied >= Config.quorum t.cfg then begin
+let try_complete t ~k ~label ~st =
+  if count st.replied >= Config.quorum t.cfg then begin
     let n = t.cfg.n and min_weight = Config.witness_threshold t.cfg in
     let table = Wtsg.local ~servers:n in
     for server = 0 to n - 1 do
-      if mem t.replied server then
-        Wtsg.add table ~server ~value:t.values.(server) ~ts:t.current.(server) ~rank:0
+      if mem st.replied server then
+        Wtsg.add table ~server ~value:st.values.(server) ~ts:st.current.(server) ~rank:0
     done;
     let decided =
       match Wtsg.best table ~min_weight with
       | Some _ as node -> node
       | None ->
           for server = 0 to n - 1 do
-            if mem t.replied server then
-              add_history table ~depth:t.cfg.history_depth ~server 1 t.recent.(server)
+            if mem st.replied server then
+              add_history table ~depth:t.cfg.history_depth ~server 1 st.recent.(server)
           done;
           Wtsg.best table ~min_weight
     in
     match decided with
-    | Some node -> finish_read t ~k ~label (Sbft_spec.History.Value node.value)
-    | None -> finish_read t ~k ~label Sbft_spec.History.Abort
+    | Some node -> finish_read t ~k ~label ~st (Sbft_spec.History.Value node.value)
+    | None -> finish_read t ~k ~label ~st Sbft_spec.History.Abort
   end
 
 let on_flush_ack t ~src ~label =
   if is_server t src then begin
     Read_labels.clear_pending t.rl ~server:src ~label;
     match t.rphase with
-    | R_flush { label = cur; _ } when label = cur ->
-        add t.safe src;
+    | R_flush { label = cur; st; _ } when label = cur ->
+        add st.safe src;
         check_flush_done t
-    | R_read { label = cur; _ } when label = cur && not (mem t.safe src) ->
-        add t.safe src;
+    | R_read { label = cur; st; _ } when label = cur && not (mem st.safe src) ->
+        add st.safe src;
         send_read t ~label:cur src
     | _ -> ()
   end
@@ -379,12 +398,12 @@ let on_reply t ~src ~value ~ts ~old ~label =
   if is_server t src then begin
     Read_labels.clear_pending t.rl ~server:src ~label;
     match t.rphase with
-    | R_read { k; label = cur } when label = cur && mem t.safe src ->
-        add t.replied src;
-        t.values.(src) <- value;
-        t.current.(src) <- ts;
-        t.recent.(src) <- old;
-        try_complete t ~k ~label:cur
+    | R_read { k; label = cur; st } when label = cur && mem st.safe src ->
+        add st.replied src;
+        st.values.(src) <- value;
+        st.current.(src) <- ts;
+        st.recent.(src) <- old;
+        try_complete t ~k ~label:cur ~st
     | _ -> ()
   end
 
@@ -401,10 +420,16 @@ let handle t ~src msg =
          ignore. *)
       ()
 
+(* An idle client has no safe set: its draws are made and dropped, so
+   the fault stream reads the same either way, and a read starts from an
+   empty set. *)
 let corrupt t rng =
   Read_labels.corrupt t.rl rng;
   for s = 0 to t.cfg.n - 1 do
-    Bytes.set t.safe s (if Rng.bool rng then '\001' else '\000')
+    let member = Rng.bool rng in
+    match t.rphase with
+    | R_flush { st; _ } | R_read { st; _ } -> Bytes.set st.safe s (if member then '\001' else '\000')
+    | R_idle -> ()
   done;
   t.write_ts <-
     (if Rng.bool rng then Some (Mw_ts.random_garbage t.sys rng) else t.write_ts)
@@ -430,15 +455,6 @@ let create cfg sys net ~meters ~id =
     rspan = None;
     op_seq = 0;
     rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
-    safe = Bytes.make cfg.n '\000';
-    got = Bytes.make cfg.n '\000';
-    stamps = Array.make cfg.n placeholder;
-    acked = Bytes.make cfg.n '\000';
-    nacked = Bytes.make cfg.n '\000';
-    replied = Bytes.make cfg.n '\000';
-    values = Array.make cfg.n 0;
-    current = Array.make cfg.n placeholder;
-    recent = Array.make cfg.n [];
     write_ts = None;
     aborted = 0;
   }

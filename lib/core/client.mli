@@ -70,10 +70,14 @@ val last_write_ts : t -> Msg.ts option
 
 val corrupt : t -> Sbft_sim.Rng.t -> unit
 (** Transient fault on an {e idle} client: scrambles the read-label
-    matrix, the safe set and the cached write timestamp.  Corrupting a
+    matrix and the cached write timestamp.  It draws one
+    [Sbft_sim.Rng.bool] per server, in id order, for the safe set; an
+    idle client keeps no per-phase state, so it drops them, and its
+    next read starts from an empty safe set as before.  Corrupting a
     client mid-operation models a crash during the operation, which
     the failure model treats as a failed operation — use
-    {!abandon} for that. *)
+    {!abandon} for that; the draws then land in the running read's
+    safe set. *)
 
 val abandon : t -> unit
 (** Abort the in-flight operation without completing it (client crash

@@ -26,3 +26,17 @@ let create m =
     label_adoptions = counter Names.server_label_adoptions;
     label_rejections = counter Names.server_label_rejections;
   }
+
+(* The last registry [shared] served on this domain, with its meters.
+   The ephemeron keeps neither alive: a finished run's registry can go. *)
+let last : (Metrics.t, t) Ephemeron.K1.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let shared m =
+  let last = Domain.DLS.get last in
+  match Option.bind !last (fun e -> Ephemeron.K1.query e m) with
+  | Some meters -> meters
+  | None ->
+      let meters = create m in
+      last := Some (Ephemeron.K1.make m meters);
+      meters

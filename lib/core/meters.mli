@@ -1,11 +1,12 @@
-(** The metric handles one register deployment's automata record into.
+(** The metric handles the register automata record into.
 
     Each handle resolves at its first sample, so a histogram or counter
     appears in the metrics snapshot exactly when the string-keyed
     {!Sbft_sim.Metrics.record} or {!Sbft_sim.Metrics.incr} would have
     created it, while the per-operation path hashes no metric name.
-    {!System.create} makes one and shares it with its servers and
-    clients. *)
+    Every register built on one registry shares one set:
+    {!System.create} takes it from {!shared} and passes it to its
+    servers and clients. *)
 
 type t = {
   write_collect : Sbft_sim.Metrics.hist Lazy.t;
@@ -19,4 +20,8 @@ type t = {
   label_rejections : Sbft_sim.Metrics.counter Lazy.t;
 }
 
-val create : Sbft_sim.Metrics.t -> t
+val shared : Sbft_sim.Metrics.t -> t
+(** The meters of the registry: the same value for every call on one
+    domain until a call names another registry, a fresh set then.  The
+    registers of a kv store share one engine, so they share one set of
+    handles. *)

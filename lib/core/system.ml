@@ -12,7 +12,7 @@ type t = {
   net : Msg.t Network.t;
   sys : Sbls.system;
   servers : Server.t array;
-  meters : Meters.t; (* shared by the servers and clients *)
+  meters : Meters.t; (* shared with every register on the engine's registry *)
   clients : Client.t option array;
   (* by [id - n], created on first use (see [client] in the interface):
      an idle client costs one slot *)
@@ -40,7 +40,7 @@ let create ?(seed = 42L) ?(delay = Delay.uniform ~max:10) ?trace_level ?sample ?
       ~kinds:{ index = Msg.kind; names = Msg.kind_names } ?transport ()
   in
   let sys = Sbls.system ~k:cfg.k in
-  let meters = Meters.create (Engine.metrics engine) in
+  let meters = Meters.shared (Engine.metrics engine) in
   let servers = Array.init cfg.n (fun id -> Server.create cfg sys net ~meters ~id) in
   let fault_rng = Rng.split (Engine.rng engine) in
   let clients = Array.make cfg.clients None in

@@ -11,16 +11,34 @@ let initial sys = { sting = 0; anti = Array.init sys.k (fun i -> i + 1) }
 (* A top-level loop: a local closure over [x] and [a] would be
    allocated on every call, and [prec] runs on every write request and
    in every ≺ check of the read decision. *)
-let rec mem_from x a i = i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
+let rec mem_from (x : int) a i = i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
 
 let mem x a = mem_from x a 0
 
 let prec l1 l2 = mem l1.sting l2.anti && not (mem l2.sting l1.anti)
 
-let equal l1 l2 = l1.sting = l2.sting && l1.anti = l2.anti
+(* Antisting equality and order without polymorphic comparison's C
+   call.  [equal] runs on every write ack and in witness-table lookups;
+   [compare] keeps [Stdlib.compare]'s order on arrays, length first and
+   then elements, which [Wtsg.best]'s tie-break relies on. *)
+let rec equal_from (a : int array) b i = i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+let equal l1 l2 =
+  l1.sting = l2.sting
+  && (l1.anti == l2.anti
+     || (Array.length l1.anti = Array.length l2.anti && equal_from l1.anti l2.anti 0))
+
+let rec compare_from a b i =
+  if i = Array.length a then 0
+  else match Int.compare a.(i) b.(i) with 0 -> compare_from a b (i + 1) | c -> c
 
 let compare l1 l2 =
-  match Int.compare l1.sting l2.sting with 0 -> Stdlib.compare l1.anti l2.anti | c -> c
+  match Int.compare l1.sting l2.sting with
+  | 0 -> (
+      match Int.compare (Array.length l1.anti) (Array.length l2.anti) with
+      | 0 -> compare_from l1.anti l2.anti 0
+      | c -> c)
+  | c -> c
 
 (* Distinct values of [xs], keeping first occurrences, as a list. *)
 let dedup xs =
@@ -56,7 +74,7 @@ let rec first_free marks c =
 
 (* [anti.(0 .. len - 1)] holds [x]: the duplicate check for stings
    outside the universe, which have no mark. *)
-let rec holds anti len x i = i < len && (anti.(i) = x || holds anti len x (i + 1))
+let rec holds anti len (x : int) i = i < len && (anti.(i) = x || holds anti len x (i + 1))
 
 (* Appends the distinct stings of [ls] to [anti] from index [len], in
    input order, until [anti] is full; returns the new length. *)

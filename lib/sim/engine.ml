@@ -99,7 +99,7 @@ let spans_allocated t = t.spans
 (* Double the slot pool and thread the new slots onto the free list. *)
 let grow t =
   let cap = Array.length t.seqs in
-  let ncap = max 64 (2 * cap) in
+  let ncap = Int.max 64 (2 * cap) in
   let extend a fill =
     let b = Array.make ncap fill in
     Array.blit a 0 b 0 cap;
@@ -139,7 +139,7 @@ let push t ~time f =
    record time would change another probe's re-arm decisions, breaking
    replay. *)
 let schedule ?(daemon = false) t ~delay f =
-  let time = t.clock + max 1 delay in
+  let time = t.clock + Int.max 1 delay in
   if daemon then begin
     t.daemons <- t.daemons + 1;
     push t ~time (fun () ->

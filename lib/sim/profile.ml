@@ -1,4 +1,7 @@
-let now_ns = Monotonic_clock.now
+(* Integer nanoseconds: an [int64] would be boxed at every clock read
+   and every total update, and the profiler would count itself in the
+   words per op it helps to measure. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 type phase = Delivery | Server_step | Client_step | Checker | Telemetry | Other
 
@@ -36,31 +39,31 @@ let max_depth = 64
 
 type t = {
   mutable enabled : bool;
-  totals_ns : int64 array;  (* self nanoseconds per phase *)
+  totals_ns : int array;  (* self nanoseconds per phase *)
   counts : int array;  (* enter count per phase *)
   stack : int array;  (* phase indices; depth 0 = Other *)
   mutable depth : int;
-  mutable last_ns : int64;
-  mutable started_ns : int64;
+  mutable last_ns : int;
+  mutable started_ns : int;
   event_counts : int array;  (* per Event constructor, via trace sink *)
 }
 
 let create () =
   {
     enabled = false;
-    totals_ns = Array.make phase_count 0L;
+    totals_ns = Array.make phase_count 0;
     counts = Array.make phase_count 0;
     stack = Array.make max_depth (phase_index Other);
     depth = 0;
-    last_ns = 0L;
-    started_ns = 0L;
+    last_ns = 0;
+    started_ns = 0;
     event_counts = Array.make (Array.length Event.kinds) 0;
   }
 
 let enabled t = t.enabled
 
 let reset t =
-  Array.fill t.totals_ns 0 phase_count 0L;
+  Array.fill t.totals_ns 0 phase_count 0;
   Array.fill t.counts 0 phase_count 0;
   Array.fill t.event_counts 0 (Array.length t.event_counts) 0;
   t.depth <- 0;
@@ -76,7 +79,7 @@ let current t = if t.depth = 0 then phase_index Other else t.stack.(t.depth - 1)
 
 let charge t now =
   let i = current t in
-  t.totals_ns.(i) <- Int64.add t.totals_ns.(i) (Int64.sub now t.last_ns);
+  t.totals_ns.(i) <- t.totals_ns.(i) + (now - t.last_ns);
   t.last_ns <- now
 
 let enter t phase =
@@ -123,12 +126,12 @@ type report = {
 let report ?(top = 8) t =
   (* settle the open phase so self-times add up to now *)
   if t.enabled then charge t (now_ns ());
-  let wall_s = Int64.to_float (Int64.sub t.last_ns t.started_ns) *. 1e-9 in
+  let wall_s = float_of_int (t.last_ns - t.started_ns) *. 1e-9 in
   let phase_rows =
     List.map
       (fun p ->
         let i = phase_index p in
-        (phase_label p, t.counts.(i), Int64.to_float t.totals_ns.(i) *. 1e-9))
+        (phase_label p, t.counts.(i), float_of_int t.totals_ns.(i) *. 1e-9))
       phases
   in
   let event_rows =

@@ -11,7 +11,8 @@
 
     Cost model: disabled, [enter]/[leave] are one branch each and the
     hot path allocates nothing; enabled, each transition adds two
-    monotonic-clock reads.  The profiler never draws simulation
+    monotonic-clock reads and still allocates nothing (times are
+    integer nanoseconds).  The profiler never draws simulation
     randomness and never touches virtual time, so enabling it cannot
     perturb replay determinism. *)
 

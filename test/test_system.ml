@@ -204,10 +204,30 @@ let test_fresh_footprint_linear () =
         Alcotest.failf "clients=%d: %d words beyond the engine, budget %d" clients words budget)
     [ 64; 512 ]
 
+(* A used register costs O(n) words in its client pool: one write and
+   one read grow a fresh n = 6 register by as many words at 64 clients
+   as at 512, and by at most 1,000.  A server keeps no channel state for
+   the clients it answers: each frontier of a server-client pair lives
+   in the client's row. *)
+let test_used_register_linear_in_n () =
+  let growth clients =
+    let n = 6 in
+    let sys = make ~n ~clients () in
+    let before = Obj.reachable_words (Obj.repr sys) in
+    System.write sys ~client:n ~value:1 ~k:(fun () -> System.read sys ~client:(n + 1) ()) ();
+    System.quiesce sys;
+    Obj.reachable_words (Obj.repr sys) - before
+  in
+  let small = growth 64 and large = growth 512 in
+  if small <> large || large > 1000 then
+    Alcotest.failf "a write and a read grow the register by %d words at 64 clients, %d at 512 (budget 1000)"
+      small large
+
 (* A client's first operation costs O(n) words: on a warm n = 6
    register, fresh clients' first reads grow it by as many words at 64
-   clients as at 512, and by at most 128 each.  A client's channel row
-   spans only the servers it talks to, and its flags are byte sets. *)
+   clients as at 512, and by at most 64 each.  A client's channel row
+   spans only the servers it talks to, and an idle client keeps no
+   per-phase state. *)
 let test_first_operation_linear_in_n () =
   let growth clients =
     let n = 6 in
@@ -222,8 +242,8 @@ let test_first_operation_linear_in_n () =
     float_of_int (Obj.reachable_words (Obj.repr sys) - before) /. 2.0
   in
   let small = growth 64 and large = growth 512 in
-  if small <> large || large > 128.0 then
-    Alcotest.failf "a first read grows the register by %.1f words at 64 clients, %.1f at 512 (budget 128)"
+  if small <> large || large > 64.0 then
+    Alcotest.failf "a first read grows the register by %.1f words at 64 clients, %.1f at 512 (budget 64)"
       small large
 
 (* Garbage in the channel to a client that never ran an operation still
@@ -279,6 +299,8 @@ let suite =
     Alcotest.test_case "larger deployment n=16" `Quick test_larger_deployment;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "fresh footprint O(n + clients)" `Quick test_fresh_footprint_linear;
+    Alcotest.test_case "a used register costs O(n) words in the client pool" `Quick
+      test_used_register_linear_in_n;
     Alcotest.test_case "a client's first operation costs O(n) words" `Quick
       test_first_operation_linear_in_n;
     Alcotest.test_case "inject reaches an untouched client" `Quick test_inject_reaches_untouched_client;
