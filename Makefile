@@ -17,35 +17,19 @@ lint:
 	if [ -n "$$bad" ]; then \
 	  echo "raw metric-name literals (use Sbft_sim.Metric_names):"; echo "$$bad"; exit 1; \
 	else echo "lint: metric names OK"; fi
-	@bad=$$(awk "$$MONOMORPHIC_AWK" $(MONOMORPHIC)) || { echo "lint: the comparison scan failed"; exit 1; }; \
+	@bad=$$(grep -nE '(^|[^._~A-Za-z0-9])(max|min|compare)([^_A-Za-z0-9:]|$$)|Stdlib[.](max|min|compare)' \
+	  $(MONOMORPHIC) | grep -vE '^[^:]*:[0-9]+:(let|and) (rec )?(max|min|compare) ' || true); \
 	if [ -n "$$bad" ]; then \
 	  echo "polymorphic max/min/compare on the per-message path (use Int.max, Int.compare, ...):"; \
 	  echo "$$bad"; exit 1; \
 	else echo "lint: per-message comparisons OK"; fi
 
-# The files every message passes through.  Polymorphic max, min and
-# compare go through a C call, so these files name the monomorphic
-# ones (Int.max, Int.compare, a typed [=]).  The awk program drops
-# comments, then flags a bare max, min or compare that is not a label
-# (~max:), a field or module path (Int.max) or a definition
-# (let compare), and any Stdlib.max, Stdlib.min or Stdlib.compare.
+# Every message passes through these files, and a polymorphic max, min
+# or compare costs a C call: they use Int.max, Int.compare or a typed
+# [=].  The scan is textual: it skips labels (~max:), paths (Int.max)
+# and definitions (let compare), and flags a comment that names one of
+# the three on its own.
 MONOMORPHIC = lib/sim/engine.ml lib/channel/network.ml lib/channel/delay.ml lib/labels/sbls.ml
-export MONOMORPHIC_AWK = \
-  FNR == 1 { depth = 0 } \
-  { rest = $$0; code = ""; \
-    while (rest != "") { \
-      o = index(rest, "(*"); c = index(rest, "*)"); \
-      if (depth == 0 && o == 0) { code = code rest; break; } \
-      if (depth == 0) { code = code substr(rest, 1, o - 1) " "; depth = 1; rest = substr(rest, o + 2); continue; } \
-      if (o > 0 && (c == 0 || o < c)) { depth++; rest = substr(rest, o + 2); continue; } \
-      if (c == 0) break; \
-      depth--; rest = substr(rest, c + 2); \
-    } \
-    gsub(/(let|val|and)[ \t]+(rec[ \t]+)?(max|min|compare)[^_A-Za-z0-9]/, "", code); \
-    if (code ~ /Stdlib[.](max|min|compare)/ \
-        || code ~ /(^|[^._~A-Za-z0-9])(max|min|compare)([^_A-Za-z0-9:]|$$)/) \
-      print FILENAME ":" FNR ": " $$0; \
-  }
 
 check: build test lint
 

@@ -15,22 +15,12 @@ type read_outcome = Sbft_spec.History.read_outcome
 (* A phase carries its per-server state, indexed by server id, so an
    idle client keeps none.  The sets are byte sets (see [mem]); a slot
    of [stamps], [values], [current] or [recent] is read only once its
-   server is in the set beside it. *)
+   server is in the set beside it.  Collect: [got] a TS reply, and
+   [stamps] its timestamp.  Commit: [acked] an ACK, [nacked] a NACK. *)
 type write_phase =
   | W_idle
-  | W_collect of {
-      value : int;
-      k : unit -> unit;
-      got : Bytes.t; (* TS reply received ... *)
-      stamps : Msg.ts array; (* ... and its timestamp *)
-    }
-  | W_commit of {
-      value : int;
-      k : unit -> unit;
-      ts : Msg.ts;
-      acked : Bytes.t; (* ACK received *)
-      nacked : Bytes.t; (* NACK received *)
-    }
+  | W_collect of { value : int; k : unit -> unit; got : Bytes.t; stamps : Msg.ts array }
+  | W_commit of { value : int; k : unit -> unit; ts : Msg.ts; acked : Bytes.t; nacked : Bytes.t }
 
 (* One read's state, from its flush to its decision. *)
 type reading = {

@@ -18,9 +18,9 @@ let mem x a = mem_from x a 0
 let prec l1 l2 = mem l1.sting l2.anti && not (mem l2.sting l1.anti)
 
 (* Antisting equality and order without polymorphic comparison's C
-   call.  [equal] runs on every write ack and in witness-table lookups;
-   [compare] keeps [Stdlib.compare]'s order on arrays, length first and
-   then elements, which [Wtsg.best]'s tie-break relies on. *)
+   call.  [equal] runs on every write ack and in witness-table lookups.
+   The order is the one polymorphic comparison gives arrays, length
+   first and then elements, which [Wtsg.best]'s tie-break relies on. *)
 let rec equal_from (a : int array) b i = i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
 
 let equal l1 l2 =
