@@ -116,8 +116,7 @@ let trace_level_arg =
     & info [ "trace-level" ] ~docv:"LEVEL"
         ~doc:
           "Trace dial: off (zero-overhead), sampled (whole span trees of a deterministic \
-           subset of operations), on (full stream), forensic (also free-form notes). Never \
-           affects the simulation itself.")
+           subset of operations), on (full stream). Never affects the simulation itself.")
 
 let sample_arg =
   Arg.(
@@ -912,18 +911,18 @@ let print_faults (s : Kv_session.session) =
     s.faulted
 
 let print_workload (o : Kv_session.outcome) =
+  let livelocked b = if b then " [LIVELOCKED: event budget exhausted]" else "" in
   match o.workload with
   | Closed w ->
-      Printf.printf "%d puts, %d gets (%d aborted); audit: %d reads checked, %d violations\n"
-        w.issued_puts w.issued_gets w.aborted_gets o.checked o.violations
+      Printf.printf "%d puts, %d gets (%d aborted)%s; audit: %d reads checked, %d violations\n"
+        w.issued_puts w.issued_gets w.aborted_gets (livelocked w.kv_livelocked) o.checked
+        o.violations
   | Open (_, lo) ->
       Printf.printf
         "offered %d, accepted %d, rejected %d; completed %d (%d puts, %d gets, %d aborted)%s; \
          audit: %d reads checked, %d violations\n"
         lo.offered lo.accepted lo.rejected lo.completed lo.completed_puts lo.completed_gets
-        lo.aborted
-        (if lo.livelocked then " [LIVELOCKED: event budget exhausted]" else "")
-        o.checked o.violations;
+        lo.aborted (livelocked lo.livelocked) o.checked o.violations;
       Format.printf "%a@." Sbft_harness.Loadgen.pp lo
 
 let kv_cmd =

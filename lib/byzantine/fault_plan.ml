@@ -3,7 +3,6 @@ module Server = Sbft_core.Server
 module Engine = Sbft_sim.Engine
 module Network = Sbft_channel.Network
 module Rng = Sbft_sim.Rng
-module J = Sbft_sim.Json
 
 type event =
   | Corrupt_server of int * [ `Light | `Heavy ]
@@ -228,19 +227,6 @@ let to_string plan = String.concat "," (to_strings plan)
 let of_string s =
   if String.trim s = "" then Ok []
   else of_strings (List.map String.trim (String.split_on_char ',' s))
-
-let to_json plan = J.List (List.map (fun e -> J.String (event_to_string e)) plan)
-
-let of_json = function
-  | J.List items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.String s :: rest -> (
-            match event_of_string s with Ok e -> go (e :: acc) rest | Error _ as e -> e)
-        | _ -> Error "fault plan: expected a list of strings"
-      in
-      go [] items
-  | _ -> Error "fault plan: expected a list"
 
 (* ------------------------------------------------------------------ *)
 (* Timeline queries. *)

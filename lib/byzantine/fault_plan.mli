@@ -80,10 +80,6 @@ val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [""] is the empty plan.  Validates
     strategy names against {!Strategies.all}. *)
 
-val to_json : t -> Sbft_sim.Json.t
-
-val of_json : Sbft_sim.Json.t -> (t, string) result
-
 (** {1 Timeline queries and mutation} *)
 
 val last_at : t -> int

@@ -12,18 +12,39 @@ module Event = Sbft_sim.Event
 
 type read_outcome = Sbft_spec.History.read_outcome
 
-(* A phase carries its per-server state, indexed by server id, so an
-   idle client keeps none.  The sets are byte sets (see [mem]); a slot
-   of [stamps], [values], [current] or [recent] is read only once its
-   server is in the set beside it.  Collect: [got] a TS reply, and
-   [stamps] its timestamp.  Commit: [acked] an ACK, [nacked] a NACK. *)
+(* One live span per operation: [op] is the history operation id,
+   [sid] the run-global span id stamped on every trace event and
+   message of the operation, [t0] the invocation instant, [ph] the
+   start of the current phase. *)
+type span = { op : int; sid : int; t0 : int; mutable ph : int }
+
+(* A phase carries its operation's span and its per-server state,
+   indexed by server id, so an idle client keeps none.  The sets are
+   byte sets (see [mem]); a slot of [stamps], [values], [current] or
+   [recent] is read only once its server is in the set beside it.
+   Collect: [got] a TS reply, and [stamps] its timestamp.  Commit:
+   [acked] an ACK, [nacked] a NACK. *)
 type write_phase =
   | W_idle
-  | W_collect of { value : int; k : unit -> unit; got : Bytes.t; stamps : Msg.ts array }
-  | W_commit of { value : int; k : unit -> unit; ts : Msg.ts; acked : Bytes.t; nacked : Bytes.t }
+  | W_collect of {
+      value : int;
+      k : unit -> unit;
+      span : span;
+      got : Bytes.t;
+      stamps : Msg.ts array;
+    }
+  | W_commit of {
+      value : int;
+      k : unit -> unit;
+      span : span;
+      ts : Msg.ts;
+      acked : Bytes.t;
+      nacked : Bytes.t;
+    }
 
 (* One read's state, from its flush to its decision. *)
 type reading = {
+  span : span;
   safe : Bytes.t; (* servers that echoed FLUSH_ACK for the read's label *)
   replied : Bytes.t; (* reply received ... *)
   values : int array; (* ... its current pair ... *)
@@ -36,12 +57,6 @@ type read_phase =
   | R_flush of { k : read_outcome -> unit; label : int; st : reading }
   | R_read of { k : read_outcome -> unit; label : int; st : reading }
 
-(* One live span per operation: [op] is the history operation id when
-   the caller (System) provides one, [sid] the run-global span id
-   stamped on every trace event and message of the operation, [t0] the
-   invocation instant, [ph] the start of the current phase. *)
-type span = { op : int; sid : int; t0 : int; mutable ph : int }
-
 type t = {
   cfg : Config.t;
   sys : Sbls.system;
@@ -51,9 +66,6 @@ type t = {
   id : int;
   mutable wphase : write_phase;
   mutable rphase : read_phase;
-  mutable wspan : span option;
-  mutable rspan : span option;
-  mutable op_seq : int; (* fallback span ids when driven without a history *)
   rl : Read_labels.t;
   mutable write_ts : Msg.ts option;
   mutable aborted : int;
@@ -111,16 +123,8 @@ let emit t ev = Trace.emit t.tr ~time:(now t) ev
 
 let fresh_span t ~op_id =
   let sid = Engine.fresh_span (engine t) in
-  match op_id with
-  | Some op ->
-      let at = now t in
-      { op; sid; t0 = at; ph = at }
-  | None ->
-      (* Negative ids keep direct-driven clients (no history) distinct
-         from history operation ids, which start at 0. *)
-      t.op_seq <- t.op_seq + 1;
-      let at = now t in
-      { op = -((t.id * 1_000_000) + t.op_seq); sid; t0 = at; ph = at }
+  let at = now t in
+  { op = op_id; sid; t0 = at; ph = at }
 
 let phase_done t span ~hist ~phase =
   let at = now t in
@@ -128,52 +132,38 @@ let phase_done t span ~hist ~phase =
   Metrics.hist_record (Lazy.force hist) (float_of_int ticks);
   if tracing t span then
     emit t (Event.Op_phase { op_id = span.op; client = t.id; phase; ticks; span = span.sid });
-  span.ph <- at;
-  ticks
+  span.ph <- at
 
 (* ------------------------------------------------------------------ *)
 (* Writer (Figure 1a).                                                 *)
 
-let wspan_id t = match t.wspan with Some s -> s.sid | None -> Event.no_span
+let start_collect t ~value ~k ~span =
+  t.wphase <-
+    W_collect { value; k; span; got = empty_set t; stamps = Array.make t.cfg.n placeholder };
+  Network.with_span t.net span.sid (fun () -> broadcast t Msg.Get_ts)
 
-let rspan_id t = match t.rspan with Some s -> s.sid | None -> Event.no_span
-
-let start_collect t ~value ~k =
-  t.wphase <- W_collect { value; k; got = empty_set t; stamps = Array.make t.cfg.n placeholder };
-  Network.with_span t.net (wspan_id t) (fun () -> broadcast t Msg.Get_ts)
-
-let write ?op_id ?span_k t ~value k =
+let write ~op_id ?span_k t ~value k =
   (match t.wphase with
   | W_idle -> ()
   | W_collect _ | W_commit _ -> invalid_arg "Client.write: write already in progress");
   let span = fresh_span t ~op_id in
-  t.wspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
   if tracing t span then
     emit t (Event.Op_started { op_id = span.op; client = t.id; kind = "write"; span = span.sid });
-  start_collect t ~value ~k
+  start_collect t ~value ~k ~span
 
 let on_ts_reply t ~src ts =
   match t.wphase with
-  | W_collect { value; k; got; stamps } when is_server t src ->
+  | W_collect { value; k; span; got; stamps } when is_server t src ->
       add got src;
       stamps.(src) <- ts;
       let n_got = count got in
       if n_got >= Config.quorum t.cfg then begin
-        (match t.wspan with
-        | Some span ->
-            if tracing t span then
-              emit t
-                (Event.Quorum_formed
-                   {
-                     op_id = span.op;
-                     client = t.id;
-                     phase = "ts";
-                     size = n_got;
-                     span = span.sid;
-                   });
-            ignore (phase_done t span ~hist:t.meters.write_collect ~phase:"collect")
-        | None -> ());
+        if tracing t span then
+          emit t
+            (Event.Quorum_formed
+               { op_id = span.op; client = t.id; phase = "ts"; size = n_got; span = span.sid });
+        phase_done t span ~hist:t.meters.write_collect ~phase:"collect";
         (* At most n - f <= k timestamps, so [next] does not depend
            on their order. *)
         let collected = ref [] in
@@ -181,54 +171,49 @@ let on_ts_reply t ~src ts =
           if mem got s then collected := stamps.(s) :: !collected
         done;
         let wts = Mw_ts.next t.sys ~writer:t.id !collected in
-        t.wphase <- W_commit { value; k; ts = wts; acked = empty_set t; nacked = empty_set t };
-        Network.with_span t.net (wspan_id t) (fun () ->
+        t.wphase <-
+          W_commit { value; k; span; ts = wts; acked = empty_set t; nacked = empty_set t };
+        Network.with_span t.net span.sid (fun () ->
             broadcast t (Msg.Write_req { value; ts = wts }))
       end
   | _ -> ()
 
-let restart_write t ~value ~k =
+let restart_write t ~value ~k ~span =
   Metrics.incr (metrics t) Names.client_write_retries;
-  (match t.wspan with
-  | Some span ->
-      let at = now t in
-      if tracing t span then
-        emit t
-          (Event.Op_phase
-             { op_id = span.op; client = t.id; phase = "retry"; ticks = at - span.ph; span = span.sid });
-      span.ph <- at
-  | None -> ());
-  start_collect t ~value ~k
+  let at = now t in
+  if tracing t span then
+    emit t
+      (Event.Op_phase
+         { op_id = span.op; client = t.id; phase = "retry"; ticks = at - span.ph; span = span.sid });
+  span.ph <- at;
+  start_collect t ~value ~k ~span
 
 let on_write_ack t ~src ~ts ~ack =
   match t.wphase with
-  | W_commit { value; k; ts = wts; acked; nacked } when is_server t src && Mw_ts.equal ts wts ->
+  | W_commit { value; k; span; ts = wts; acked; nacked }
+    when is_server t src && Mw_ts.equal ts wts ->
       add (if ack then acked else nacked) src;
       let n_acks = count acked in
       if n_acks + count nacked >= Config.quorum t.cfg then
         if n_acks >= Config.witness_threshold t.cfg then begin
-          (match t.wspan with
-          | Some span ->
-              if tracing t span then
-                emit t
-                  (Event.Quorum_formed
-                     { op_id = span.op; client = t.id; phase = "ack"; size = n_acks; span = span.sid });
-              ignore (phase_done t span ~hist:t.meters.write_commit ~phase:"commit");
-              let total = now t - span.t0 in
-              Metrics.hist_record (Lazy.force t.meters.write_total) (float_of_int total);
-              if tracing t span then
-                emit t
-                  (Event.Op_finished
-                     {
-                       op_id = span.op;
-                       client = t.id;
-                       kind = "write";
-                       outcome = "ok";
-                       ticks = total;
-                       span = span.sid;
-                     });
-              t.wspan <- None
-          | None -> ());
+          if tracing t span then
+            emit t
+              (Event.Quorum_formed
+                 { op_id = span.op; client = t.id; phase = "ack"; size = n_acks; span = span.sid });
+          phase_done t span ~hist:t.meters.write_commit ~phase:"commit";
+          let total = now t - span.t0 in
+          Metrics.hist_record (Lazy.force t.meters.write_total) (float_of_int total);
+          if tracing t span then
+            emit t
+              (Event.Op_finished
+                 {
+                   op_id = span.op;
+                   client = t.id;
+                   kind = "write";
+                   outcome = "ok";
+                   ticks = total;
+                   span = span.sid;
+                 });
           t.wphase <- W_idle;
           t.write_ts <- Some wts;
           k ()
@@ -242,7 +227,7 @@ let on_write_ack t ~src ~ts ~ack =
              timestamp can be trusted to arrive — so re-timestamp and
              retry, which is exactly "compute a fresh dominating label
              and write again".  See DESIGN.md, deviations. *)
-          restart_write t ~value ~k
+          restart_write t ~value ~k ~span
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -253,24 +238,22 @@ let send_read t ~label s =
   Network.send t.net ~src:t.id ~dst:s (Msg.Read_req { label })
 
 let start_reading t ~k ~label ~st =
-  (match t.rspan with
-  | Some span ->
-      let safe_count = count st.safe in
-      if tracing t span then
-        emit t
-          (Event.Quorum_formed
-             { op_id = span.op; client = t.id; phase = "flush"; size = safe_count; span = span.sid });
-      ignore (phase_done t span ~hist:t.meters.read_flush ~phase:"flush")
-  | None -> ());
+  let span = st.span in
+  if tracing t span then
+    emit t
+      (Event.Quorum_formed
+         { op_id = span.op; client = t.id; phase = "flush"; size = count st.safe; span = span.sid });
+  phase_done t span ~hist:t.meters.read_flush ~phase:"flush";
   t.rphase <- R_read { k; label; st };
-  Network.with_span t.net (rspan_id t) (fun () ->
+  Network.with_span t.net span.sid (fun () ->
       for s = 0 to t.cfg.n - 1 do
         if mem st.safe s then send_read t ~label s
       done)
 
-let fresh_reading t =
+let fresh_reading t ~span =
   let n = t.cfg.n in
   {
+    span;
     safe = empty_set t;
     replied = empty_set t;
     values = Array.make n 0;
@@ -284,19 +267,18 @@ let check_flush_done t =
       if Read_labels.pending_count t.rl ~label <= t.cfg.f then start_reading t ~k ~label ~st
   | _ -> ()
 
-let read ?op_id ?span_k t k =
+let read ~op_id ?span_k t k =
   (match t.rphase with
   | R_idle -> ()
   | R_flush _ | R_read _ -> invalid_arg "Client.read: read already in progress");
   let span = fresh_span t ~op_id in
-  t.rspan <- Some span;
   (match span_k with Some f -> f span.sid | None -> ());
   if tracing t span then
     emit t (Event.Op_started { op_id = span.op; client = t.id; kind = "read"; span = span.sid });
   let label = Read_labels.choose t.rl in
   if tracing t span then
     emit t (Event.Epoch_changed { node = t.id; epoch = label; what = "read_label" });
-  t.rphase <- R_flush { k; label; st = fresh_reading t };
+  t.rphase <- R_flush { k; label; st = fresh_reading t ~span };
   Network.with_span t.net span.sid (fun () ->
       broadcast t (Msg.Flush { label });
       check_flush_done t)
@@ -304,33 +286,29 @@ let read ?op_id ?span_k t k =
 let finish_read t ~k ~label ~st outcome =
   t.rphase <- R_idle;
   (match outcome with Sbft_spec.History.Abort -> t.aborted <- t.aborted + 1 | _ -> ());
-  let sid = rspan_id t in
-  (match t.rspan with
-  | Some span ->
-      ignore (phase_done t span ~hist:t.meters.read_decide ~phase:"decide");
-      let total = now t - span.t0 in
-      let outcome_str, total_hist =
-        match outcome with
-        | Sbft_spec.History.Value _ -> ("value", t.meters.read_total)
-        | Sbft_spec.History.Abort -> ("abort", t.meters.read_abort)
-        | Sbft_spec.History.Incomplete -> ("incomplete", t.meters.read_abort)
-      in
-      Metrics.hist_record (Lazy.force total_hist) (float_of_int total);
-      if tracing t span then
-        emit t
-          (Event.Op_finished
-             {
-               op_id = span.op;
-               client = t.id;
-               kind = "read";
-               outcome = outcome_str;
-               ticks = total;
-               span = span.sid;
-             });
-      t.rspan <- None
-  | None -> ());
+  let span = st.span in
+  phase_done t span ~hist:t.meters.read_decide ~phase:"decide";
+  let total = now t - span.t0 in
+  let outcome_str, total_hist =
+    match outcome with
+    | Sbft_spec.History.Value _ -> ("value", t.meters.read_total)
+    | Sbft_spec.History.Abort -> ("abort", t.meters.read_abort)
+    | Sbft_spec.History.Incomplete -> ("incomplete", t.meters.read_abort)
+  in
+  Metrics.hist_record (Lazy.force total_hist) (float_of_int total);
+  if tracing t span then
+    emit t
+      (Event.Op_finished
+         {
+           op_id = span.op;
+           client = t.id;
+           kind = "read";
+           outcome = outcome_str;
+           ticks = total;
+           span = span.sid;
+         });
   let complete = Msg.Complete_read { label } in
-  Network.with_span t.net sid (fun () ->
+  Network.with_span t.net span.sid (fun () ->
       for s = 0 to t.cfg.n - 1 do
         if mem st.safe s then Network.send t.net ~src:t.id ~dst:s complete
       done);
@@ -426,9 +404,7 @@ let corrupt t rng =
 
 let abandon t =
   t.wphase <- W_idle;
-  t.rphase <- R_idle;
-  t.wspan <- None;
-  t.rspan <- None
+  t.rphase <- R_idle
 
 let create cfg sys net ~meters ~id =
   if Config.is_server cfg id then invalid_arg "Client.create: id is a server endpoint";
@@ -441,9 +417,6 @@ let create cfg sys net ~meters ~id =
     id;
     wphase = W_idle;
     rphase = R_idle;
-    wspan = None;
-    rspan = None;
-    op_seq = 0;
     rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
     write_ts = None;
     aborted = 0;

@@ -45,23 +45,23 @@ val id : t -> int
 
 val busy : t -> bool
 
-val write : ?op_id:int -> ?span_k:(int -> unit) -> t -> value:int -> (unit -> unit) -> unit
-(** [write t ~value k] starts a write; [k] fires at completion.
+val write : op_id:int -> ?span_k:(int -> unit) -> t -> value:int -> (unit -> unit) -> unit
+(** [write ~op_id t ~value k] starts a write; [k] fires at completion.
     Raises [Invalid_argument] if the client is busy.
 
     [op_id] names the operation's span in the event trace — {!System}
     passes the history operation id so trace spans and checker
-    verdicts speak about the same operations.  Without it, a fresh
-    negative id is used.
+    verdicts speak about the same operations.  The span lives in the
+    operation's phase, so an idle client holds none.
 
     [span_k] receives the operation's run-global span id
     ({!Sbft_sim.Engine.fresh_span}) at invocation, before any message
     is sent — layers above (e.g. the kv store) use it to attach
     [Span_tag] attributes to the span. *)
 
-val read : ?op_id:int -> ?span_k:(int -> unit) -> t -> (read_outcome -> unit) -> unit
-(** [read t k] starts a read; [k] fires with the returned value or
-    [Abort]. Raises [Invalid_argument] if the client is busy.
+val read : op_id:int -> ?span_k:(int -> unit) -> t -> (read_outcome -> unit) -> unit
+(** [read ~op_id t k] starts a read; [k] fires with the returned value
+    or [Abort]. Raises [Invalid_argument] if the client is busy.
     [op_id] and [span_k] as in {!write}. *)
 
 val last_write_ts : t -> Msg.ts option

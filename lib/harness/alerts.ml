@@ -8,10 +8,10 @@ module Store = Sbft_kv.Store
 module J = Sbft_sim.Json
 
 (* Streaming anomaly rules over the store's per-shard series, evaluated
-   window by window on an engine daemon probe (the same trick as
-   Progress/Telemetry: daemons never count as pending work, draw no
-   randomness and read but never write simulation state, so attaching
-   the ruleset cannot change a run's history).
+   window by window on an [Engine.every] probe (as Progress and
+   Telemetry are: it draws no randomness and reads but never writes
+   simulation state, so attaching the ruleset cannot change a run's
+   history).
 
    Three rules, all over the flow series (count = ops, mean = abort
    rate) of one closed window:
@@ -161,11 +161,7 @@ let attach ~slo store =
     }
   in
   let engine = Store.engine store in
-  let rec tick () =
-    evaluate_to t ~now:(Engine.now engine);
-    if Engine.pending engine > 0 then Engine.schedule ~daemon:true engine ~delay:window tick
-  in
-  Engine.schedule ~daemon:true engine ~delay:window tick;
+  Engine.every engine ~period:window (fun () -> evaluate_to t ~now:(Engine.now engine));
   t
 
 let finalize t ~now = evaluate_to t ~now

@@ -1,8 +1,8 @@
 (** Streaming anomaly rules over the kv store's per-shard series.
 
-    Evaluated one tumbling window at a time on an engine daemon probe
-    (read-only, no randomness — attaching the ruleset cannot perturb a
-    run).  Three rules per shard per window, each judged only on
+    Evaluated one tumbling window at a time on an
+    {!Sbft_sim.Engine.every} probe (read-only, no randomness —
+    attaching the ruleset cannot perturb a run).  Three rules per shard per window, each judged only on
     windows with at least 8 operations:
 
     - [slo_burn] (critical): the window consumed the SLO error budget
@@ -28,7 +28,7 @@ val attach : slo:Slo.target -> Sbft_kv.Store.t -> t
     window width. *)
 
 val finalize : t -> now:int -> unit
-(** Evaluate any windows that closed after the last daemon tick. *)
+(** Evaluate any windows that closed after the probe's last tick. *)
 
 val active : t -> firing list
 (** Currently-firing rules, sorted by (shard, rule). *)

@@ -1094,11 +1094,11 @@ let e22_observability () =
      timed, with one counting sink attached.  [Off] is the no-op fast
      path; [Sampled] head-samples whole spans, so the sink stream (what
      a JSONL artifact would hold) collapses by ~100x and unsampled
-     operations build no events at all; [Forensic] adds the free-form
-     narration tier.  Host drift would swamp a single timing per level,
-     so the four levels run in [rounds] rounds, each starting one level
-     later than the last, and each traced level is reported as the
-     median and quartiles of its per-round ratio to [Off]. *)
+     operations build no events at all.  Host drift would swamp a
+     single timing per level, so the levels run in [rounds] rounds,
+     each starting one level later than the last, and each traced
+     level is reported as the median and quartiles of its per-round
+     ratio to [Off]. *)
   let module Trace = Sbft_sim.Trace in
   let module Store = Sbft_kv.Store in
   let clients = 8 and shards = 16 and keys = 64 in
@@ -1131,7 +1131,7 @@ let e22_observability () =
     Store.quiesce kv;
     (Clock.elapsed_s t0, (Store.ops_issued kv, Engine.events_fired engine, !sink_events))
   in
-  let levels = [| Trace.Off; Trace.Sampled; Trace.On; Trace.Forensic |] in
+  let levels = Array.of_list Trace.levels in
   let nlevels = Array.length levels and rounds = 5 in
   let runs = Array.make_matrix nlevels rounds (0.0, (0, 0, 0)) in
   for round = 0 to rounds - 1 do
@@ -1167,9 +1167,9 @@ let e22_observability () =
       [
         "identical workload and seeds at every level; only observation differs";
         fmt
-          "%d rounds of the four levels, each round starting one level later; wall s and ops/s \
+          "%d rounds of the %d levels, each round starting one level later; wall s and ops/s \
            are per-level medians, vs off the median and quartiles of the per-round ratios"
-          rounds;
+          rounds nlevels;
         "fired and sink events are identical in every round (asserted)";
         "sampled records 1% of operations as whole span trees and builds no event for the rest";
         "timings are wall-clock on the current machine; ratios are the portable signal";

@@ -7,15 +7,15 @@
     per-shard percentiles, fault-plan state …), so the run and kv
     subcommands each show what matters to them.
 
-    Pacing is deliberately hybrid: the probe {e re-arms} on the virtual
-    clock (a self-rescheduling engine thunk, exactly like
+    Pacing is deliberately hybrid: the probe {e polls} on the virtual
+    clock (an {!Sbft_sim.Engine.every} probe, exactly like
     {!Telemetry}), but {e decides} on the monotonic wall clock
     ({!Clock}) whether enough real seconds have passed to print.
     Virtual-tick throughput varies by orders of magnitude between
     configurations; wall seconds are what the watcher experiences.
     The probe only reads engine state and draws no randomness, so
     attaching it never changes a run's history or verdict, and it falls
-    silent when the heap empties so quiesce still terminates. *)
+    silent when no real work is left, so quiesce still terminates. *)
 
 type t
 

@@ -237,7 +237,7 @@ let last cap l =
 
 let forensic_events ~level t r =
   match (level : Trace.level) with
-  | On | Forensic -> last t.trace_cap r.events
+  | On -> last t.trace_cap r.events
   | Off | Sampled -> (
       (* Runs are deterministic at every level, so re-executing at [On]
          emits the very stream this run would have.  Keep only the

@@ -111,11 +111,10 @@ val execute :
 val forensic_events : level:Sbft_sim.Trace.level -> t -> run -> (int * Sbft_sim.Event.t) list
 (** The event log {!Forensics} slices a violation's window from: the
     last [trace_cap] events of the run's [On]-level stream, oldest
-    first.  At [On] and [Forensic] that is the tail of [run.events]
-    (so [run] must come from {!execute} at [level] with
-    [collect_events]); at [Off] and [Sampled] the scenario is
-    re-executed at [On], which emits the same stream because the trace
-    level never changes the run. *)
+    first.  At [On] that is the tail of [run.events] (so [run] must
+    come from {!execute} at [level] with [collect_events]); at [Off]
+    and [Sampled] the scenario is re-executed at [On], which emits the
+    same stream because the trace level never changes the run. *)
 
 val violation_kind : Sbft_spec.Regularity.violation -> string
 (** Short tag for the event record: stale/future/unwritten/inversion/order. *)

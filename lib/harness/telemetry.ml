@@ -15,11 +15,6 @@ type t = {
   snapshot_every : int;  (** <= 0: disabled *)
   window : int;
   mutable snaps : snapshot list;  (** newest first *)
-  live : Sbft_sim.Series.t;
-      (* bounded streaming mirror of the occupancy signal: where
-         [snaps] grows with the run (full post-hoc fidelity), the
-         series keeps a fixed ring of windowed aggregates — the view
-         that stays affordable on the 10^6-op runs *)
 }
 
 let take_snapshot t =
@@ -51,7 +46,6 @@ let take_snapshot t =
   let d = Hashtbl.length stings in
   let occupancy = float_of_int d /. float_of_int m in
   t.snaps <- { time; distinct_labels = d; occupancy } :: t.snaps;
-  Sbft_sim.Series.observe t.live ~time occupancy;
   Sbft_sim.Profile.leave prof
 
 let attach ?(snapshot_every = 50) ?window sys =
@@ -60,29 +54,9 @@ let attach ?(snapshot_every = 50) ?window sys =
     | Some w -> max 1 w
     | None -> if snapshot_every > 0 then snapshot_every else 50
   in
-  let t =
-    {
-      sys;
-      snapshot_every;
-      window;
-      snaps = [];
-      live =
-        Sbft_sim.Series.create ~window ~name:Sbft_sim.Metric_names.telemetry_occupancy ();
-    }
-  in
-  if snapshot_every > 0 then begin
-    let engine = System.engine sys in
-    (* the probe re-arms only while real work is queued: at the tick
-       that finds nothing but daemon probes left it falls silent, so
-       quiesce still terminates.  Scheduled as a daemon so other probes
-       (e.g. Progress) never count it as work either — two probes
-       counting each other would livelock the engine. *)
-    let rec tick () =
-      take_snapshot t;
-      if Engine.pending engine > 0 then Engine.schedule ~daemon:true engine ~delay:snapshot_every tick
-    in
-    Engine.schedule ~daemon:true engine ~delay:snapshot_every tick
-  end;
+  let t = { sys; snapshot_every; window; snaps = [] } in
+  if snapshot_every > 0 then
+    Engine.every (System.engine sys) ~period:snapshot_every (fun () -> take_snapshot t);
   t
 
 let snapshots t = List.rev t.snaps
@@ -195,7 +169,4 @@ let to_json t ~history ?(stale_reads = []) () =
             ("peak_occupancy", J.Float (peak occupancy));
             ("final_occupancy", J.Float final_occ);
           ] );
-      (* the bounded streaming mirror: O(1) memory however long the
-         run, unlike the exact [series] arrays above *)
-      ("live", Sbft_sim.Series.to_json t.live);
     ]

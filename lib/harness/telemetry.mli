@@ -8,10 +8,10 @@
     [snapshot_every] ticks, emits one {!Sbft_sim.Event.Server_state}
     record per server into the trace and accumulates the label-space
     occupancy (distinct stings in use over the universe size
-    [m = k² + 1]).  The probe re-arms itself only while other work is
-    still queued, so [quiesce] terminates exactly as it would without
-    telemetry, and it draws no randomness, so attaching it never
-    perturbs replay determinism.
+    [m = k² + 1]).  The probe is an {!Sbft_sim.Engine.every} probe, so
+    [quiesce] terminates exactly as it would without telemetry, and it
+    draws no randomness, so attaching it never perturbs replay
+    determinism.
 
     After the run, {!to_json} folds the history into per-window
     series — reads, writes, aborts, abort rate, stale reads (supplied
@@ -40,6 +40,4 @@ val to_json :
   t -> history:'ts Sbft_spec.History.t -> ?stale_reads:int list -> unit -> Sbft_sim.Json.t
 (** The artifact's ["telemetry"] member. [stale_reads] lists the read
     operation ids the regularity checker implicated; they are bucketed
-    by response time into the [stale_reads] series.  Its [live] member
-    is a bounded windowed mirror of the occupancy signal, fed at every
-    snapshot. *)
+    by response time into the [stale_reads] series. *)

@@ -22,7 +22,6 @@ type intern = {
   ack_rtt_id : int;
   adopt_ack_id : int;
   adopt_nack_id : int;
-  note_id : int;
 }
 
 let intern_key st s =
@@ -54,7 +53,6 @@ let make_intern () =
       ack_rtt_id = 0;
       adopt_ack_id = 0;
       adopt_nack_id = 0;
-      note_id = 0;
     }
   in
   (* label-space occupancy classes: 8 sting residues x 6 x 6 buckets,
@@ -68,8 +66,7 @@ let make_intern () =
   let ack_rtt_id = intern_key st "ack_rtt" in
   let adopt_ack_id = intern_key st "adopt:ack" in
   let adopt_nack_id = intern_key st "adopt:nack" in
-  let note_id = intern_key st "note" in
-  { st with retransmit_id; ack_rtt_id; adopt_ack_id; adopt_nack_id; note_id }
+  { st with retransmit_id; ack_rtt_id; adopt_ack_id; adopt_nack_id }
 
 (* One intern table per domain: module-level hashtables would race (and
    corrupt) under Domain-parallel fuzz campaigns. *)
@@ -131,7 +128,6 @@ let id_of_event st (ev : Event.t) =
       (* label-space occupancy class: where the sting sits in the
          universe (mod a fixed fan-out) x history depth x reader load *)
       st.occ.(((sting land 7) * 36) + (bucket hist_len * 6) + bucket readers)
-  | Event.Note _ -> st.note_id
   | Event.Span_tag { tag; _ } -> intern1 st "tag:" tag
   | Event.Alert { rule; _ } -> intern1 st "alert:" rule
 

@@ -3,9 +3,8 @@
 
    Two invariants make the wheel exact:
    - no event is scheduled before the clock ([schedule] adds at least
-     one tick, [schedule_now] adds zero), so every wheel event is due
-     at or after [clock] (a delay that wraps the due time around is
-     far more than [width] and goes to [overflow]; see [fire]);
+     one tick, [schedule_now] adds zero, and a due time past [max_int]
+     is never queued), so every wheel event is due at or after [clock];
    - seqs only grow, so appending to a bucket keeps it in seq order.
    An event due less than [width] ticks ahead goes to the bucket
    [time land mask].  Every wheel event is then due in
@@ -94,8 +93,6 @@ let fresh_span t =
   t.spans <- s + 1;
   s
 
-let spans_allocated t = t.spans
-
 (* Double the slot pool and thread the new slots onto the free list. *)
 let grow t =
   let cap = Array.length t.seqs in
@@ -132,25 +129,43 @@ let push t ~time f =
   end
   else Heap.push t.overflow ~time ~seq f
 
-(* Daemon events are observation probes (telemetry, progress) that
-   re-arm themselves while real work remains.  They must not count as
-   pending work, or two probes would each see the other's next poll
-   and keep the engine alive forever — and a probe attached only at
-   record time would change another probe's re-arm decisions, breaking
-   replay. *)
-let schedule ?(daemon = false) t ~delay f =
-  let time = t.clock + Int.max 1 delay in
-  if daemon then begin
-    t.daemons <- t.daemons + 1;
-    push t ~time (fun () ->
-        t.daemons <- t.daemons - 1;
-        f ())
-  end
-  else push t ~time f
+let pending t = t.wheeled + Heap.size t.overflow - t.daemons
+
+(* The due time of an event [delay] ticks ahead (at least one), or
+   [Heap.no_event] when it would be due at [max_int] or past it.  Such
+   an event can never fire, so it is not queued: it neither counts as
+   pending work nor, wrapped around below the clock, fires ahead of
+   everything. *)
+let due t ~delay =
+  let delay = Int.max 1 delay in
+  if delay < Heap.no_event - t.clock then t.clock + delay else Heap.no_event
+
+let schedule t ~delay f =
+  let time = due t ~delay in
+  if time <> Heap.no_event then push t ~time f
 
 let schedule_now t f = push t ~time:t.clock f
 
-let pending t = t.wheeled + Heap.size t.overflow - t.daemons
+(* Probes (telemetry snapshots, progress beats, alert windows) watch
+   the run and must leave every other event where it was.  Their ticks
+   are daemons, left out of [pending]: a probe that counted another's
+   next tick as work would keep the engine alive forever, and a probe
+   attached only at record time would change another probe's re-arm
+   decisions, breaking replay.  A tick re-arms only while real work is
+   pending, so a run that quiesces without probes quiesces with them. *)
+let every t ~period f =
+  let rec arm () =
+    let time = due t ~delay:period in
+    if time <> Heap.no_event then begin
+      t.daemons <- t.daemons + 1;
+      push t ~time tick
+    end
+  and tick () =
+    t.daemons <- t.daemons - 1;
+    f ();
+    if pending t > 0 then arm ()
+  in
+  arm ()
 
 (* Due time of the earliest wheel event, or [Heap.no_event].  The scan
    starts at the clock at the earliest — a bucket behind it would hold
@@ -177,10 +192,7 @@ let peek t =
   t.from_wheel <- from_wheel;
   if from_wheel then w else h
 
-(* Fire the event [peek] found, due at [time].  A delay so large that
-   the due time wrapped around is the one way an event can be due
-   before the clock; it fires next, as in the heap, and the clock does
-   not move back. *)
+(* Fire the event [peek] found, due at [time]. *)
 let fire t time =
   let f =
     if t.from_wheel then begin
@@ -196,7 +208,7 @@ let fire t time =
     end
     else Heap.take t.overflow
   in
-  if time > t.clock then t.clock <- time;
+  t.clock <- time;
   t.fired <- t.fired + 1;
   f ()
 

@@ -29,11 +29,11 @@ val create :
   unit ->
   t
 (** Fresh engine at virtual time 0.  [trace_level] (default
-    {!Trace.Off}) sets the four-level dial, and [sample]
-    configures the deterministic sampler used at {!Trace.Sampled} (see
-    {!Trace.create}).
-    None of these affect the simulation itself — a run is a pure
-    function of [(seed, scheduled work)] at every trace level. *)
+    {!Trace.Off}) sets the trace dial, and [sample] configures the
+    deterministic sampler used at {!Trace.Sampled} (see
+    {!Trace.create}).  None of these affect the simulation itself — a
+    run is a pure function of [(seed, scheduled work)] at every trace
+    level. *)
 
 val now : t -> int
 (** Current virtual time. *)
@@ -64,21 +64,24 @@ val fresh_span : t -> int
     Allocation draws no randomness and is identical at every trace
     level, so it never perturbs replay determinism. *)
 
-val spans_allocated : t -> int
-(** Number of span ids handed out so far. *)
-
-val schedule : ?daemon:bool -> t -> delay:int -> (unit -> unit) -> unit
+val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at time [now t + max 1 delay].
     Events never fire at the current instant: a positive delay is
-    enforced so causality is strict.
+    enforced so causality is strict.  An event that would be due at
+    [max_int] or later can never fire and is not queued. *)
 
-    [daemon] (default false) marks the event as an observation probe:
-    it fires normally but is excluded from {!pending}.  Self-rearming
-    probes (telemetry, progress) must schedule as daemons and re-arm
-    only while [pending > 0] — otherwise two probes each count the
-    other's next poll as work and keep the engine alive forever, and a
-    probe attached only at record time would perturb another probe's
-    re-arm decisions, breaking replay. *)
+val every : t -> period:int -> (unit -> unit) -> unit
+(** [every t ~period f] attaches an observation probe (telemetry
+    snapshots, progress beats, alert windows): [f] runs every
+    [max 1 period] ticks, starting one period from now.  A probe's
+    ticks are excluded from {!pending}, and after each run of [f] the
+    next tick is queued only while [pending t > 0], so a run that
+    quiesces without probes quiesces with them at most one period
+    later.  Two probes never count each other as work, and a probe
+    attached only at record time cannot change another's re-arm
+    decisions: [f] may read the simulation but must not schedule into
+    it or draw from its PRNG.  Each tick is one queued event, with the
+    seq it takes as any other. *)
 
 val schedule_now : t -> (unit -> unit) -> unit
 (** Run [f] at the current time, after all work already queued for this
@@ -86,8 +89,8 @@ val schedule_now : t -> (unit -> unit) -> unit
     processing a completed quorum. *)
 
 val pending : t -> int
-(** Events still queued, excluding daemon probes — the amount of real
-    work left. *)
+(** Events still queued, excluding {!every}'s probe ticks — the amount
+    of real work left. *)
 
 val step : t -> bool
 (** Execute the next event. Returns [false] if the queue was empty. *)

@@ -20,7 +20,6 @@ type t =
     }
   | Violation of { op_id : int; kind : string; detail : string }
   | Server_state of { server : int; value : int; ts : string; sting : int; hist_len : int; readers : int }
-  | Note of { detail : string }
   | Span_tag of { span : int; tag : string; v : int }
   | Alert of { shard : int; rule : string; severity : string; detail : string; window : int }
 
@@ -34,7 +33,7 @@ let op_id = function
   | Violation { op_id; _ } ->
       Some op_id
   | Msg_sent _ | Msg_delivered _ | Msg_dropped _ | Retransmit _ | Ack_roundtrip _
-  | Label_adopted _ | Epoch_changed _ | Fault_injected _ | Server_state _ | Note _ | Span_tag _
+  | Label_adopted _ | Epoch_changed _ | Fault_injected _ | Server_state _ | Span_tag _
   | Alert _ ->
       None
 
@@ -49,7 +48,7 @@ let span = function
   | Span_tag { span; _ } ->
       span
   | Retransmit _ | Ack_roundtrip _ | Label_adopted _ | Epoch_changed _ | Fault_injected _
-  | Violation _ | Server_state _ | Note _ | Alert _ ->
+  | Violation _ | Server_state _ | Alert _ ->
       no_span
 
 let endpoints = function
@@ -63,9 +62,7 @@ let endpoints = function
   | Label_adopted { server; writer; _ } -> [ server; writer ]
   | Epoch_changed { node; _ } -> [ node ]
   | Server_state { server; _ } -> [ server ]
-  | Retransmit _ | Ack_roundtrip _ | Fault_injected _ | Violation _ | Note _ | Span_tag _
-  | Alert _ ->
-      []
+  | Retransmit _ | Ack_roundtrip _ | Fault_injected _ | Violation _ | Span_tag _ | Alert _ -> []
 
 let location = function
   | Msg_sent { src; _ } -> Some src
@@ -78,8 +75,7 @@ let location = function
   | Label_adopted { server; _ } -> Some server
   | Epoch_changed { node; _ } -> Some node
   | Server_state { server; _ } -> Some server
-  | Retransmit _ | Ack_roundtrip _ | Fault_injected _ | Violation _ | Note _ | Span_tag _
-  | Alert _ ->
+  | Retransmit _ | Ack_roundtrip _ | Fault_injected _ | Violation _ | Span_tag _ | Alert _ ->
       None
 
 let name = function
@@ -97,7 +93,6 @@ let name = function
   | Op_finished _ -> "op_finished"
   | Violation _ -> "violation"
   | Server_state _ -> "server_state"
-  | Note _ -> "note"
   | Span_tag _ -> "span_tag"
   | Alert _ -> "alert"
 
@@ -119,9 +114,8 @@ let index = function
   | Op_finished _ -> 11
   | Violation _ -> 12
   | Server_state _ -> 13
-  | Note _ -> 14
-  | Span_tag _ -> 15
-  | Alert _ -> 16
+  | Span_tag _ -> 14
+  | Alert _ -> 15
 
 let kinds =
   [|
@@ -139,7 +133,6 @@ let kinds =
     "op_finished";
     "violation";
     "server_state";
-    "note";
     "span_tag";
     "alert";
   |]
@@ -195,7 +188,6 @@ let to_json ~time ev =
           ("hist_len", i hist_len);
           ("readers", i readers);
         ]
-  | Note { detail } -> base [ ("detail", s detail) ]
   | Span_tag { span; tag; v } -> base [ ("span", i span); ("tag", s tag); ("v", i v) ]
   | Alert { shard; rule; severity; detail; window } ->
       base
@@ -232,7 +224,6 @@ let pp fmt = function
   | Server_state { server; value; ts; sting = _; hist_len; readers } ->
       Format.fprintf fmt "s%d state v=%d ts=%s hist=%d readers=%d" server value ts hist_len
         readers
-  | Note { detail } -> Format.pp_print_string fmt detail
   | Span_tag { span; tag; v } -> Format.fprintf fmt "span %d %s=%d" span tag v
   | Alert { shard; rule; severity; detail; window } ->
       Format.fprintf fmt "ALERT [%s] shard %d %s: %s (window %d)" severity shard rule detail
@@ -339,9 +330,6 @@ let of_json j =
         let* hist_len = int "hist_len" in
         let* readers = int "readers" in
         Ok (Server_state { server; value; ts; sting; hist_len; readers })
-    | "note" ->
-        let* detail = str "detail" in
-        Ok (Note { detail })
     | "span_tag" ->
         let* span = int "span" in
         let* tag = str "tag" in

@@ -60,7 +60,6 @@ type t =
       (** periodic convergence snapshot of one server: stored value,
           rendered timestamp, its SBLS sting (for label-space occupancy
           series), history-window fill and pending running-reader count *)
-  | Note of { detail : string }  (** free-form escape hatch ({!Trace.log}) *)
   | Span_tag of { span : int; tag : string; v : int }
       (** attach an integer attribute to a span from a layer that knows
           something the client automaton does not — e.g. the kv store
@@ -87,7 +86,7 @@ val location : t -> int option
 (** The endpoint where the event {e happens}: a send at its source, a
     delivery (or drop) at its destination, an operation event at its
     client, a snapshot or adoption at its server.  [None] for events
-    with no natural lifeline (faults, data-link internals, notes) —
+    with no natural lifeline (faults, data-link internals, alerts) —
     the space-time diagram renders those rows without a marker. *)
 
 val name : t -> string

@@ -34,8 +34,6 @@ let faults_injected = "faults.injected"
 
 (* -- streaming observability (series / detector / alerts) ----------- *)
 
-let telemetry_occupancy = "telemetry.occupancy"
-
 let stab_shards_stabilized = "stab.shards_stabilized"
 
 let stab_time_to_stabilize_ticks = "stab.time_to_stabilize_ticks"
@@ -162,10 +160,6 @@ let all =
     (server_label_adoptions, Counter, "WRITE requests whose timestamp dominated (ACK)");
     (server_label_rejections, Counter, "WRITE requests adopted on NACK (Figure 1b)");
     (faults_injected, Counter, "fault-plan events fired");
-    ( telemetry_occupancy,
-      Histogram,
-      "streaming series of label-space occupancy snapshots (bounded windowed \
-       mirror of the telemetry snapshot list)" );
     (stab_shards_stabilized, Counter, "shards whose online detector declared stabilization");
     ( stab_time_to_stabilize_ticks,
       Histogram,

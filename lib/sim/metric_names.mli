@@ -40,8 +40,6 @@ val faults_injected : string
     names carry the online detector's verdicts; the alert names count
     rising-edge rule firings. *)
 
-val telemetry_occupancy : string
-
 val stab_shards_stabilized : string
 
 val stab_time_to_stabilize_ticks : string

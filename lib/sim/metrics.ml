@@ -1,5 +1,3 @@
-type series = { mutable buf : float array; mutable len : int }
-
 type hist = {
   bounds : float array; (* strictly increasing upper bounds; overflow bucket implicit *)
   hcounts : int array; (* length = Array.length bounds + 1 *)
@@ -28,18 +26,9 @@ type hist_snapshot = {
    overflow bucket catches the rest. *)
 let default_bounds = Array.init 20 (fun i -> Float.of_int (1 lsl i))
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  observations : (string, series) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
-}
+type t = { counters : (string, int ref) Hashtbl.t; histograms : (string, hist) Hashtbl.t }
 
-let create () =
-  {
-    counters = Hashtbl.create 32;
-    observations = Hashtbl.create 8;
-    histograms = Hashtbl.create 8;
-  }
+let create () = { counters = Hashtbl.create 32; histograms = Hashtbl.create 8 }
 
 let slot t name =
   match Hashtbl.find_opt t.counters name with
@@ -56,37 +45,11 @@ type counter = int ref
 let counter t name = slot t name
 let counter_incr (c : counter) = Stdlib.incr c
 
-let counter_add (c : counter) v = c := !c + v
-let counter_get (c : counter) = !c
-
 let add t name v =
   let r = slot t name in
   r := !r + v
 
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let series_slot t name =
-  match Hashtbl.find_opt t.observations name with
-  | Some s -> s
-  | None ->
-      let s = { buf = Array.make 16 0.0; len = 0 } in
-      Hashtbl.add t.observations name s;
-      s
-
-let observe t name v =
-  let s = series_slot t name in
-  if s.len = Array.length s.buf then begin
-    let nb = Array.make (2 * s.len) 0.0 in
-    Array.blit s.buf 0 nb 0 s.len;
-    s.buf <- nb
-  end;
-  s.buf.(s.len) <- v;
-  s.len <- s.len + 1
-
-let series t name =
-  match Hashtbl.find_opt t.observations name with
-  | Some s -> Array.sub s.buf 0 s.len
-  | None -> [||]
 
 let hist_slot t ?(bounds = default_bounds) name =
   match Hashtbl.find_opt t.histograms name with
@@ -150,8 +113,3 @@ let histograms t =
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.observations;
-  Hashtbl.reset t.histograms

@@ -1,11 +1,10 @@
-(** Named monotone counters, value series and fixed-bucket histograms
-    for a simulation run.
+(** Named monotone counters and fixed-bucket histograms for a
+    simulation run.
 
     Cheap enough to leave enabled everywhere: counters are hashtable
-    slots, series are growable float buffers, and histogram recording
-    is a ~20-element scan with no allocation.  Experiments read them
-    back at the end of a run to build tables; [--metrics-out]
-    serializes the whole snapshot. *)
+    slots, and histogram recording is a ~20-element scan with no
+    allocation.  Experiments read them back at the end of a run to
+    build tables; [--metrics-out] serializes the whole snapshot. *)
 
 type t
 
@@ -24,29 +23,20 @@ type counter
 (** A resolved counter handle: the name lookup (and any key-string
     construction) paid once instead of per bump.  For per-message hot
     paths — the network resolves one handle per message kind instead of
-    concatenating a key string on every send.  {!reset} orphans
-    outstanding handles: re-resolve after a reset. *)
+    concatenating a key string on every send. *)
 
 val counter : t -> string -> counter
 (** Resolve (creating at 0 if needed). *)
 
 val counter_incr : counter -> unit
-val counter_add : counter -> int -> unit
-val counter_get : counter -> int
-
-val observe : t -> string -> float -> unit
-(** [observe t name v] appends [v] to the series [name]. *)
-
-val series : t -> string -> float array
-(** All observations of a series, in insertion order. *)
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
 (** {2 Histograms}
 
-    Fixed buckets keep long runs O(1) per sample where a series would
-    grow without bound — the per-operation phase latencies use these.
+    Fixed buckets keep long runs O(1) memory however many samples
+    arrive — the per-operation phase latencies use these.
     Percentiles are extracted from the bucket counts by
     {!Sbft_harness.Stats.hist_percentile}. *)
 
@@ -74,8 +64,7 @@ type hist
 (** A resolved histogram handle: the name lookup paid once instead of
     per sample.  For hot paths that record the same histogram for every
     operation (the open-loop generator's queue-wait and end-to-end
-    latencies).  Resolving a handle creates the (empty) histogram;
-    {!reset} orphans outstanding handles — re-resolve after a reset. *)
+    latencies).  Resolving a handle creates the (empty) histogram. *)
 
 val hist : ?bounds:float array -> t -> string -> hist
 val hist_record : hist -> float -> unit
@@ -84,5 +73,3 @@ val histogram : t -> string -> hist_snapshot option
 
 val histograms : t -> (string * hist_snapshot) list
 (** All histograms, sorted by name. *)
-
-val reset : t -> unit

@@ -350,8 +350,6 @@ end
    closed ones, an all-time rollup.  Windows close lazily as later
    observations (or an explicit [roll_to]) arrive. *)
 
-type closed_hook = index:int -> Agg.t -> unit
-
 type t = {
   name : string;
   window : int;
@@ -363,7 +361,6 @@ type t = {
   ring_index : int array;  (* which window index occupies each slot *)
   total : Agg.t;
   mutable closed : int;  (* windows closed so far (including empty) *)
-  mutable hooks : closed_hook list;
 }
 
 let create ?(keep = 64) ?(quantiles = false) ~window ~name () =
@@ -380,36 +377,29 @@ let create ?(keep = 64) ?(quantiles = false) ~window ~name () =
     ring_index = Array.make keep (-1);
     total = Agg.empty ();
     closed = 0;
-    hooks = [];
   }
 
 let name t = t.name
 
 let window t = t.window
 
-let on_close t hook = t.hooks <- t.hooks @ [ hook ]
-
 let index_of t time = if time < 0 then 0 else time / t.window
 
 let close_one t =
   let idx = t.cur_index in
-  let agg = t.cur in
   let slot = idx mod t.keep in
-  t.ring.(slot) <- Some agg;
+  t.ring.(slot) <- Some t.cur;
   t.ring_index.(slot) <- idx;
   t.closed <- t.closed + 1;
   t.cur <- Agg.empty ();
-  t.cur_index <- idx + 1;
-  List.iter (fun hook -> hook ~index:idx agg) t.hooks
+  t.cur_index <- idx + 1
 
-(* Close every window that ends at or before [time].  With close hooks
-   installed the loop walks one window at a time so hooks see every
-   index (a gap of empty windows is real data — those windows were
-   clean).  Without hooks a long gap fast-forwards in O(keep): only the
-   last [keep] windows are observable through [recent]/[merge_recent],
-   and every one of the skipped windows is empty, so it suffices to
-   close the (possibly non-empty) current window normally and then
-   bulk-account the rest — bump [closed], jump [cur_index].  Stale ring
+(* Close every window that ends at or before [time].  A long gap
+   fast-forwards in O(keep): only the last [keep] windows are
+   observable through [recent]/[merge_recent], and every one of the
+   skipped windows is empty, so it suffices to close the (possibly
+   non-empty) current window normally and then bulk-account the rest —
+   bump [closed], jump [cur_index].  Stale ring
    slots left behind by the jump self-invalidate: readers accept a slot
    only when [ring_index.(slot)] equals the index they are asking for,
    so skipped-over windows correctly read back as empty.  This keeps a
@@ -418,7 +408,7 @@ let close_one t =
    one. *)
 let roll_to t ~time =
   let target = index_of t time in
-  if t.hooks = [] && target - t.cur_index > t.keep then begin
+  if target - t.cur_index > t.keep then begin
     close_one t;
     let skipped = target - t.cur_index in
     t.closed <- t.closed + skipped;

@@ -83,8 +83,6 @@ type t
 (** A tumbling-window series: one open window, a ring of the last
     [keep] closed windows, one all-time rollup. *)
 
-type closed_hook = index:int -> Agg.t -> unit
-
 val create : ?keep:int -> ?quantiles:bool -> window:int -> name:string -> unit -> t
 (** [create ~window ~name ()] makes a series with [window]-tick
     tumbling windows keeping the last [keep] (default 64) closed
@@ -94,11 +92,6 @@ val create : ?keep:int -> ?quantiles:bool -> window:int -> name:string -> unit -
 val name : t -> string
 
 val window : t -> int
-
-val on_close : t -> closed_hook -> unit
-(** Register a hook invoked for {e every} closed window in index
-    order, empty ones included (an empty window is a clean window —
-    the detector needs to see it). *)
 
 val observe : t -> time:int -> float -> unit
 (** Record [v] at virtual [time], closing any windows that end at or
@@ -111,10 +104,8 @@ val incr : t -> time:int -> unit
 val roll_to : t -> time:int -> unit
 (** Close every window ending at or before [time] without recording
     anything — the end-of-run flush.  Gaps longer than [keep] windows
-    fast-forward in O(keep) when no {!on_close} hooks are installed
-    (only the last [keep] windows are observable, and the skipped ones
-    are all empty); with hooks, every index is closed individually so
-    hooks see the full sequence. *)
+    fast-forward in O(keep): only the last [keep] windows are
+    observable, and the skipped ones are all empty. *)
 
 val current : t -> Agg.t
 (** The open window. *)

@@ -1,12 +1,8 @@
-type level = Off | Sampled | On | Forensic
+type level = Off | Sampled | On
 
-let level_to_string = function
-  | Off -> "off"
-  | Sampled -> "sampled"
-  | On -> "on"
-  | Forensic -> "forensic"
+let level_to_string = function Off -> "off" | Sampled -> "sampled" | On -> "on"
 
-let levels = [ Off; Sampled; On; Forensic ]
+let levels = [ Off; Sampled; On ]
 
 type sink = time:int -> Event.t -> unit
 
@@ -26,7 +22,7 @@ let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 let admits t ~span =
   match (t.level, t.sinks) with
   | Off, _ | _, [] -> false
-  | (On | Forensic), _ -> true
+  | On, _ -> true
   | Sampled, _ ->
       (* Head sampling: a span's fate hashes from its id alone, so every
          layer that touches the operation agrees without coordination
@@ -42,13 +38,6 @@ let rec to_sinks ~time ev = function
       to_sinks ~time ev rest
 
 let emit t ~time ev = if t.level <> Off then to_sinks ~time ev t.sinks
-
-let log t ~time msg =
-  if t.level = Forensic then emit t ~time (Event.Note { detail = msg })
-
-let logf t ~time fmt =
-  if t.level = Forensic && t.sinks <> [] then Format.kasprintf (fun s -> log t ~time s) fmt
-  else Format.ikfprintf (fun _ -> ()) Format.std_formatter fmt
 
 let jsonl_sink oc ~time ev =
   output_string oc (Json.to_string (Event.to_json ~time ev));

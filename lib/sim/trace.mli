@@ -23,11 +23,9 @@
       simulation is bit-identical at every level, and the sampled
       stream is an in-order subsequence of the full one.
     - {!On} — sinks see every event (the default for recorded,
-      replayable runs).
-    - {!Forensic} — additionally records free-form {!log}/{!logf}
-      narration ({!Event.Note}), the chattiest tier. *)
+      replayable runs). *)
 
-type level = Off | Sampled | On | Forensic
+type level = Off | Sampled | On
 
 val level_to_string : level -> string
 
@@ -49,20 +47,13 @@ val add_sink : t -> sink -> unit
 val admits : t -> span:int -> bool
 (** Whether the sinks receive an event of [span] ({!Event.no_span} for
     an event outside any span): [false] at {!Off} or with no sink,
-    [true] at {!On} and {!Forensic}.  At {!Sampled}, a span's answer is
-    the same on every call; a span-less query draws the per-event
-    sampler, so ask exactly once per event, right before building it,
-    and {!emit} it on [true]. *)
+    [true] at {!On}.  At {!Sampled}, a span's answer is the same on
+    every call; a span-less query draws the per-event sampler, so ask
+    exactly once per event, right before building it, and {!emit} it
+    on [true]. *)
 
 val emit : t -> time:int -> Event.t -> unit
 (** Hand an event {!admits} accepted to every sink (a no-op at {!Off}). *)
-
-val log : t -> time:int -> string -> unit
-(** Record a free-form {!Event.Note} — {!Forensic} level only. *)
-
-val logf : t -> time:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted {!log}; the message is only built at {!Forensic} with a
-    sink attached. *)
 
 val jsonl_sink : out_channel -> sink
 (** A sink that writes each event as one JSON line (see

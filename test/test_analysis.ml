@@ -27,7 +27,6 @@ let all_variants : E.t list =
     E.Op_finished { op_id = 3; client = 6; kind = "write"; outcome = "ok"; ticks = 20; span = 4 };
     E.Violation { op_id = 3; kind = "stale"; detail = "read 3 returned overwritten value" };
     E.Server_state { server = 1; value = 9; ts = "(3,{1,2})@w0"; sting = 3; hist_len = 2; readers = 1 };
-    E.Note { detail = "free-form" };
     E.Span_tag { span = 4; tag = "shard"; v = 11 };
   ]
 

@@ -99,7 +99,7 @@ let e20 =
     [ "3/3 cut for 1500 ticks"; "149.4"; "1528"; "113.5"; "1521"; "0"; "0" ];
   ]
 
-let telemetry_digest = "8d090adfee92f7376dfec977d86368b2"
+let telemetry_digest = "b6ba49bf872bdb82b61088aaede3370d"
 
 let rows id table expected =
   Alcotest.test_case (id ^ " rows") `Quick (fun () ->

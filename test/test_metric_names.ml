@@ -98,13 +98,12 @@ let test_no_raw_metric_literals () =
         (String.concat "\n  " bad)
 
 (* Every name the PR-8 streaming layer mints must be in the registry:
-   stabilization counters/histograms, per-shard detector names, alert
-   rules and the telemetry occupancy series. *)
+   stabilization counters/histograms, per-shard detector names and
+   alert rules. *)
 let test_streaming_names_registered () =
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " registered") true (Metric_names.mem n))
     [
-      Metric_names.telemetry_occupancy;
       Metric_names.stab_shards_stabilized;
       Metric_names.stab_time_to_stabilize_ticks;
       Metric_names.stab_fleet_time_to_stabilize_ticks;

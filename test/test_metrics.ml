@@ -1,4 +1,4 @@
-(* Tests for counters, series, histograms, and the typed trace. *)
+(* Tests for counters, histograms, and the typed trace. *)
 
 open Sbft_sim
 
@@ -11,16 +11,6 @@ let test_counters () =
   Alcotest.(check int) "incr and add" 5 (Metrics.get m "a");
   Metrics.incr m "b";
   Alcotest.(check (list (pair string int))) "sorted listing" [ ("a", 5); ("b", 1) ] (Metrics.counters m)
-
-let test_series () =
-  let m = Metrics.create () in
-  Alcotest.(check int) "empty series" 0 (Array.length (Metrics.series m "lat"));
-  for i = 1 to 40 do
-    Metrics.observe m "lat" (float_of_int i)
-  done;
-  let s = Metrics.series m "lat" in
-  Alcotest.(check int) "length past initial capacity" 40 (Array.length s);
-  Alcotest.(check (float 0.0)) "order preserved" 40.0 s.(39)
 
 let test_histograms () =
   let m = Metrics.create () in
@@ -43,16 +33,6 @@ let test_histograms () =
   Alcotest.(check int) "overflow bucket" 1 h.counts.(Array.length h.counts - 1);
   Alcotest.(check int) "listing" 1 (List.length (Metrics.histograms m))
 
-let test_reset () =
-  let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.observe m "s" 1.0;
-  Metrics.record m "h" 2.0;
-  Metrics.reset m;
-  Alcotest.(check int) "counter reset" 0 (Metrics.get m "a");
-  Alcotest.(check int) "series reset" 0 (Array.length (Metrics.series m "s"));
-  Alcotest.(check bool) "histogram reset" true (Metrics.histogram m "h" = None)
-
 (* ------------------------------------------------------------------ *)
 (* trace dial and sinks *)
 
@@ -64,30 +44,11 @@ let collecting ?sample level =
   Trace.add_sink t (fun ~time ev -> got := (time, ev) :: !got);
   (t, fun () -> List.rev !got)
 
-let notes events =
-  List.map
-    (fun (time, ev) ->
-      match ev with Event.Note { detail } -> (time, detail) | e -> (time, Event.name e))
-    events
-
 let test_trace_disabled_is_noop () =
   let t, got = collecting Trace.Off in
-  Trace.log t ~time:1 "x";
-  Trace.emit t ~time:2 (Event.Note { detail = "y" });
+  Trace.emit t ~time:2 (Event.Fault_injected { desc = "y" });
   Alcotest.(check bool) "admits nothing" false (Trace.admits t ~span:0);
   Alcotest.(check int) "nothing delivered" 0 (List.length (got ()))
-
-let test_trace_retention () =
-  let t, got = collecting Trace.Forensic in
-  for i = 1 to 3 do
-    Trace.log t ~time:i (string_of_int i)
-  done;
-  Alcotest.(check (list (pair int string)))
-    "oldest first" [ (1, "1"); (2, "2"); (3, "3") ] (notes (got ()));
-  (* Free-form notes are forensic-only: at [On] they cost nothing. *)
-  let on, got_on = collecting Trace.On in
-  Trace.log on ~time:1 "x";
-  Alcotest.(check int) "notes gated below Forensic" 0 (List.length (got_on ()))
 
 let test_trace_admits_needs_a_sink () =
   (* nothing is built for a trace no sink reads, at any level *)
@@ -124,18 +85,6 @@ let test_trace_head_sampling () =
         Trace.admits t ~span:Event.no_span)
   in
   Alcotest.(check (list bool)) "span-less draws independent of spans" (draws false) (draws true)
-
-let test_trace_logf_lazy () =
-  let t, got = collecting Trace.Forensic in
-  Trace.logf t ~time:7 "n=%d s=%s" 42 "hi";
-  Alcotest.(check (list (pair int string))) "formatted" [ (7, "n=42 s=hi") ] (notes (got ()));
-  (* When disabled, the formatter must never run — %t's closure is the witness. *)
-  let off, _ = collecting Trace.Off in
-  let ran = ref false in
-  Trace.logf off ~time:1 "%t" (fun fmt ->
-      ran := true;
-      Format.pp_print_string fmt "x");
-  Alcotest.(check bool) "disabled logf builds nothing" false !ran
 
 let test_trace_typed_events () =
   let t, got = collecting Trace.On in
@@ -214,14 +163,10 @@ let test_jsonl_sink () =
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
-    Alcotest.test_case "series" `Quick test_series;
     Alcotest.test_case "histograms" `Quick test_histograms;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled_is_noop;
-    Alcotest.test_case "trace retention" `Quick test_trace_retention;
     Alcotest.test_case "trace admits only with a sink" `Quick test_trace_admits_needs_a_sink;
     Alcotest.test_case "trace head sampling per span" `Quick test_trace_head_sampling;
-    Alcotest.test_case "trace logf" `Quick test_trace_logf_lazy;
     Alcotest.test_case "typed events" `Quick test_trace_typed_events;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "event to_json" `Quick test_event_to_json;

@@ -89,11 +89,11 @@ let test_trace_file_errors () =
   check_err [ "{" ] "malformed json";
   check_err [ {|{"t":1,"ev":"nope"}|} ] "unknown event";
   check_err
-    [ {|{"t":1,"ev":"note","detail":"x"}|}; {|{"header":{}}|} ]
+    [ {|{"t":1,"ev":"fault_injected","desc":"x"}|}; {|{"header":{}}|} ]
     "header after events";
   (* blank lines are tolerated, order is preserved *)
-  match Trace_file.parse_lines [ ""; {|{"t":3,"ev":"note","detail":"x"}|}; "" ] with
-  | Ok { header = None; events = [ (3, Sbft_sim.Event.Note { detail = "x" }) ] } -> ()
+  match Trace_file.parse_lines [ ""; {|{"t":3,"ev":"fault_injected","desc":"x"}|}; "" ] with
+  | Ok { header = None; events = [ (3, Sbft_sim.Event.Fault_injected { desc = "x" }) ] } -> ()
   | Ok _ -> Alcotest.fail "unexpected parse"
   | Error e -> Alcotest.failf "parse: %s" e
 
@@ -107,7 +107,7 @@ let test_fingerprint_mismatch () =
     (Replay.fingerprint_mismatch ~header:anon ~fingerprint:"bbb")
 
 let test_compare_streams_shapes () =
-  let ev t d = (t, Sbft_sim.Event.Note { detail = d }) in
+  let ev t d = (t, Sbft_sim.Event.Fault_injected { desc = d }) in
   let v = Replay.compare_streams ~expected:[ ev 1 "a"; ev 2 "b" ] ~got:[ ev 1 "a" ] in
   (match v.divergence with
   | Some { index = 1; expected = Some _; got = None } -> ()

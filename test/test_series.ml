@@ -171,23 +171,6 @@ let test_series_pathological_gap () =
       Alcotest.(check int) "same counts" a.Series.Agg.count b.Series.Agg.count)
     (Series.recent slow ()) (Series.recent fast ())
 
-(* With an [on_close] hook installed the fast path must stand down:
-   hooks contract to see every window index exactly once, in order,
-   empties included. *)
-let test_series_gap_with_hooks () =
-  let s = Series.create ~window:10 ~keep:4 ~name:"hooked" () in
-  let seen = ref [] in
-  Series.on_close s (fun ~index agg -> seen := (index, agg.Series.Agg.count) :: !seen);
-  Series.observe s ~time:5 1.0;
-  Series.roll_to s ~time:400 (* 40 windows, far beyond keep=4 *);
-  let seen = List.rev !seen in
-  Alcotest.(check int) "hook saw every window" 40 (List.length seen);
-  List.iteri
-    (fun i (idx, count) ->
-      Alcotest.(check int) "indices dense and ordered" i idx;
-      Alcotest.(check int) "only window 0 dirty" (if i = 0 then 1 else 0) count)
-    seen
-
 let test_series_fleet_rollup () =
   let a = Series.create ~window:10 ~name:"a" () and b = Series.create ~window:10 ~name:"b" () in
   Series.observe a ~time:5 1.0;
@@ -519,7 +502,6 @@ let suite =
     Alcotest.test_case "tumbling windows materialize empties" `Quick test_series_windows;
     Alcotest.test_case "10^7-tick gaps fast-forward, read back empty" `Quick
       test_series_pathological_gap;
-    Alcotest.test_case "close hooks disable the gap fast path" `Quick test_series_gap_with_hooks;
     Alcotest.test_case "fleet rollup merges point-wise" `Quick test_series_fleet_rollup;
     Alcotest.test_case "detector stabilizes through gaps" `Quick test_detector_basic;
     Alcotest.test_case "late dirt revokes a declaration" `Quick test_detector_revocation;

@@ -155,7 +155,7 @@ let test_profile_event_attribution () =
   for i = 1 to 5 do
     Trace.emit tr ~time:i (Event.Msg_sent { src = 0; dst = 1; kind = "write_req"; span = Event.no_span })
   done;
-  Trace.emit tr ~time:9 (Event.Note { detail = "x" });
+  Trace.emit tr ~time:9 (Event.Fault_injected { desc = "x" });
   let r = Profile.report ~top:2 p in
   Alcotest.(check int) "all events counted" 6 r.events_total;
   (match r.event_rows with

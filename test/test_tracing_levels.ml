@@ -148,7 +148,7 @@ let test_forensic_events_keep_trace_cap () =
     [ Trace.Off; Trace.Sampled; Trace.On ]
 
 let test_compare_for_level_dispatch () =
-  let e t d = (t, Event.Note { detail = d }) in
+  let e t d = (t, Event.Fault_injected { desc = d }) in
   let full = [ e 1 "a"; e 2 "b"; e 3 "c" ] in
   let thinned = [ e 1 "a"; e 3 "c" ] in
   (* sampled headers get containment semantics *)
