@@ -34,6 +34,10 @@ let ok_or_exit = function
 
 let check_flag ok msg = if not ok then ok_or_exit (Error msg)
 
+(* A count flag: [name] must be at least [min]. *)
+let check_count name ~min v =
+  check_flag (v >= min) (Printf.sprintf "%s must be at least %d (got %d)" name min v)
+
 (* The f Byzantine servers are among the n. *)
 let check_topology ~n ~f =
   check_flag (n >= 1) (Printf.sprintf "-n must be at least 1 (got %d)" n);
@@ -436,6 +440,12 @@ let analyze_cmd =
 
 let spans_cmd =
   let go path json_out top focus by_shard min_cov =
+    check_count "--top" ~min:0 top;
+    (* a floor above 1 is unsatisfiable and fails loudly (exit 3); nan
+       would pass every op, since no comparison with it holds *)
+    check_flag
+      (Float.is_finite min_cov && min_cov >= 0.0)
+      (Printf.sprintf "--min-coverage must be a finite fraction, at least 0 (got %g)" min_cov);
     let { Trace_file.header; events } = ok_or_exit (Trace_file.load path) in
     Option.iter (fun h -> Format.printf "%a@.@." Run_header.pp h) header;
     let ops = Spans.build events in
@@ -717,6 +727,7 @@ let attack_cmd =
 let labels_cmd =
   let go k trials =
     check_flag (k >= 2) (Printf.sprintf "-k must be at least 2 (got %d)" k);
+    check_count "--trials" ~min:0 trials;
     let sys = Sbft_labels.Sbls.system ~k in
     Format.printf "k = %d, universe = %d stings, label size = %d bits@." k
       (k * k + 1)
@@ -762,6 +773,8 @@ let trace_cmd =
 let explore_cmd =
   let go n f seeds ops =
     check_topology ~n ~f;
+    check_count "--seeds" ~min:1 seeds;
+    check_count "--ops" ~min:0 ops;
     let s = Sbft_harness.Explorer.explore ~n ~f ~seeds ~ops_per_client:ops () in
     Format.printf "%a@." Sbft_harness.Explorer.pp_summary s;
     if s.failures <> [] then exit 2
@@ -1103,6 +1116,7 @@ let kv_cmd =
 
 let watch_cmd =
   let go spec every_s ansi =
+    check_flag (every_s >= 0.0) (Printf.sprintf "--every must be at least 0 (got %g)" every_s);
     (* the dashboard draws the series, so --window 0 means 50 here *)
     let spec =
       {
@@ -1211,6 +1225,8 @@ let fuzz_cmd =
   in
   let go n f clients ops wr delay seed iters budget max_findings quiet save_dir corpus_dir domains =
     check_flag (domains >= 1) "--domains must be >= 1";
+    check_count "--iters" ~min:0 iters;
+    check_count "--max-findings" ~min:1 max_findings;
     let base =
       { Scenario.default with n; f; clients; ops_per_client = ops; write_ratio = wr; delay }
     in
@@ -1320,6 +1336,7 @@ let fuzz_cmd =
 
 let shrink_cmd =
   let go path out max_execs verbose =
+    check_count "--max-execs" ~min:0 max_execs;
     let h, c = replay_trace path ~no_header:"nothing to shrink" in
     if c.verdict = Scenario.Pass then begin
       Printf.eprintf "%s: verdict is ok — nothing to shrink\n" path;

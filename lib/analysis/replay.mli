@@ -20,31 +20,22 @@ type verdict = {
   divergence : divergence option;  (** [None] = streams identical *)
 }
 
-val compare_streams :
-  expected:(int * Sbft_sim.Event.t) list -> got:(int * Sbft_sim.Event.t) list -> verdict
-
-val compare_subsequence :
-  expected:(int * Sbft_sim.Event.t) list -> got:(int * Sbft_sim.Event.t) list -> verdict
-(** Containment in order: every recorded event appears in the replayed
-    stream, in recorded order.  The check for artifacts recorded at
-    {!Sbft_sim.Trace.Sampled} — a deterministic subsequence of the
-    full stream by construction, so equality would false-positive on
-    every unsampled event.  [divergence.got = None] means the next
-    recorded event was never found. *)
-
 val compare_for_level :
   trace_level:string ->
   expected:(int * Sbft_sim.Event.t) list ->
   got:(int * Sbft_sim.Event.t) list ->
   verdict
-(** Dispatch on {!Run_header.t}[.trace_level]: ["sampled"] uses
-    {!compare_subsequence}, everything else exact {!compare_streams}. *)
+(** Dispatch on {!Run_header.t}[.trace_level].  ["sampled"] checks
+    containment in order: every recorded event appears in the replayed
+    stream, in recorded order, since a sampled artifact is a
+    deterministic subsequence of the full stream and equality would
+    false-positive on every unsampled event ([divergence.got = None]
+    means the next recorded event was never found).  Every other level
+    compares the streams exactly. *)
 
 val fingerprint_mismatch : header:Run_header.t -> fingerprint:string -> bool
 (** True when both fingerprints are known and differ — the replayed
     binary is not the recorder, so a divergence may be a code change
     rather than nondeterminism. *)
-
-val pp_divergence : Format.formatter -> divergence -> unit
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -97,8 +97,6 @@ val pp_waterfall : Format.formatter -> op -> unit
 
 val pp_agg_row : Format.formatter -> agg_row -> unit
 
-val op_to_json : op -> Sbft_sim.Json.t
-
 val to_json : op list -> Sbft_sim.Json.t
 (** Array of span trees with critical paths and coverage, the
     machine-readable output of [sbftreg spans --json]. *)

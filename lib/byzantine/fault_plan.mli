@@ -55,8 +55,6 @@ val storm : seed:int64 -> n:int -> f:int -> clients:int -> waves:int -> every:in
 
 val pp : Format.formatter -> t -> unit
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {1 Serialization}
 
     One event is ["at:kind[:args]"] (e.g. ["120:byz:4:equivocate"],
@@ -65,16 +63,13 @@ val pp_event : Format.formatter -> event -> unit
     the plan inside a {!Sbft_analysis.Run_header.t}, so every recorded
     trace replays its fault timeline exactly. *)
 
-val event_to_string : int * event -> string
-
-val event_of_string : string -> (int * event, string) result
-
 val to_strings : t -> string list
+(** One event string per event, in plan order. *)
 
 val of_strings : string list -> (t, string) result
 
 val to_string : t -> string
-(** Comma-separated {!event_to_string}s — the CLI [--plan] syntax. *)
+(** Comma-separated {!to_strings} — the CLI [--plan] syntax. *)
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [""] is the empty plan.  Validates
@@ -105,11 +100,6 @@ val restrict : n:int -> clients:int -> t -> t
     can orphan an earlier event's target).  {!Scenario.execute} rejects
     plans this would change, so the fuzzer applies it after every
     mutation. *)
-
-val random_event : Sbft_sim.Rng.t -> n:int -> clients:int -> horizon:int -> int * event
-(** One random timeline event at a random time in [\[0, horizon)].
-    Never generates {!Crash} (a crashed client's unfinished operations
-    would read as termination failures) nor un-healed partitions. *)
 
 val mutate : Sbft_sim.Rng.t -> n:int -> f:int -> clients:int -> t -> t
 (** One structural mutation: add a random event (or a

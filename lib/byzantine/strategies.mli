@@ -24,25 +24,21 @@ val stale_replay : Strategy.t
     that snapshot: the stale-witness attack from the Theorem 1
     schedule, trying to give an old pair a [2f+1]-th witness. *)
 
-val garbage : prob:float -> Strategy.t
-(** With probability [prob] per message, responds with a random forged
-    message (corrupted timestamps, wrong labels, junk history);
-    otherwise behaves correctly. *)
-
 val equivocate : Strategy.t
 (** Answers protocol-shaped but inconsistent messages: different
     readers get different values, timestamps drawn from its own random
     stream — tests that the WTsG witness threshold filters lies. *)
 
-val inflate_ts : Strategy.t
-(** Feeds writers adversarial timestamps in phase 1 (trying to poison
-    the [next] computation — harmless for the bounded scheme, fatal for
-    unbounded integers) and handles everything else correctly. *)
-
-val mute_readers : Strategy.t
-(** Participates in writes but never answers [READ]/[FLUSH]: starves
-    readers of replies, the liveness attack Lemma 4/6 defends
-    against. *)
-
 val all : (string * Strategy.t) list
-(** Every strategy above, for sweep experiments. *)
+(** Every strategy above, for sweep experiments, plus three reached only
+    by name:
+    - ["garbage"]: with probability 0.7 per message, responds with a
+      random forged message (corrupted timestamps, wrong labels, junk
+      history); otherwise behaves correctly;
+    - ["inflate-ts"]: feeds writers adversarial timestamps in phase 1
+      (trying to poison the [next] computation — harmless for the
+      bounded scheme, fatal for unbounded integers) and handles
+      everything else correctly;
+    - ["mute-readers"]: participates in writes but never answers
+      [READ]/[FLUSH], starving readers of replies — the liveness
+      attack Lemmas 4 and 6 defend against. *)

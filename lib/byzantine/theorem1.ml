@@ -59,9 +59,6 @@ let decisions =
         match List.rev (List.sort_uniq Int.compare l) with _ :: x :: _ -> x | x :: _ -> x | [] -> 0 );
   ]
 
-let all_rules_fail () =
-  List.for_all (fun d -> let o = run_decision d in not (o.r1_ok && o.r2_ok)) decisions
-
 (* ------------------------------------------------------------------ *)
 (* The concrete schedule against this repository's protocol.           *)
 

@@ -38,9 +38,6 @@ val run_decision : string * (int list -> int) -> decision_outcome
 
 val decisions : (string * (int list -> int)) list
 
-val all_rules_fail : unit -> bool
-(** Every rule in {!decisions} violates regularity on the schedule. *)
-
 type protocol_outcome = {
   n : int;
   f : int;

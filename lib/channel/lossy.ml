@@ -64,6 +64,4 @@ let preload t pkts =
 
 let occupancy t = List.length t.contents
 
-let sent t = t.sent
-
 let lost t = t.lost

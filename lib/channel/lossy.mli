@@ -33,7 +33,4 @@ val preload : 'pkt t -> 'pkt list -> unit
 
 val occupancy : 'pkt t -> int
 
-val sent : 'pkt t -> int
-(** Packets accepted (not counting losses/overflows). *)
-
 val lost : 'pkt t -> int

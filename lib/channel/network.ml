@@ -101,8 +101,6 @@ let create engine ~endpoints ?(servers = 0) ~delay ?kinds ?(transport = Direct) 
 
 let engine t = t.engine
 
-let endpoints t = t.n
-
 let chan t ~src ~dst = (src * t.n) + dst
 
 let register t id handler = t.handlers.(id) <- handler
@@ -293,8 +291,6 @@ let heal t =
   Queue.clear t.parked_q
 
 let parked t = Queue.length t.parked_q
-
-let broadcast t ~src ~dst msg = List.iter (fun d -> send t ~src ~dst:d msg) dst
 
 let inject t ~src ~dst msg =
   Metrics.incr (Engine.metrics t.engine) Names.net_injected;

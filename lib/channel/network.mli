@@ -81,8 +81,6 @@ val create :
 
 val engine : 'msg t -> Sbft_sim.Engine.t
 
-val endpoints : 'msg t -> int
-
 val register : 'msg t -> int -> 'msg handler -> unit
 (** Attach the receive handler of endpoint [id]. Replaces any previous
     handler (used when a correct server is swapped for a Byzantine
@@ -94,8 +92,6 @@ val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueue a message. Delivery is scheduled per the delay policy,
     FIFO-constrained per channel. Sends from a crashed endpoint are
     dropped. *)
-
-val broadcast : 'msg t -> src:int -> dst:int list -> 'msg -> unit
 
 val crash : 'msg t -> int -> unit
 (** Endpoint [id] stops sending and receiving, permanently. *)

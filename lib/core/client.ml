@@ -68,16 +68,11 @@ type t = {
   mutable rphase : read_phase;
   rl : Read_labels.t;
   mutable write_ts : Msg.ts option;
-  mutable aborted : int;
 }
-
-let id t = t.id
 
 let busy t = match (t.wphase, t.rphase) with W_idle, R_idle -> false | _ -> true
 
 let last_write_ts t = t.write_ts
-
-let aborted_reads t = t.aborted
 
 let is_server t src = Config.is_server t.cfg src
 
@@ -285,7 +280,6 @@ let read ~op_id ?span_k t k =
 
 let finish_read t ~k ~label ~st outcome =
   t.rphase <- R_idle;
-  (match outcome with Sbft_spec.History.Abort -> t.aborted <- t.aborted + 1 | _ -> ());
   let span = st.span in
   phase_done t span ~hist:t.meters.read_decide ~phase:"decide";
   let total = now t - span.t0 in
@@ -419,5 +413,4 @@ let create cfg sys net ~meters ~id =
     rphase = R_idle;
     rl = Read_labels.create ~servers:cfg.n ~pool:cfg.read_label_pool;
     write_ts = None;
-    aborted = 0;
   }

@@ -41,8 +41,6 @@ val create :
 val handle : t -> src:int -> Msg.t -> unit
 (** The automaton's receive handler. *)
 
-val id : t -> int
-
 val busy : t -> bool
 
 val write : op_id:int -> ?span_k:(int -> unit) -> t -> value:int -> (unit -> unit) -> unit
@@ -83,6 +81,3 @@ val abandon : t -> unit
 (** Abort the in-flight operation without completing it (client crash
     mid-operation). The continuation is dropped; the client returns to
     idle. No-op when idle. *)
-
-val aborted_reads : t -> int
-(** Reads this client finished with [Abort]. *)

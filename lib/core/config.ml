@@ -33,7 +33,3 @@ let client_ids t = List.init t.clients (fun i -> t.n + i)
 let endpoints t = t.n + t.clients
 
 let is_server t id = id >= 0 && id < t.n
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d f=%d clients=%d k=%d pool=%d depth=%d" t.n t.f t.clients t.k
-    t.read_label_pool t.history_depth

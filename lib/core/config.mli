@@ -49,5 +49,3 @@ val client_ids : t -> int list
 val endpoints : t -> int
 
 val is_server : t -> int -> bool
-
-val pp : Format.formatter -> t -> unit

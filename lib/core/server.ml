@@ -18,7 +18,6 @@ type t = {
   mutable ts : Msg.ts;
   mutable old_vals : Msg.hist_entry list; (* newest first, <= history_depth *)
   running_read : (int, int * int) Hashtbl.t; (* client -> (label, reader's span) *)
-  mutable writes_applied : int;
 }
 
 let id t = t.id
@@ -34,10 +33,6 @@ let running_readers t = Hashtbl.fold (fun c (l, _) acc -> (c, l) :: acc) t.runni
 let holds t ~value ~ts =
   (t.value = value && Mw_ts.equal t.ts ts)
   || List.exists (fun (e : Msg.hist_entry) -> e.value = value && Mw_ts.equal e.ts ts) t.old_vals
-
-let writes_applied t = t.writes_applied
-
-let reset_statistics t = t.writes_applied <- 0
 
 let truncate depth l =
   let rec go n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: go (n - 1) r in
@@ -62,7 +57,6 @@ let handle t ~src msg =
       t.old_vals <- truncate t.cfg.history_depth ({ Msg.value = t.value; ts = t.ts } :: t.old_vals);
       t.value <- value;
       t.ts <- ts;
-      t.writes_applied <- t.writes_applied + 1;
       Metrics.counter_incr
         (Lazy.force (if ack then t.meters.label_adoptions else t.meters.label_rejections));
       let engine = Network.engine t.net in
@@ -122,7 +116,6 @@ let create cfg sys net ~meters ~id =
       ts = Mw_ts.initial sys;
       old_vals = [];
       running_read = Hashtbl.create 8;
-      writes_applied = 0;
     }
   in
   Network.register net id (fun ~dst:_ ~src msg -> handle t ~src msg);

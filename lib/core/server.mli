@@ -57,7 +57,3 @@ val corrupt : t -> Sbft_sim.Rng.t -> severity:[ `Light | `Heavy ] -> unit
 (** Transient fault. [`Light] randomizes value and timestamp with
     well-formed garbage; [`Heavy] also scrambles the history window and
     the running-reader set with ill-formed labels. *)
-
-val reset_statistics : t -> unit
-
-val writes_applied : t -> int

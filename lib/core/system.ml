@@ -120,8 +120,3 @@ let server_states t =
 
 let count_holding t ~value ~ts =
   Array.fold_left (fun acc s -> if Server.holds s ~value ~ts then acc + 1 else acc) 0 t.servers
-
-let total_aborted_reads t =
-  Array.fold_left
-    (fun acc -> function Some c -> acc + Client.aborted_reads c | None -> acc)
-    0 t.clients

@@ -99,5 +99,3 @@ val server_states : t -> (int * int * Msg.ts) list
 
 val count_holding : t -> value:int -> ts:Msg.ts -> int
 (** Servers witnessing the pair (Lemma 2's measure). *)
-
-val total_aborted_reads : t -> int

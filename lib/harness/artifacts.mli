@@ -1,7 +1,7 @@
 (** Machine-readable run artifacts: the [--metrics-out] snapshot of
     both [sbftreg run] and [sbftreg kv].
 
-    One JSON object per run, schema {!schema}; members other than
+    One JSON object per run, schema ["sbft-metrics/2"]; members other than
     [schema], [counters], [histograms] and [per_node] appear only when
     the command produced them:
     {v
@@ -30,12 +30,7 @@
     one-shard bank, [kv] artifacts one shard per store shard.
     Metric names are the registry's ({!Sbft_sim.Metric_names});
     histogram percentiles are nearest-rank over the fixed buckets
-    ({!Stats.hist_percentile}). *)
-
-val schema : string
-(** ["sbft-metrics/2"]: version 2 replaced the first-clean-read probe
-    and the separate [stabilization_online] member with the one
-    detector-bank [stabilization] member. *)
+    ({!Stats.hist_percentile_sat}). *)
 
 val histogram_json : Sbft_sim.Metrics.hist_snapshot -> Sbft_sim.Json.t
 

@@ -14,12 +14,3 @@ val create : ?stabilization:Stabilization.t -> ?alerts:Alerts.t -> Sbft_kv.Store
 
 val render : t -> string
 (** One complete frame, trailing newline included. *)
-
-val sparkline :
-  ?lo:float ->
-  ?hi:float ->
-  value:(Sbft_sim.Series.Agg.t -> float) ->
-  (int * Sbft_sim.Series.Agg.t) list ->
-  string
-(** ASCII ramp over one value per window; empty windows render as a
-    space.  [hi] defaults to the observed maximum. *)

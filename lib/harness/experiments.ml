@@ -1033,6 +1033,9 @@ let e20_partition () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Checker at scale: the sweep vs the retired list-scan oracle on
+   growing synthetic audit histories and a 10k-op n=31/f=6 run, with
+   bit-for-bit report equality asserted on every row. *)
 let e21_scale () =
   (* The sweep checker at scale: synthetic steady-state histories of
      growing size, plus a real n=31/f=6 run (Vukolić-survey territory —
@@ -1088,6 +1091,13 @@ let e21_scale () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Observability overhead: one 10^5-op workload against a 16-shard
+   store at every trace level, over 5 rounds that rotate the starting
+   level.  Each level reports its median wall time and ops/s, and each
+   traced level the median and quartiles of its per-round ratio to
+   [off].  Fired thunks never differ across levels (the dial never
+   perturbs the simulation); fired and sink events are asserted equal
+   across a level's rounds. *)
 let e22_observability () =
   (* What the trace dial costs on a heavy run: the same 10^5-op
      workload against a 16-shard store at every level, wall-clock

@@ -26,19 +26,9 @@
     - E21–E24: the checker at scale, tracing overhead, time-to-stabilize
       and the open-loop saturation knee.
 
-    Each returns a {!Table.t}; [sbftreg experiment ID|all] renders
-    them.  Every table is deterministic (fixed seed set) except the
+    Each is a {!Table.t} thunk reached through {!by_id}, which
+    [sbftreg experiment ID|all] renders.  Every table is deterministic (fixed seed set) except the
     wall-clock timing columns of E21 and E22. *)
-
-val e1_lower_bound : unit -> Table.t
-
-val e2_termination : unit -> Table.t
-
-val e3_write_coverage : unit -> Table.t
-
-val e4_regularity : unit -> Table.t
-
-val e5_stabilization : unit -> Table.t
 
 val stabilization_telemetry : unit -> Sbft_sim.Json.t
 (** E5's "everything" scenario re-run with {!Telemetry} attached: the
@@ -48,41 +38,6 @@ val stabilization_telemetry : unit -> Sbft_sim.Json.t
 val domination_failures : k:int -> seed:int64 -> trials:int -> int
 (** Of [trials] random sets of 1 to [k] corrupted labels, how many
     [Sbls.next] fails to dominate — E6's check, also [sbftreg labels]'s. *)
-
-val e6_bounded_labels : unit -> Table.t
-
-val e7_mwmr_order : unit -> Table.t
-
-val e8_baselines : unit -> Table.t
-
-val e9_tightness : unit -> Table.t
-
-val e10_quiescence : unit -> Table.t
-
-val e11_datalink : unit -> Table.t
-
-val e13_byzantine_clients : unit -> Table.t
-(** The §VI remark: Byzantine readers cannot break correct clients. *)
-
-val e14_ablations : unit -> Table.t
-(** Design-choice ablations: the forwarding rule, the read-label pool. *)
-
-val e15_asynchrony : unit -> Table.t
-(** Delay-model sensitivity: latency moves, correctness does not. *)
-
-val e16_exploration : unit -> Table.t
-(** Schedule-space sweep via {!Explorer}: counterexample counts. *)
-
-val e17_full_stack : unit -> Table.t
-(** The register over the whole channel stack: data-links over lossy
-    non-FIFO channels instead of the FIFO axiom. *)
-
-val e18_kv_store : unit -> Table.t
-(** The sharded KV store: scaling in shards, fault blast radius. *)
-
-val e19_fault_storm : unit -> Table.t
-(** Random fault storms with healing, checked live by the invariant
-    monitor — the §VI transient/Byzantine unification. *)
 
 type storm = {
   plan : Sbft_byz.Fault_plan.t;
@@ -100,36 +55,6 @@ val storm_session :
 
 val pp_storm : Format.formatter -> storm -> unit
 (** The monitor's report, then ["verdict: OK"] or ["verdict: BROKEN"]. *)
-
-val e20_partition : unit -> Table.t
-(** Partition episodes: stalls and recovery, never violations. *)
-
-val e21_scale : unit -> Table.t
-(** Checker at scale: the sweep vs the retired list-scan oracle on
-    growing synthetic audit histories and a 10k-op n=31/f=6 run, with
-    bit-for-bit report equality asserted on every row. *)
-
-val e22_observability : unit -> Table.t
-(** Observability overhead: one 10^5-op workload against a 16-shard
-    store at every trace level, over 5 rounds that rotate the starting
-    level.  Each level reports its median wall time and ops/s, and each
-    traced level the median and quartiles of its per-round ratio to
-    [off].  Fired thunks never differ across levels (the dial never
-    perturbs the simulation); fired and sink events are asserted equal
-    across a level's rounds. *)
-
-val e23_time_to_stabilize : unit -> Table.t
-(** Time-to-stabilize vs fault density: transient heavy corruption of
-    1/4/8 of a 16-shard Zipfian store's shards, measured live by the
-    {!Stabilization} detector (per-shard and fleet) — blast radius in
-    recovery time rather than in space. *)
-
-val e24_saturation_knee : unit -> Table.t
-(** The open-loop generator's saturation knee: constant-rate arrivals
-    swept past an 8-shard store's capacity with 2 shards faulted
-    mid-run — offered vs completed vs rejected, peak queue depth and
-    queue-wait p99 per rate.  The 10^6-op/64-shard flagship run is the
-    EXPERIMENTS.md walkthrough (one [sbftreg kv --arrival] call). *)
 
 val by_id : string -> (unit -> Table.t) option
 (** Look up by id, case-insensitive ("e4" or "E4"). *)

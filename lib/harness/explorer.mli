@@ -46,9 +46,6 @@ type summary = {
   total_aborts : int;
 }
 
-val policies : (string * Sbft_channel.Delay.t) list
-(** The delay-policy grid — {!Scenario.policies}. *)
-
 val classify :
   livelocked:bool ->
   completed_reads:int ->
@@ -68,7 +65,7 @@ val explore :
   ?seeds:int ->
   unit ->
   summary
-(** Run the full grid: [seeds] seeds (default 5) × {!policies} ×
+(** Run the full grid: [seeds] seeds (default 5) × {!Scenario.policies} ×
     (every strategy + none) × the three fault modes, 4 clients each.
     Every run is audited for MWMR regularity after the last fault's
     first completed write; any violation, livelock, starvation or

@@ -16,20 +16,7 @@ let attach net ~describe =
            { time = Engine.now engine; event; src; dst; label = describe msg } :: t.rev_entries));
   t
 
-let detach net _t = Network.observe net None
-
 let entries t = List.rev t.rev_entries
-
-let clear t = t.rev_entries <- []
-
-let stats t =
-  let h = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      if e.event = `Send then
-        Hashtbl.replace h e.label (1 + Option.value ~default:0 (Hashtbl.find_opt h e.label)))
-    (entries t);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
 
 let projection ?(from_time = 0) ?(until = max_int) ~endpoint ~name t =
   let relevant =

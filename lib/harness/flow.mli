@@ -25,13 +25,8 @@ val attach : 'msg Sbft_channel.Network.t -> describe:('msg -> string) -> t
 (** Start recording every send and delivery. Replaces any previous
     observer on the network. *)
 
-val detach : 'msg Sbft_channel.Network.t -> t -> unit
-(** Stop recording (uninstalls the observer). *)
-
 val entries : t -> entry list
 (** Everything captured, in order. *)
-
-val clear : t -> unit
 
 val projection :
   ?from_time:int -> ?until:int -> endpoint:int -> name:(int -> string) -> t -> string
@@ -39,9 +34,6 @@ val projection :
     [──MSG──▶ peer] for sends (consecutive same-instant broadcasts of
     one message are folded into a peer range) and [◀──MSG── peer] for
     deliveries.  [name] renders endpoint ids (e.g. ["s0"], ["c6"]). *)
-
-val stats : t -> (string * int) list
-(** Message-label histogram of the capture, sorted. *)
 
 type figure4 = {
   outcome : Sbft_spec.History.read_outcome;  (** what the read returned *)

@@ -28,22 +28,6 @@
 
     [name] renders endpoint ids in the diagram (default [n<i>]). *)
 
-val dump_violation :
-  ?name:(int -> string) ->
-  Format.formatter ->
-  events:(int * Sbft_sim.Event.t) list ->
-  history:'ts Sbft_spec.History.t ->
-  Sbft_spec.Regularity.violation ->
-  unit
-
-val dump :
-  ?name:(int -> string) ->
-  Format.formatter ->
-  events:(int * Sbft_sim.Event.t) list ->
-  history:'ts Sbft_spec.History.t ->
-  Sbft_spec.Regularity.violation list ->
-  unit
-
 val dump_string :
   ?name:(int -> string) ->
   events:(int * Sbft_sim.Event.t) list ->

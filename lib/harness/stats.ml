@@ -47,8 +47,6 @@ let hist_percentile_sat ~bounds ~counts p =
     go 0 0
   end
 
-let hist_percentile ~bounds ~counts p = fst (hist_percentile_sat ~bounds ~counts p)
-
 (* Bucket walk with the streaming digest as the saturation fallback: an
    in-range percentile keeps the exact bucket answer, a clamped one is
    replaced by the digest's estimate (still flagged, since it is an

@@ -39,10 +39,6 @@ val hist_percentile_sat : bounds:float array -> counts:int array -> float -> flo
     (e.g. the metrics JSON) must mark it as such instead of silently
     under-reporting tail latency. *)
 
-val hist_percentile : bounds:float array -> counts:int array -> float -> float
-(** [fst (hist_percentile_sat ...)]: the clamped value alone, for
-    callers that have a separate channel for the saturation flag. *)
-
 val hist_percentile_resolved : Sbft_sim.Metrics.hist_snapshot -> float -> float * bool
 (** Like {!hist_percentile_sat} but with the histogram's streaming
     quantile digest as the saturation fallback: an in-range percentile

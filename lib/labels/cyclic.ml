@@ -38,5 +38,3 @@ let random sys rng = Sbft_sim.Rng.int rng sys.m
 let size_bits sys =
   let rec bits n acc = if n <= 1 then acc else bits (n / 2) (acc + 1) in
   bits (sys.m - 1) 1
-
-let pp fmt t = Format.pp_print_int fmt t

@@ -50,5 +50,3 @@ val stuck : system -> t list -> bool
 val random : system -> Sbft_sim.Rng.t -> t
 
 val size_bits : system -> int
-
-val pp : Format.formatter -> t -> unit

@@ -7,8 +7,6 @@ let create ~servers ~pool =
   if pool < 2 then invalid_arg "Read_labels.create: pool must be >= 2";
   { servers; pool; pending = Bytes.make (servers * pool) '\000'; last = 0 }
 
-let pool t = t.pool
-
 let in_range t ~server ~label = server >= 0 && server < t.servers && label >= 0 && label < t.pool
 
 let cell t ~server ~label = (server * t.pool) + label
@@ -57,14 +55,3 @@ let corrupt t rng =
   for i = 0 to Bytes.length t.pending - 1 do
     Bytes.set t.pending i (if bool rng then '\001' else '\000')
   done
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>last=%d@," t.last;
-  for s = 0 to t.servers - 1 do
-    Format.fprintf fmt "s%d:" s;
-    for label = 0 to t.pool - 1 do
-      Format.pp_print_char fmt (if marked t ~server:s ~label then '1' else '0')
-    done;
-    Format.pp_print_cut fmt ()
-  done;
-  Format.fprintf fmt "@]"

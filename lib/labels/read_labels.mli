@@ -15,8 +15,6 @@ type t
 val create : servers:int -> pool:int -> t
 (** [pool >= 2] labels, matrix over [servers] rows. *)
 
-val pool : t -> int
-
 val choose : t -> int
 (** Label for the next read: different from the last one returned,
     preferring the label with fewest pending servers. Marks it as the
@@ -39,5 +37,3 @@ val is_pending : t -> server:int -> label:int -> bool
 val corrupt : t -> Sbft_sim.Rng.t -> unit
 (** Transient fault: randomize the whole matrix and the last-used
     label. *)
-
-val pp : Format.formatter -> t -> unit

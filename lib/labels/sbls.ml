@@ -190,5 +190,3 @@ let pp fmt l =
   Format.fprintf fmt "(%d|%a)" l.sting
     (Format.pp_print_array ~pp_sep:(fun f () -> Format.pp_print_char f ',') Format.pp_print_int)
     l.anti
-
-let to_string l = Format.asprintf "%a" pp l

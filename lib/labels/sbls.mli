@@ -94,5 +94,3 @@ val size_bits : system -> int
 (** Storage cost of one label in bits: [⌈log₂ m⌉ · (k + 1)]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

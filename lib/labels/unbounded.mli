@@ -12,9 +12,6 @@ type t = { ts : int; writer : int }
 
 val initial : t
 
-val compare : t -> t -> int
-(** Total order: integer first, writer id breaking ties. *)
-
 val prec : t -> t -> bool
 (** [prec a b] iff [compare a b < 0]. Transitive and total, unlike the
     bounded scheme. *)

@@ -142,10 +142,6 @@ let bigram_id st prev id =
       Hashtbl.add st.bigram_memo packed bid;
       bid
 
-let key_of_event ev =
-  let st = current_intern () in
-  st.names.(id_of_event st ev)
-
 type t = {
   st : intern; (* the minting domain's intern table *)
   mutable bits : Bytes.t;
@@ -180,11 +176,6 @@ let add_id t id =
   end
   else false
 
-let mem_id t id =
-  let byte = id lsr 3 in
-  byte < Bytes.length t.bits
-  && Char.code (Bytes.unsafe_get t.bits byte) land (1 lsl (id land 7)) <> 0
-
 let observe t ev =
   let id = id_of_event t.st ev in
   ignore (add_id t id : bool);
@@ -211,11 +202,6 @@ let keys t =
   let acc = ref [] in
   iter_ids t (fun id -> acc := t.st.names.(id) :: !acc);
   List.sort String.compare !acc
-
-let mem t key =
-  match Hashtbl.find_opt t.st.ids key with
-  | Some id -> mem_id t id
-  | None -> false
 
 let add_key t key = add_id t (intern_key t.st key)
 

@@ -52,8 +52,6 @@ val cardinal : t -> int
 val keys : t -> string list
 (** Sorted, for deterministic reporting. *)
 
-val mem : t -> string -> bool
-
 val absorb : into:t -> t -> int
 (** [absorb ~into run] adds every key of [run] to [into] and returns
     how many were new — the fuzzer's "did this schedule reach anything
@@ -68,6 +66,3 @@ val add_key : t -> string -> bool
 val absorb_keys : into:t -> t -> string list
 (** Like {!absorb}, but returns the newly-added keys by name (sorted) —
     what a fuzz domain ships through the corpus-merge queue. *)
-
-val key_of_event : Event.t -> string
-(** The unigram abstraction (exposed for tests). *)

@@ -51,19 +51,6 @@ let span = function
   | Violation _ | Server_state _ | Alert _ ->
       no_span
 
-let endpoints = function
-  | Msg_sent { src; dst; _ } | Msg_delivered { src; dst; _ } | Msg_dropped { src; dst; _ } ->
-      [ src; dst ]
-  | Quorum_formed { client; _ }
-  | Op_started { client; _ }
-  | Op_phase { client; _ }
-  | Op_finished { client; _ } ->
-      [ client ]
-  | Label_adopted { server; writer; _ } -> [ server; writer ]
-  | Epoch_changed { node; _ } -> [ node ]
-  | Server_state { server; _ } -> [ server ]
-  | Retransmit _ | Ack_roundtrip _ | Fault_injected _ | Violation _ | Span_tag _ | Alert _ -> []
-
 let location = function
   | Msg_sent { src; _ } -> Some src
   | Msg_delivered { dst; _ } | Msg_dropped { dst; _ } -> Some dst

@@ -79,19 +79,12 @@ val op_id : t -> int option
 val span : t -> int
 (** The run-global span id stamped on the event, or {!no_span}. *)
 
-val endpoints : t -> int list
-(** Endpoints mentioned by the event (empty when none). *)
-
 val location : t -> int option
 (** The endpoint where the event {e happens}: a send at its source, a
     delivery (or drop) at its destination, an operation event at its
     client, a snapshot or adoption at its server.  [None] for events
     with no natural lifeline (faults, data-link internals, alerts) —
     the space-time diagram renders those rows without a marker. *)
-
-val name : t -> string
-(** Stable snake_case constructor name, the ["ev"] field of the JSON
-    encoding. *)
 
 val index : t -> int
 (** Dense constructor index in [0, Array.length kinds): the

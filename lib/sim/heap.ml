@@ -15,8 +15,6 @@ type 'a t = {
 
 let create () = { times = [||]; seqs = [||]; payloads = [||]; len = 0 }
 
-let is_empty t = t.len = 0
-
 let size t = t.len
 
 let lt t i j =
@@ -60,9 +58,8 @@ let push t ~time ~seq payload =
     i := p
   done
 
-(* Flat variant of [pop]: callers have already checked emptiness (via
-   [min_time]), so no option or tuple is built — the engine's inner
-   loop runs one of these per event. *)
+(* The engine's inner loop runs one of these per event, after
+   [min_time] has checked emptiness: no option or tuple is built. *)
 let take t =
   if t.len = 0 then invalid_arg "Heap.take: empty";
   let payload = match t.payloads.(0) with Some p -> p | None -> assert false in
@@ -90,26 +87,8 @@ let take t =
   end;
   payload
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) and seq = t.seqs.(0) in
-    let payload = take t in
-    Some (time, seq, payload)
-  end
-
 let no_event = max_int
 
 let min_time t = if t.len = 0 then no_event else t.times.(0)
 
 let min_seq t = t.seqs.(0)
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
-
-let clear t =
-  (* Drop the backing stores outright: clearing mid-campaign must not
-     keep the high-water-mark's worth of payloads (or capacity) alive. *)
-  t.times <- [||];
-  t.seqs <- [||];
-  t.payloads <- [||];
-  t.len <- 0

@@ -5,24 +5,21 @@
     makes event ordering total and the whole simulation deterministic.
 
     Keys and payloads are stored in parallel arrays: sift comparisons
-    are unboxed [int] reads, and [pop]/[clear] release the payload
-    slots they vacate, so a delivered message or closure becomes
-    collectable the moment it leaves the queue. *)
+    are unboxed [int] reads, and {!take} releases the payload slot it
+    vacates, so a delivered message or closure becomes collectable the
+    moment it leaves the queue.  A consumer drains the heap the way the
+    engine does: read {!min_time} (and {!min_seq} on a time tie), then
+    {!take}. *)
 
 type 'a t
 (** Heap holding payloads of type ['a]. *)
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
 val size : 'a t -> int
 
 val push : 'a t -> time:int -> seq:int -> 'a -> unit
 (** Insert a payload with the given key. *)
-
-val pop : 'a t -> (int * int * 'a) option
-(** Remove and return the minimum [(time, seq, payload)], if any. *)
 
 val no_event : int
 (** Sentinel returned by [min_time] on an empty heap ([max_int]). *)
@@ -37,11 +34,6 @@ val min_seq : 'a t -> int
     tie against its timing wheel. *)
 
 val take : 'a t -> 'a
-(** Remove the minimum element and return its payload without boxing
-    the key.  Raises [Invalid_argument] on an empty heap: pair it with
-    [min_time] in hot loops. *)
-
-val peek_time : 'a t -> int option
-(** Time of the minimum element without removing it. *)
-
-val clear : 'a t -> unit
+(** Remove the minimum element, release its slot and return its
+    payload without boxing the key.  Raises [Invalid_argument] on an
+    empty heap: pair it with [min_time]. *)

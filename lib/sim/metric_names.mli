@@ -46,12 +46,8 @@ val stab_time_to_stabilize_ticks : string
 
 val stab_fleet_time_to_stabilize_ticks : string
 
-val stab_shard_prefix : string
-
 val stab_shard : shard:int -> string
 (** [stab_shard ~shard] is ["stab.shard.<shard>"]. *)
-
-val alerts_prefix : string
 
 val alert_rule_slo_burn : string
 
@@ -91,8 +87,6 @@ val loadgen_queue_wait_ticks : string
     Dynamically numbered metrics ([kv.shard.<i>.<field>]) are minted
     exclusively by {!kv_shard}, keeping the no-literals lint meaningful
     for templated names: call sites never [Printf] a metric name. *)
-
-val kv_shard_prefix : string
 
 type shard_field =
   | Shard_puts  (** completed puts on the shard *)

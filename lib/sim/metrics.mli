@@ -38,7 +38,7 @@ val counters : t -> (string * int) list
     Fixed buckets keep long runs O(1) memory however many samples
     arrive — the per-operation phase latencies use these.
     Percentiles are extracted from the bucket counts by
-    {!Sbft_harness.Stats.hist_percentile}. *)
+    {!Sbft_harness.Stats.hist_percentile_sat}. *)
 
 type hist_snapshot = {
   bounds : float array;  (** bucket upper bounds, strictly increasing *)
@@ -52,13 +52,10 @@ type hist_snapshot = {
           where a bucket percentile saturates; [None] when empty *)
 }
 
-val default_bounds : float array
-(** Geometric: 1, 2, 4, … 2^19 virtual ticks. *)
-
 val record : ?bounds:float array -> t -> string -> float -> unit
-(** [record t name v] adds [v] to histogram [name], creating it (with
-    [bounds], default {!default_bounds}) on first use.  [bounds] is
-    ignored on later calls. *)
+(** [record t name v] adds [v] to histogram [name], creating it on
+    first use with [bounds] (default: geometric, 1, 2, 4, … 2^19
+    virtual ticks).  [bounds] is ignored on later calls. *)
 
 type hist
 (** A resolved histogram handle: the name lookup paid once instead of

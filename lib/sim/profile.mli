@@ -18,10 +18,6 @@
 
 type phase = Delivery | Server_step | Client_step | Checker | Telemetry | Other
 
-val phases : phase list
-
-val phase_label : phase -> string
-
 type t
 
 val create : unit -> t
@@ -31,8 +27,6 @@ val enable : t -> unit
 (** Reset all counters and start the wall clock. *)
 
 val enabled : t -> bool
-
-val reset : t -> unit
 
 val enter : t -> phase -> unit
 (** Push a phase (no-op when disabled).  Callers must pair with
@@ -44,8 +38,6 @@ val leave : t -> unit
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** [enter]/[leave] around [f] with exception safety; prefer the bare
     pair on allocation-sensitive paths. *)
-
-val count_event : t -> Event.t -> unit
 
 val event_sink : t -> Trace.sink
 (** Install on a trace to count event kinds as they are emitted (the

@@ -424,10 +424,6 @@ let observe t ~time v =
   Agg.observe ~quantiles:t.quantiles t.cur v;
   Agg.observe ~quantiles:t.quantiles t.total v
 
-let incr t ~time = observe t ~time 1.0
-
-let current t = t.cur
-
 let total t = t.total
 
 let closed_windows t = t.closed
@@ -582,8 +578,6 @@ module Detector = struct
     match t.state with Pending -> None | Stabilized at -> Some (max 0 (at - t.after))
 
   let dirty_windows t = t.dirty_windows
-
-  let dirty_observations t = t.observed
 
   let to_json t =
     Json.Obj

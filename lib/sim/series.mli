@@ -19,10 +19,8 @@
 module Quantile : sig
   type t
 
-  val default_cap : int
-  (** 64 markers: ≲2% rank error through a merge. *)
-
   val create : ?cap:int -> unit -> t
+  (** [cap] defaults to 64 markers: ≲2% rank error through a merge. *)
 
   val add : t -> float -> unit
 
@@ -39,8 +37,6 @@ module Quantile : sig
   val markers : t -> float array * float array
   (** The digest's markers, after folding in buffered samples: means
       in increasing order and their weights. *)
-
-  val to_json : t -> Json.t
 end
 
 (** One window's aggregate: count, sum, min, max and (optionally) a
@@ -98,17 +94,11 @@ val observe : t -> time:int -> float -> unit
     before it first.  Times must be non-decreasing (the virtual clock
     is). *)
 
-val incr : t -> time:int -> unit
-(** [observe t ~time 1.0]. *)
-
 val roll_to : t -> time:int -> unit
 (** Close every window ending at or before [time] without recording
     anything — the end-of-run flush.  Gaps longer than [keep] windows
     fast-forward in O(keep): only the last [keep] windows are
     observable, and the skipped ones are all empty. *)
-
-val current : t -> Agg.t
-(** The open window. *)
 
 val total : t -> Agg.t
 (** The all-time rollup. *)
@@ -162,8 +152,6 @@ module Detector : sig
   (** [Stabilized at - after], once declared. *)
 
   val dirty_windows : t -> int
-
-  val dirty_observations : t -> int
 
   val to_json : t -> Json.t
 end

@@ -94,8 +94,3 @@ let check ?(after = 0) h =
          done
        with Exit -> ()));
   { checked_ops = n; linearizable = !cycle = None; cycle = !cycle }
-
-let pp_report fmt r =
-  Format.fprintf fmt "atomicity: %d ops, %s%s" r.checked_ops
-    (if r.linearizable then "linearizable" else "NOT linearizable")
-    (match r.cycle with Some c -> " (" ^ c ^ ")" | None -> "")

@@ -23,5 +23,3 @@ type report = {
 }
 
 val check : ?after:int -> 'ts History.t -> report
-
-val pp_report : Format.formatter -> report -> unit

@@ -63,8 +63,6 @@ let ops t =
 
 let writes t = List.filter (function Write _ -> true | Read _ -> false) (ops t)
 
-let reads t = List.filter (function Read _ -> true | Write _ -> false) (ops t)
-
 let size t = t.len
 
 let completed_reads t =

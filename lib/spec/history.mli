@@ -46,8 +46,6 @@ val ops : 'ts t -> 'ts op list
 
 val writes : 'ts t -> 'ts op list
 
-val reads : 'ts t -> 'ts op list
-
 val size : 'ts t -> int
 
 val completed_reads : 'ts t -> int

@@ -418,8 +418,6 @@ let history_wellformed h =
 let check ?(after = 0) ~ts_prec h =
   if history_wellformed h then check_sweep ~after ~ts_prec h else check_scan ~after ~ts_prec h
 
-let ok r = r.violations = []
-
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>regularity: %d reads checked, %d skipped, %d violations@,"
     r.checked_reads r.skipped_reads (List.length r.violations);

@@ -99,6 +99,4 @@ val check : ?after:int -> ts_prec:('ts -> 'ts -> bool) -> 'ts History.t -> repor
     histories where some response precedes its invocation — nothing the
     simulator can record — are delegated to the scan outright. *)
 
-val ok : report -> bool
-
 val pp_report : Format.formatter -> report -> unit

@@ -69,11 +69,3 @@ let check ?(after = 0) ~ts_prec h =
       )
     (History.ops h);
   { checked_reads = !checked; unconstrained_reads = !unconstrained; violations = List.rev !violations }
-
-let ok r = r.violations = []
-
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v>safety: %d reads checked, %d unconstrained, %d violations@,"
-    r.checked_reads r.unconstrained_reads (List.length r.violations);
-  List.iter (fun v -> Format.fprintf fmt "  %s@," v.detail) r.violations;
-  Format.fprintf fmt "@]"

@@ -12,7 +12,3 @@ type report = { checked_reads : int; unconstrained_reads : int; violations : vio
 val check : ?after:int -> ts_prec:('ts -> 'ts -> bool) -> 'ts History.t -> report
 (** [ts_prec] resolves "last" among writes that are mutually
     concurrent, as in {!Regularity.check}. *)
-
-val ok : report -> bool
-
-val pp_report : Format.formatter -> report -> unit

@@ -35,9 +35,9 @@ let test_event_json_roundtrip () =
     (fun i ev ->
       match E.of_json (E.to_json ~time:(100 + i) ev) with
       | Ok (t, ev') ->
-          Alcotest.(check int) (E.name ev ^ " time") (100 + i) t;
-          Alcotest.(check bool) (E.name ev ^ " round trip") true (ev = ev')
-      | Error e -> Alcotest.failf "%s: %s" (E.name ev) e)
+          Alcotest.(check int) (E.to_string ev ^ " time") (100 + i) t;
+          Alcotest.(check bool) (E.to_string ev ^ " round trip") true (ev = ev')
+      | Error e -> Alcotest.failf "%s: %s" (E.to_string ev) e)
     all_variants
 
 let test_event_json_errors () =

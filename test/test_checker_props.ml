@@ -54,7 +54,7 @@ let qcheck_valid_histories_pass =
     QCheck.(triple (int_bound 100_000) (int_range 1 12) (int_range 1 15))
     (fun (seed, nw, nr) ->
       let h, _, _ = generate seed nw nr in
-      Reg.ok (Reg.check ~ts_prec:prec h))
+      (Reg.check ~ts_prec:prec h).violations = [])
 
 let qcheck_stale_mutants_flagged =
   QCheck.Test.make ~name:"regularity: planting a strictly stale return is always flagged" ~count:300
@@ -110,7 +110,7 @@ let qcheck_inversion_mutants_flagged =
       let id2 = H.begin_read h ~client:2 ~time:(last + 10) in
       H.end_read h ~id:id2 ~time:(last + 15) ~outcome:(H.Value 1);
       let r = Reg.check ~ts_prec:prec h in
-      not (Reg.ok r))
+      r.Reg.violations <> [])
 
 let suite =
   [

@@ -369,6 +369,8 @@ let test_hostile_input () =
     write_file (Filename.concat d "clients0.trace") (read_file header_trace);
     d
   in
+  let valid_trace = Filename.concat "corpus" "theorem1-n5-stale.trace" in
+  let sample_trace = Filename.concat ".." (Filename.concat "bench" "sample-trace.jsonl") in
   let out = temp "hostile" ".txt" in
   List.iter
     (fun (args, names) ->
@@ -413,6 +415,16 @@ let test_hostile_input () =
       ("replay " ^ header_trace, "clients");
       ("shrink " ^ header_trace, "clients");
       ("corpus " ^ corpus_dir, "clients");
+      ("explore --ops=-1", "--ops");
+      ("explore --seeds=-1", "--seeds");
+      ("labels --trials=-1", "--trials");
+      ("fuzz --iters=-1", "--iters");
+      ("fuzz --max-findings=-1 --iters 5", "--max-findings");
+      ("shrink --max-execs=-1 " ^ valid_trace, "--max-execs");
+      ("spans " ^ sample_trace ^ " --min-coverage nan", "--min-coverage");
+      ("spans " ^ sample_trace ^ " --min-coverage=-0.5", "--min-coverage");
+      ("spans " ^ sample_trace ^ " --top=-1", "--top");
+      ("watch --every=-1", "--every");
     ]
 
 let suite =

@@ -43,7 +43,8 @@ let qcheck_heap_multiset =
       let h = Sbft_sim.Heap.create () in
       List.iteri (fun seq (t, payload) -> Sbft_sim.Heap.push h ~time:t ~seq payload) items;
       let rec drain acc =
-        match Sbft_sim.Heap.pop h with Some (_, _, p) -> drain (p :: acc) | None -> acc
+        if Sbft_sim.Heap.min_time h = Sbft_sim.Heap.no_event then acc
+        else drain (Sbft_sim.Heap.take h :: acc)
       in
       let out = drain [] in
       List.sort compare out = List.sort compare (List.map snd items))

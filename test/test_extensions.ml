@@ -1,43 +1,47 @@
-(* Tests for the extension modules: the SWMR front-end, Byzantine
-   clients (§VI remark), the forwarding ablation flag and the schedule
+(* Tests for the extensions: one writer (§IV-B), Byzantine clients
+   (§VI remark), the forwarding ablation flag and the schedule
    explorer. *)
 
 open Sbft_core
 module H = Sbft_spec.History
 
-(* --- SWMR front-end --------------------------------------------------- *)
+(* --- one writer (§IV-B) ---------------------------------------------- *)
 
-let test_swmr_roles () =
-  let reg = Swmr.create ~seed:1L (Config.make ~n:6 ~f:1 ~clients:4 ()) in
-  Alcotest.(check int) "writer is first client endpoint" 6 (Swmr.writer reg);
-  Alcotest.(check (list int)) "readers are the rest" [ 7; 8; 9 ] (Swmr.readers reg)
+(* The single-writer register is [System] with one client that writes:
+   here the first client endpoint, [n] = 6. *)
+let writer = 6
 
 let test_swmr_write_read () =
-  let reg = Swmr.create ~seed:2L (Config.make ~n:6 ~f:1 ~clients:3 ()) in
+  let sys = System.create ~seed:2L (Config.make ~n:6 ~f:1 ~clients:3 ()) in
   let got = ref H.Incomplete in
-  Swmr.write reg ~value:44 ~k:(fun () -> Swmr.read reg ~client:7 ~k:(fun o -> got := o) ()) ();
-  Swmr.quiesce reg;
+  System.write sys ~client:writer ~value:44
+    ~k:(fun () -> System.read sys ~client:7 ~k:(fun o -> got := o) ())
+    ();
+  System.quiesce sys;
   Alcotest.(check bool) "round trip" true (!got = H.Value 44)
+
+let chain_writes sys ~count ~base =
+  let rec chain i =
+    if i < count then System.write sys ~client:writer ~value:(base + i) ~k:(fun () -> chain (i + 1)) ()
+  in
+  chain 0;
+  System.quiesce sys
 
 let test_swmr_never_retries () =
   (* Lemma 1 exactly: a single writer gets its 2f+1 ACKs at the paper's
      wait point, so the retry path never fires. *)
-  let reg = Swmr.create ~seed:3L (Config.make ~n:6 ~f:1 ~clients:3 ()) in
-  let rec chain i = if i < 30 then Swmr.write reg ~value:(600 + i) ~k:(fun () -> chain (i + 1)) () in
-  chain 0;
-  Swmr.quiesce reg;
-  let m = Sbft_sim.Engine.metrics (System.engine (Swmr.system reg)) in
+  let sys = System.create ~seed:3L (Config.make ~n:6 ~f:1 ~clients:3 ()) in
+  chain_writes sys ~count:30 ~base:600;
+  let m = Sbft_sim.Engine.metrics (System.engine sys) in
   Alcotest.(check int) "zero retries with a single writer" 0
     (Sbft_sim.Metrics.get m "client.write_retries")
 
 let test_swmr_consecutive_always_ordered () =
-  let reg = Swmr.create ~seed:4L (Config.make ~n:6 ~f:1 ~clients:2 ()) in
-  let rec chain i = if i < 20 then Swmr.write reg ~value:(800 + i) ~k:(fun () -> chain (i + 1)) () in
-  chain 0;
-  Swmr.quiesce reg;
+  let sys = System.create ~seed:4L (Config.make ~n:6 ~f:1 ~clients:2 ()) in
+  chain_writes sys ~count:20 ~base:800;
   let wts =
     List.filter_map (function H.Write { ts = Some t; _ } -> Some t | _ -> None)
-      (H.ops (Swmr.history reg))
+      (H.ops (System.history sys))
   in
   let rec adjacent_ordered = function
     | a :: (b :: _ as rest) -> Sbft_labels.Mw_ts.prec a b && adjacent_ordered rest
@@ -157,7 +161,6 @@ let test_explorer_catches_planted_bug () =
 
 let suite =
   [
-    Alcotest.test_case "swmr: roles" `Quick test_swmr_roles;
     Alcotest.test_case "swmr: write/read" `Quick test_swmr_write_read;
     Alcotest.test_case "swmr: never retries (Lemma 1)" `Quick test_swmr_never_retries;
     Alcotest.test_case "swmr: consecutive writes ordered" `Quick test_swmr_consecutive_always_ordered;

@@ -23,9 +23,9 @@ let sample_plan : FP.t =
 let test_string_roundtrip () =
   List.iter
     (fun ev ->
-      let s = FP.event_to_string ev in
-      match FP.event_of_string s with
-      | Ok ev' -> Alcotest.(check string) ("roundtrip " ^ s) s (FP.event_to_string ev')
+      let s = FP.to_string [ ev ] in
+      match FP.of_string s with
+      | Ok p -> Alcotest.(check string) ("roundtrip " ^ s) s (FP.to_string p)
       | Error e -> Alcotest.failf "event %s did not parse back: %s" s e)
     sample_plan;
   (match FP.of_string (FP.to_string sample_plan) with

@@ -85,7 +85,7 @@ let test_lemma3_4_read_label_recovery () =
    path entirely. *)
 let test_lemma6_read_terminates_mute_readers () =
   let sys = System.create ~seed:21L (Config.make ~n:6 ~f:1 ~clients:2 ()) in
-  ignore (Sbft_byz.Strategy.install_all sys Sbft_byz.Strategies.mute_readers);
+  ignore (Sbft_byz.Strategy.install_all sys (List.assoc "mute-readers" Sbft_byz.Strategies.all));
   System.write sys ~client:6 ~value:7 ();
   System.quiesce sys;
   let completed = ref 0 in

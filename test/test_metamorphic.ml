@@ -89,7 +89,7 @@ let qcheck_regular_invariant_under_record_order =
       let h, _ = generate seed nw nr in
       let rng = Rng.create (Int64.of_int shuffle_seed) in
       let h' = rebuild (shuffle rng (H.ops h)) in
-      Reg.ok (Reg.check ~ts_prec:prec h) && Reg.ok (Reg.check ~ts_prec:prec h'))
+      (Reg.check ~ts_prec:prec h).violations = [] && (Reg.check ~ts_prec:prec h').violations = [])
 
 let qcheck_regular_invariant_under_read_removal =
   QCheck.Test.make ~name:"metamorphic: removing any one read keeps a regular history regular"
@@ -106,7 +106,7 @@ let qcheck_regular_invariant_under_read_removal =
           let pruned =
             List.filter (function H.Read { id; _ } -> id <> victim | _ -> true) ops
           in
-          Reg.ok (Reg.check ~ts_prec:prec (rebuild pruned)))
+          (Reg.check ~ts_prec:prec (rebuild pruned)).violations = [])
         read_ids)
 
 let qcheck_stale_survives_transformations =

@@ -1,7 +1,8 @@
 (* The metric-name registry, and a source lint enforcing it: protocol
    code must name counters/histograms via Metric_names, never raw
-   string literals.  The lint scans the library sources dune copied
-   into _build (the test runs from _build/default/test). *)
+   string literals.  The lint scans the library sources test/dune
+   declares, which dune copies into _build (the test runs from
+   _build/default/test). *)
 
 open Sbft_sim
 
@@ -36,22 +37,6 @@ let test_shard_names_hostile_indices () =
 (* ------------------------------------------------------------------ *)
 (* source lint *)
 
-let rec ml_files dir =
-  Array.fold_left
-    (fun acc entry ->
-      let path = Filename.concat dir entry in
-      if Sys.is_directory path then ml_files path @ acc
-      else if Filename.check_suffix entry ".ml" then path :: acc
-      else acc)
-    [] (Sys.readdir dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* After a [Metrics.incr/add/record/get/observe], the name argument must
    reach a [Metric_names] (or aliased [Names.]) token before any string
    literal.  The scan stops at the statement's [;] or after 200 chars,
@@ -71,7 +56,7 @@ let literal_name_after s start =
   scan start
 
 let lint_file path =
-  let src = read_file path in
+  let src = Test_exports.read_file path in
   let bad = ref [] in
   List.iter
     (fun callee ->
@@ -84,18 +69,16 @@ let lint_file path =
   !bad
 
 let test_no_raw_metric_literals () =
-  if not (Sys.file_exists "../lib") then
-    (* not running from _build/default/test; nothing to scan *)
-    ()
-  else
-    let files =
-      List.filter (fun p -> Filename.basename p <> "metric_names.ml") (ml_files "../lib")
-    in
-    Alcotest.(check bool) "some sources scanned" true (List.length files > 10);
-    let bad = List.concat_map lint_file files in
-    if bad <> [] then
-      Alcotest.failf "raw metric-name literals (use Sbft_sim.Metric_names):\n  %s"
-        (String.concat "\n  " bad)
+  let files =
+    List.filter
+      (fun p -> Filename.basename p <> "metric_names.ml")
+      (Test_exports.sources "../lib" ".ml")
+  in
+  Alcotest.(check bool) "some sources scanned" true (List.length files > 10);
+  let bad = List.concat_map lint_file files in
+  if bad <> [] then
+    Alcotest.failf "raw metric-name literals (use Sbft_sim.Metric_names):\n  %s"
+      (String.concat "\n  " bad)
 
 (* Every name the PR-8 streaming layer mints must be in the registry:
    stabilization counters/histograms, per-shard detector names and

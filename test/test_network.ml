@@ -122,13 +122,6 @@ let test_slow_node () =
   Engine.run e;
   Alcotest.(check int) "both directions slowed" 15 !t1
 
-let test_broadcast () =
-  let e, net = make () in
-  let g1 = collect net 1 and g2 = collect net 2 and g3 = collect net 3 in
-  Network.broadcast net ~src:0 ~dst:[ 1; 2; 3 ] "all";
-  Engine.run e;
-  List.iter (fun g -> Alcotest.(check int) "one copy each" 1 (List.length (g ()))) [ g1; g2; g3 ]
-
 let test_classify_metrics () =
   let e = Engine.create ~seed:1L () in
   let net =
@@ -231,7 +224,6 @@ let suite =
     Alcotest.test_case "inject respects FIFO" `Quick test_inject_respects_fifo;
     Alcotest.test_case "slow channel" `Quick test_slow_channel;
     Alcotest.test_case "slow node" `Quick test_slow_node;
-    Alcotest.test_case "broadcast" `Quick test_broadcast;
     Alcotest.test_case "classify metrics" `Quick test_classify_metrics;
     Alcotest.test_case "in-flight accounting" `Quick test_in_flight;
     Alcotest.test_case "FIFO holds across a widened row" `Quick test_fifo_across_widened_row;

@@ -76,12 +76,12 @@ let test_hist_percentile () =
   let bounds = [| 1.0; 2.0; 4.0; 8.0 |] in
   (* counts: 1 in <=1, 0, 3 in <=4, 0, 1 overflow *)
   let counts = [| 1; 0; 3; 0; 1 |] in
-  let pct p = Sbft_harness.Stats.hist_percentile ~bounds ~counts p in
+  let pct p = fst (Sbft_harness.Stats.hist_percentile_sat ~bounds ~counts p) in
   Alcotest.(check (float 0.0)) "p0 -> first bucket" 1.0 (pct 0.0);
   Alcotest.(check (float 0.0)) "p50 -> median bucket" 4.0 (pct 50.0);
   Alcotest.(check (float 0.0)) "p99 -> overflow clamps to last bound" 8.0 (pct 99.0);
   Alcotest.(check (float 0.0)) "empty -> 0" 0.0
-    (Sbft_harness.Stats.hist_percentile ~bounds ~counts:[| 0; 0; 0; 0; 0 |] 50.0);
+    (fst (Sbft_harness.Stats.hist_percentile_sat ~bounds ~counts:[| 0; 0; 0; 0; 0 |] 50.0));
   (* the clamp is no longer silent: overflow ranks carry a saturation
      flag, in-range ranks do not *)
   let sat p = Sbft_harness.Stats.hist_percentile_sat ~bounds ~counts p in

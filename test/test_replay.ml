@@ -24,7 +24,7 @@ let of_header h =
 let test_record_replay_zero_divergence () =
   let recorded = execute small in
   let replayed = execute (of_header (Scenario.to_header small)) in
-  let v = Replay.compare_streams ~expected:recorded.events ~got:replayed.events in
+  let v = Replay.compare_for_level ~trace_level:"on" ~expected:recorded.events ~got:replayed.events in
   Alcotest.(check bool) "has events" true (List.length recorded.events > 100);
   Alcotest.(check bool) "zero divergence" true (v.divergence = None);
   Alcotest.(check int) "all matched" (List.length recorded.events) v.matched
@@ -32,7 +32,7 @@ let test_record_replay_zero_divergence () =
 let test_seed_mutation_detected () =
   let a = execute small in
   let b = execute { small with seed = 14L } in
-  match (Replay.compare_streams ~expected:a.events ~got:b.events).divergence with
+  match (Replay.compare_for_level ~trace_level:"on" ~expected:a.events ~got:b.events).divergence with
   | None -> Alcotest.fail "different seeds must diverge"
   | Some d -> Alcotest.(check bool) "diverges early" true (d.index < List.length a.events)
 
@@ -40,14 +40,14 @@ let test_workload_mutation_detected () =
   let a = execute small in
   let b = execute { small with write_ratio = 0.7 } in
   Alcotest.(check bool) "different mix diverges" true
-    ((Replay.compare_streams ~expected:a.events ~got:b.events).divergence <> None)
+    ((Replay.compare_for_level ~trace_level:"on" ~expected:a.events ~got:b.events).divergence <> None)
 
 let test_corrupt_run_replays () =
   (* determinism must survive fault injection too: corruption draws
      from the fault RNG, which is itself seeded from the master *)
   let s = { small with corrupt = true; strategy = Some "stale-replay" } in
   let a = execute s and b = execute s in
-  let v = Replay.compare_streams ~expected:a.events ~got:b.events in
+  let v = Replay.compare_for_level ~trace_level:"on" ~expected:a.events ~got:b.events in
   Alcotest.(check bool) "corrupt run replays" true (v.divergence = None)
 
 let test_unknown_strategy_is_error () =
@@ -108,15 +108,15 @@ let test_fingerprint_mismatch () =
 
 let test_compare_streams_shapes () =
   let ev t d = (t, Sbft_sim.Event.Fault_injected { desc = d }) in
-  let v = Replay.compare_streams ~expected:[ ev 1 "a"; ev 2 "b" ] ~got:[ ev 1 "a" ] in
+  let v = Replay.compare_for_level ~trace_level:"on" ~expected:[ ev 1 "a"; ev 2 "b" ] ~got:[ ev 1 "a" ] in
   (match v.divergence with
   | Some { index = 1; expected = Some _; got = None } -> ()
   | _ -> Alcotest.fail "missing tail should diverge at 1");
-  let v = Replay.compare_streams ~expected:[ ev 1 "a" ] ~got:[ ev 1 "a"; ev 2 "b" ] in
+  let v = Replay.compare_for_level ~trace_level:"on" ~expected:[ ev 1 "a" ] ~got:[ ev 1 "a"; ev 2 "b" ] in
   (match v.divergence with
   | Some { index = 1; expected = None; got = Some _ } -> ()
   | _ -> Alcotest.fail "extra tail should diverge at 1");
-  let v = Replay.compare_streams ~expected:[] ~got:[] in
+  let v = Replay.compare_for_level ~trace_level:"on" ~expected:[] ~got:[] in
   Alcotest.(check bool) "empty ok" true (v.divergence = None && v.matched = 0)
 
 let suite =

@@ -94,7 +94,7 @@ let test_compare_consistent_with_equal () =
   done
 
 let test_to_string () =
-  Alcotest.(check string) "printable" "(0|1,2,3,4,5,6)" (Sbls.to_string (Sbls.initial sys6))
+  Alcotest.(check string) "printable" "(0|1,2,3,4,5,6)" (Format.asprintf "%a" Sbls.pp (Sbls.initial sys6))
 
 (* The heart of Definition 2, property-tested: any <= k valid labels,
    including adversarially random ones, are all dominated by next. *)

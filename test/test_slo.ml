@@ -140,7 +140,7 @@ let test_profile_phases () =
   Profile.with_phase p Profile.Checker (fun () -> spin_until_ns 2_000_000L);
   let r = Profile.report p in
   let checker_row =
-    List.find (fun (l, _, _) -> l = Profile.phase_label Profile.Checker) r.phase_rows
+    List.find (fun (l, _, _) -> l = "checker") r.phase_rows
   in
   let _, enters, self_s = checker_row in
   Alcotest.(check int) "one enter" 1 enters;

@@ -40,7 +40,6 @@ let test_history_counts () =
   let h = build [ W (0, 1, 0, 5); R (1, 1, 6, 9); Rabort (1, 10, 12); Wfail (0, 2, 13) ] in
   Alcotest.(check int) "size" 4 (H.size h);
   Alcotest.(check int) "writes" 2 (List.length (H.writes h));
-  Alcotest.(check int) "reads" 2 (List.length (H.reads h));
   Alcotest.(check int) "completed reads" 1 (H.completed_reads h);
   Alcotest.(check int) "aborted reads" 1 (H.aborted_reads h)
 
@@ -59,15 +58,15 @@ let check_reg ?(after = 0) ops = Reg.check ~after ~ts_prec:prec (build ops)
 
 let test_reg_sequential_ok () =
   let r = check_reg [ W (0, 1, 0, 5); R (1, 1, 6, 9); W (0, 2, 10, 15); R (1, 2, 16, 20) ] in
-  Alcotest.(check bool) "clean" true (Reg.ok r);
+  Alcotest.(check bool) "clean" true (r.Reg.violations = []);
   Alcotest.(check int) "checked" 2 r.checked_reads
 
 let test_reg_concurrent_write_ok () =
   (* Read overlaps the write of 2: may return 1 or 2. *)
   let old_ok = check_reg [ W (0, 1, 0, 5); W (0, 2, 10, 20); R (1, 1, 12, 18) ] in
   let new_ok = check_reg [ W (0, 1, 0, 5); W (0, 2, 10, 20); R (1, 2, 12, 18) ] in
-  Alcotest.(check bool) "concurrent old ok" true (Reg.ok old_ok);
-  Alcotest.(check bool) "concurrent new ok" true (Reg.ok new_ok)
+  Alcotest.(check bool) "concurrent old ok" true (old_ok.Reg.violations = []);
+  Alcotest.(check bool) "concurrent new ok" true (new_ok.Reg.violations = [])
 
 let test_reg_stale_detected () =
   (* Write of 2 completed before the read began; returning 1 is stale. *)
@@ -95,7 +94,7 @@ let test_reg_inversion_detected () =
   let r =
     check_reg [ W (0, 1, 0, 5); W (0, 2, 6, 10); R (1, 2, 11, 14); R (1, 1, 15, 18) ]
   in
-  Alcotest.(check bool) "violations found" true (not (Reg.ok r));
+  Alcotest.(check bool) "violations found" true (r.Reg.violations <> []);
   Alcotest.(check bool) "inversion or stale reported" true
     (List.exists
        (fun (v : Reg.violation) -> match v.kind with `Inversion _ | `Stale -> true | _ -> false)
@@ -108,14 +107,14 @@ let test_reg_classic_new_old_inversion_allowed () =
   let r =
     check_reg [ W (0, 1, 0, 5); W (0, 2, 10, 30); R (1, 2, 12, 16); R (1, 1, 18, 22) ]
   in
-  Alcotest.(check bool) "allowed for regularity" true (Reg.ok r)
+  Alcotest.(check bool) "allowed for regularity" true (r.Reg.violations = [])
 
 let test_reg_failed_write_tolerated () =
   (* A crashed writer's value may or may not be returned. *)
   let seen = check_reg [ W (0, 1, 0, 5); Wfail (0, 2, 10); R (1, 2, 12, 20) ] in
   let unseen = check_reg [ W (0, 1, 0, 5); Wfail (0, 2, 10); R (1, 1, 12, 20) ] in
-  Alcotest.(check bool) "failed write visible ok" true (Reg.ok seen);
-  Alcotest.(check bool) "failed write invisible ok" true (Reg.ok unseen)
+  Alcotest.(check bool) "failed write visible ok" true (seen.Reg.violations = []);
+  Alcotest.(check bool) "failed write invisible ok" true (unseen.Reg.violations = [])
 
 let test_reg_order_violation () =
   (* Isolated consecutive writes with reversed protocol timestamps. *)
@@ -140,13 +139,13 @@ let test_reg_after_scoping () =
   let ops = [ R (1, 77, 0, 4); W (0, 1, 5, 10); R (1, 1, 11, 15) ] in
   let strict = check_reg ops in
   let scoped = check_reg ~after:10 ops in
-  Alcotest.(check bool) "strict flags the garbage read" true (not (Reg.ok strict));
-  Alcotest.(check bool) "scoped run is clean" true (Reg.ok scoped);
+  Alcotest.(check bool) "strict flags the garbage read" true (strict.Reg.violations <> []);
+  Alcotest.(check bool) "scoped run is clean" true (scoped.Reg.violations = []);
   Alcotest.(check int) "scoped skips it" 1 scoped.skipped_reads
 
 let test_reg_abort_vacuous () =
   let r = check_reg [ W (0, 1, 0, 5); Rabort (1, 6, 9) ] in
-  Alcotest.(check bool) "aborts never violate" true (Reg.ok r);
+  Alcotest.(check bool) "aborts never violate" true (r.Reg.violations = []);
   Alcotest.(check int) "aborts skipped" 1 r.skipped_reads
 
 let test_reg_duplicate_value_rejected () =
@@ -161,21 +160,21 @@ let check_safe ops = Safe.check ~ts_prec:prec (build ops)
 let test_safe_quiet_read_must_be_fresh () =
   let good = check_safe [ W (0, 1, 0, 5); R (1, 1, 6, 9) ] in
   let bad = check_safe [ W (0, 1, 0, 5); W (0, 2, 6, 10); R (1, 1, 11, 15) ] in
-  Alcotest.(check bool) "fresh ok" true (Safe.ok good);
-  Alcotest.(check bool) "stale flagged" false (Safe.ok bad)
+  Alcotest.(check bool) "fresh ok" true (good.Safe.violations = []);
+  Alcotest.(check bool) "stale flagged" false (bad.Safe.violations = [])
 
 let test_safe_concurrent_read_unconstrained () =
   let r = check_safe [ W (0, 1, 0, 5); W (0, 2, 10, 20); R (1, 999, 12, 18) ] in
-  Alcotest.(check bool) "anything goes under concurrency" true (Safe.ok r);
+  Alcotest.(check bool) "anything goes under concurrency" true (r.Safe.violations = []);
   Alcotest.(check int) "counted as unconstrained" 1 r.unconstrained_reads
 
 let test_safe_before_any_write_unconstrained () =
   let r = check_safe [ R (1, 77, 0, 3); W (0, 1, 10, 15) ] in
-  Alcotest.(check bool) "pre-write read unconstrained" true (Safe.ok r)
+  Alcotest.(check bool) "pre-write read unconstrained" true (r.Safe.violations = [])
 
 let test_safe_aborts_skipped () =
   let r = check_safe [ W (0, 1, 0, 5); Rabort (1, 6, 9) ] in
-  Alcotest.(check bool) "aborts fine for safety" true (Safe.ok r);
+  Alcotest.(check bool) "aborts fine for safety" true (r.Safe.violations = []);
   Alcotest.(check int) "not counted as checked" 0 r.checked_reads
 
 let test_safe_concurrent_writes_either_last () =
@@ -185,12 +184,12 @@ let test_safe_concurrent_writes_either_last () =
   let newer_ok =
     check_safe [ W (0, 1, 0, 20); W (1, 2, 5, 15); R (2, 2, 25, 30) ]
   in
-  Alcotest.(check bool) "protocol-last value accepted" true (Safe.ok newer_ok);
+  Alcotest.(check bool) "protocol-last value accepted" true (newer_ok.Safe.violations = []);
   let older_flagged =
     check_safe [ W (0, 1, 0, 20); W (1, 2, 5, 15); R (2, 1, 25, 30) ]
   in
   (* value 1 has ts 1 < ts 2: provably superseded. *)
-  Alcotest.(check bool) "protocol-earlier value flagged" false (Safe.ok older_flagged)
+  Alcotest.(check bool) "protocol-earlier value flagged" false (older_flagged.Safe.violations = [])
 
 (* --- atomicity ------------------------------------------------------- *)
 

@@ -10,7 +10,6 @@ let test_identical_multisets () =
     T1.decisions
 
 let test_every_rule_fails () =
-  Alcotest.(check bool) "no TM_1R decision rule survives" true (T1.all_rules_fail ());
   List.iter
     (fun d ->
       let o = T1.run_decision d in

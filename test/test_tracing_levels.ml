@@ -32,7 +32,7 @@ let prop_sampled_subsequence =
       let s = { small with seed = Int64.of_int (seed + 1); ops_per_client = ops } in
       let full = execute ~level:Trace.On s in
       let sampled = execute ~level:Trace.Sampled ~sample s in
-      let v = Replay.compare_subsequence ~expected:sampled.events ~got:full.events in
+      let v = Replay.compare_for_level ~trace_level:"sampled" ~expected:sampled.events ~got:full.events in
       v.divergence = None
       && List.length sampled.events <= List.length full.events
       (* the dial must not perturb the run itself *)
@@ -104,7 +104,7 @@ let test_forensic_window_replays_to_same_verdict () =
   Alcotest.(check bool) "window nonempty" true (window <> []);
   Alcotest.(check bool) "same verdict" true
     (Scenario.verdict_of_run recorded = Scenario.verdict_of_run replayed);
-  let v = Replay.compare_subsequence ~expected:window ~got:replayed.events in
+  let v = Replay.compare_for_level ~trace_level:"sampled" ~expected:window ~got:replayed.events in
   Alcotest.(check bool) "forensic window contained in the replay" true (v.divergence = None)
 
 let forensic_dump level s =
