@@ -91,13 +91,14 @@ count-gate:
 	if [ -n "$$failed" ]; then echo "count-gate: the suite exited non-zero on$$failed"; exit 1; fi
 
 # Sample run artifacts (committed reference inputs for sbftreg
-# replay/analyze/diff/spans/trends; also a smoke test of the whole
-# artifact loop: the fresh trace must replay with zero divergence,
-# fully attribute every span, and show zero drift against itself).
-# sample-kv-metrics.json is the trends baseline CI regenerates with
-# identical flags (keep the two kv command lines in sync) — keep it free
-# of wall-clock members (no --profile).  sample-metrics.json is the
-# baseline CI's diff gate compares a fresh `run --seed 7 --ops 10` to.
+# replay/analyze/diff/spans; also a smoke test of the whole artifact
+# loop: the fresh trace must replay with zero divergence, fully
+# attribute every span, and each metrics artifact must diff clean
+# against itself).  sample-kv-metrics.json is the kv baseline CI
+# regenerates with identical flags and diffs at --tolerance 0.1, which
+# fails beyond 30% (keep the two kv command lines in sync).
+# sample-metrics.json is the baseline CI's run gate compares a fresh
+# `run --seed 7 --ops 10` to.
 artifacts: build
 	dune exec bin/sbftreg.exe -- run --seed 7 --ops 10 \
 	  --trace-out bench/sample-trace.jsonl --metrics-out bench/sample-metrics.json
@@ -107,7 +108,8 @@ artifacts: build
 	dune exec bin/sbftreg.exe -- kv --shards 8 --keys 32 --clients 6 --ops 2000 --seed 9 \
 	  --trace-level off --window 50 --fault-at 400 --fault-shards 2 \
 	  --metrics-out bench/sample-kv-metrics.json
-	dune exec bin/sbftreg.exe -- trends bench/sample-kv-metrics.json bench/sample-kv-metrics.json
+	dune exec bin/sbftreg.exe -- diff bench/sample-kv-metrics.json bench/sample-kv-metrics.json \
+	  --tolerance 0.1
 
 clean:
 	dune clean

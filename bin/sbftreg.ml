@@ -15,7 +15,7 @@ module Replay = Sbft_analysis.Replay
 module Causality = Sbft_analysis.Causality
 module Corpus = Sbft_analysis.Corpus
 module Spans = Sbft_analysis.Spans
-module Trends = Sbft_analysis.Trends
+module Diff = Sbft_analysis.Diff
 
 (* ------------------------------------------------------------------ *)
 (* shared helpers and flags *)
@@ -38,10 +38,12 @@ let check_flag ok msg = if not ok then ok_or_exit (Error msg)
 let check_count name ~min v =
   check_flag (v >= min) (Printf.sprintf "%s must be at least %d (got %d)" name min v)
 
-(* The f Byzantine servers are among the n. *)
+(* The f Byzantine servers are among the n; the rest of the rule
+   (n > 3f) is the one a scenario's topology obeys. *)
 let check_topology ~n ~f =
   check_flag (n >= 1) (Printf.sprintf "-n must be at least 1 (got %d)" n);
-  check_flag (f >= 0 && f <= n) (Printf.sprintf "-f must lie in [0, %d] (got %d)" n f)
+  check_flag (f >= 0 && f <= n) (Printf.sprintf "-f must lie in [0, %d] (got %d)" n f);
+  ok_or_exit (Scenario.validate { Scenario.default with n; f })
 
 let open_out_or_die path =
   try open_out path
@@ -524,71 +526,7 @@ let spans_cmd =
     Term.(const go $ trace_arg $ json_out $ top $ focus $ by_shard $ min_cov)
 
 (* ------------------------------------------------------------------ *)
-(* trends and diff: front-ends over Sbft_analysis.Diff *)
-
-module Diff = Sbft_analysis.Diff
-
-let trends_cmd =
-  let go artifacts db tolerance full =
-    let tol = ok_or_exit (Diff.tolerance tolerance) in
-    let expand p =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.filter (fun f -> Filename.check_suffix f ".json")
-        |> List.map (Filename.concat p)
-      else [ p ]
-    in
-    let files = List.concat_map expand artifacts in
-    let runs = List.map (fun p -> ok_or_exit (Trends.load_artifact p)) files in
-    let history =
-      match db with
-      | Some db ->
-          List.iter (fun r -> ok_or_exit (Trends.append ~db r)) runs;
-          ok_or_exit (Trends.load_db db)
-      | None -> runs
-    in
-    if full then
-      List.iteri
-        (fun i r ->
-          Printf.printf "run %d: %s (%d metrics)\n" i r.Trends.source
-            (List.length r.Trends.metrics))
-        history;
-    match Trends.latest_drift ~tolerance:tol history with
-    | None ->
-        Printf.printf "%d run(s) on file — need two to compare\n" (List.length history)
-    | Some (prev, cur, rep) -> (
-        Printf.printf "comparing %s -> %s (tolerance %.0f%%)\n" prev.Trends.source
-          cur.Trends.source (tolerance *. 100.);
-        Format.printf "%a@." Diff.pp rep;
-        match Diff.drifted rep with
-        | [] -> ()
-        | drifts ->
-            Printf.eprintf "%d metric(s) drifted beyond %.0f%%\n" (List.length drifts)
-              (tolerance *. 100.);
-            exit 1)
-  in
-  let artifacts =
-    Arg.(non_empty & pos_all file []
-         & info [] ~docv:"ARTIFACT"
-             ~doc:"Metrics/bench JSON artifacts (or directories of .json files), oldest first.")
-  in
-  let db =
-    Arg.(value & opt (some string) None
-         & info [ "db" ] ~docv:"FILE"
-             ~doc:"Append the runs to this JSONL run database and compare its last two entries.")
-  in
-  let tolerance =
-    Arg.(value & opt float 0.3
-         & info [ "tolerance" ] ~docv:"T" ~doc:"Relative drift beyond which a metric flags.")
-  in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"List every run ingested.") in
-  Cmd.v
-    (Cmd.info "trends"
-       ~doc:
-         "Flatten run artifacts (metrics snapshots, bench reports) into an append-only run \
-          database and compare the latest run against its predecessor, exiting non-zero when any \
-          shared metric drifts beyond the tolerance")
-    Term.(const go $ artifacts $ db $ tolerance $ full)
+(* diff *)
 
 let diff_cmd =
   let go a b tolerance full =
@@ -611,8 +549,8 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two --metrics-out artifacts metric-by-metric with threshold verdicts (exit 2 \
-          when any metric fails)")
+         "Compare two JSON artifacts number by number (every numeric leaf outside lists and the \
+          wall-clock profile) with threshold verdicts (exit 2 when any metric fails)")
     Term.(const go $ a $ b $ tolerance $ full)
 
 (* ------------------------------------------------------------------ *)
@@ -1460,7 +1398,6 @@ let () =
             replay_cmd;
             analyze_cmd;
             spans_cmd;
-            trends_cmd;
             diff_cmd;
             experiment_cmd;
             attack_cmd;

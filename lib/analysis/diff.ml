@@ -19,38 +19,27 @@ let verdict_str = function Ok -> "ok" | Warn -> "WARN" | Fail -> "FAIL"
 let label r =
   match (r.a, r.b) with None, _ -> "NEW" | _, None -> "GONE" | _ -> verdict_str r.verdict
 
-(* Which parts of a metrics artifact are comparable scalars.  Histogram
-   bucket arrays, per-node lists and raw telemetry curves are shapes,
-   not scalars — the summary fields cover them. *)
-let hist_fields = [ "count"; "mean"; "p50"; "p95"; "p99" ]
-
-let comparable path =
-  match path with
-  | "regularity.checked" | "regularity.violations" | "run.wall_ticks" -> true
-  | _ ->
-      List.exists
-        (fun p -> String.starts_with ~prefix:p path)
-        [ "counters."; "stabilization."; "telemetry.summary." ]
-      || String.starts_with ~prefix:"histograms." path
-         && List.exists (fun f -> String.ends_with ~suffix:("." ^ f) path) hist_fields
-
 (* exact-match keys: a difference is a verdict, not a measurement *)
 let exact path = path = "regularity.violations"
 
-(* Lists are skipped whatever [keep] says: positional entries (per-node
-   rows, bucket arrays, raw samples) churn with topology. *)
-let flatten ~keep j =
+(* Every Int/Float leaf as (dotted path, value), sorted by path, except
+   inside lists, whose positional entries (per-node rows, bucket arrays,
+   raw samples) churn with topology, and the wall-clock [profile]
+   member, which differs from run to run. *)
+let flatten j =
   let rec go prefix j acc =
     match (j : J.t) with
     | J.Obj kvs ->
         List.fold_left
-          (fun acc (k, v) -> go (if prefix = "" then k else prefix ^ "." ^ k) v acc)
+          (fun acc (k, v) ->
+            if prefix = "" && k = "profile" then acc
+            else go (if prefix = "" then k else prefix ^ "." ^ k) v acc)
           acc kvs
-    | J.Int i when keep prefix -> (prefix, float_of_int i) :: acc
-    | J.Float f when keep prefix -> (prefix, f) :: acc
+    | J.Int i -> (prefix, float_of_int i) :: acc
+    | J.Float f -> (prefix, f) :: acc
     | _ -> acc
   in
-  List.rev (go "" j [])
+  List.sort_uniq (fun (p, _) (q, _) -> String.compare p q) (go "" j [])
 
 let rel a b =
   if a = b then 0.0
@@ -69,8 +58,7 @@ let both path x y ~tolerance =
 let one_side path a b = { path; a; b; rel = 0.0; verdict = Warn }
 
 (* One merge over the two path-sorted lists. *)
-let compare_flat ~tolerance fa fb =
-  let sort = List.sort_uniq (fun (p, _) (q, _) -> String.compare p q) in
+let compare ?(tolerance = 0.2) a b =
   let rec walk acc fa fb =
     match (fa, fb) with
     | [], [] -> List.rev acc
@@ -82,14 +70,9 @@ let compare_flat ~tolerance fa fb =
         else if c < 0 then walk (one_side p (Some x) None :: acc) ra fb
         else walk (one_side q None (Some y) :: acc) fa rb
   in
-  let rows = walk [] (sort fa) (sort fb) in
+  let rows = walk [] (flatten a) (flatten b) in
   let worse acc r = if severity r.verdict > severity acc then r.verdict else acc in
   { rows; worst = List.fold_left worse Ok rows }
-
-let compare ?(tolerance = 0.2) a b =
-  compare_flat ~tolerance (flatten ~keep:comparable a) (flatten ~keep:comparable b)
-
-let drifted rep = List.filter (fun r -> r.a <> None && r.b <> None && r.verdict <> Ok) rep.rows
 
 let pp_row fmt r =
   let v = function None -> "-" | Some x -> Printf.sprintf "%g" x in

@@ -55,8 +55,10 @@ let mutate rng (s : Scenario.t) =
     { s with ops_per_client = max 1 (max_total_ops / s.clients) }
   else s
 
-let run ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings = 10)
-    ?(max_events = 4_000_000) ?(log = fun _ -> ()) ?on_retain ~seed () =
+(* The campaign's report and its final coverage set, which
+   [run_parallel] merges across domains. *)
+let campaign ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings = 10)
+    ?(max_events = 4_000_000) ?(log = fun _ -> ()) ~seed () =
   let rng = Rng.create seed in
   let global = Coverage.create () in
   (* One scratch set reused across schedules, fed by a trace sink, so a
@@ -105,17 +107,8 @@ let run ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings 
     match execute step s with
     | None -> ()
     | Some r ->
-        let gained, fresh_keys =
-          match on_retain with
-          | None -> (Coverage.absorb ~into:global scratch, [])
-          | Some _ ->
-              let ks = Coverage.absorb_keys ~into:global scratch in
-              (List.length ks, ks)
-        in
-        if gained > 0 then begin
-          retain s;
-          match on_retain with Some f -> f s fresh_keys | None -> ()
-        end;
+        let gained = Coverage.absorb ~into:global scratch in
+        if gained > 0 then retain s;
         (match Scenario.verdict_of_run r with
         | Scenario.Pass -> ()
         | verdict ->
@@ -152,14 +145,18 @@ let run ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings 
        consider step (mutate rng parent)
      done
    with Exit -> ());
-  {
-    executed = !executed;
-    skipped = !skipped;
-    corpus = Array.to_list (Array.sub !corpus 0 !corpus_len);
-    coverage = Coverage.cardinal global;
-    findings = List.rev !findings;
-    stopped_by = !stopped;
-  }
+  ( {
+      executed = !executed;
+      skipped = !skipped;
+      corpus = Array.to_list (Array.sub !corpus 0 !corpus_len);
+      coverage = Coverage.cardinal global;
+      findings = List.rev !findings;
+      stopped_by = !stopped;
+    },
+    global )
+
+let run ?base ?iterations ?budget_s ?max_findings ?max_events ?log ~seed () =
+  fst (campaign ?base ?iterations ?budget_s ?max_findings ?max_events ?log ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel campaigns.
@@ -170,39 +167,11 @@ let run ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings 
    a fixed odd-multiplier mix.  Retention decisions use only the
    domain's local coverage — cross-domain knowledge must not influence
    them, or the per-seed determinism contract (and the corpus-union
-   property) would break.  What crosses domains is the merge queue:
-   every retention pushes a batch carrying the scenario and the key
-   strings it minted (ids are domain-local, strings are the wire
-   format), and the merge — deterministic because batches are ordered
-   by (domain, batch seq), not arrival — unions coverage and drops
-   scenarios a lower-numbered domain already retained. *)
-
-module Merge_queue = struct
-  type batch = {
-    domain : int;
-    seq : int; (* per-domain batch counter: fixes merge order *)
-    scenario : Scenario.t;
-    keys : string list; (* coverage keys new to that domain *)
-  }
-
-  type t = { mu : Mutex.t; mutable batches : batch list }
-
-  let create () = { mu = Mutex.create (); batches = [] }
-
-  let push q b =
-    Mutex.lock q.mu;
-    q.batches <- b :: q.batches;
-    Mutex.unlock q.mu
-
-  let drain q =
-    Mutex.lock q.mu;
-    let bs = q.batches in
-    q.batches <- [];
-    Mutex.unlock q.mu;
-    List.sort
-      (fun a b -> if a.domain <> b.domain then compare a.domain b.domain else compare a.seq b.seq)
-      bs
-end
+   property) would break.  The merge runs after every domain has
+   joined, in domain order, so it does not depend on scheduling: the
+   corpora are concatenated, keeping each scenario's first occurrence,
+   and the final coverage sets are absorbed into one (ids are
+   domain-local; [absorb] translates them through the key strings). *)
 
 let domain_seed ~seed i =
   if i = 0 then seed
@@ -223,47 +192,39 @@ type parallel_report = {
 let run_parallel ?(base = Scenario.default) ?(iterations = 200) ?budget_s ?(max_findings = 10)
     ?(max_events = 4_000_000) ?(log = fun _ -> ()) ?(domains = 1) ~seed () =
   if domains < 1 then invalid_arg "Fuzz.run_parallel: domains must be >= 1";
-  let q = Merge_queue.create () in
   let results =
     Par.spawn_map ~domains (fun d ->
         let dseed = domain_seed ~seed d in
         let lines = ref [] in
-        let batch_seq = ref 0 in
-        let on_retain scenario keys =
-          Merge_queue.push q { Merge_queue.domain = d; seq = !batch_seq; scenario; keys };
-          incr batch_seq
-        in
-        let r =
-          run ~base ~iterations ?budget_s ~max_findings ~max_events
+        let r, cov =
+          campaign ~base ~iterations ?budget_s ~max_findings ~max_events
             ~log:(fun line -> lines := line :: !lines)
-            ~on_retain ~seed:dseed ()
+            ~seed:dseed ()
         in
-        (d, dseed, r, List.rev !lines))
+        (d, dseed, r, cov, List.rev !lines))
   in
   (* Worker log lines are buffered per domain and replayed here, in
      domain order, so the caller's [log] is never called concurrently. *)
   List.iter
-    (fun (d, _, _, lines) ->
+    (fun (d, _, _, _, lines) ->
       List.iter (fun line -> log (Printf.sprintf "[d%d] %s" d line)) lines)
     results;
   let merged_cov = Coverage.create () in
+  List.iter (fun (_, _, _, cov, _) -> ignore (Coverage.absorb ~into:merged_cov cov : int)) results;
   let seen = Hashtbl.create 64 in
-  let merged = ref [] in
-  List.iter
-    (fun (b : Merge_queue.batch) ->
-      List.iter (fun k -> ignore (Coverage.add_key merged_cov k : bool)) b.keys;
-      if not (Hashtbl.mem seen b.scenario) then begin
-        Hashtbl.add seen b.scenario ();
-        merged := b.scenario :: !merged
-      end)
-    (Merge_queue.drain q);
+  let first s =
+    if Hashtbl.mem seen s then false
+    else (
+      Hashtbl.add seen s ();
+      true)
+  in
   let per_domain =
-    List.map (fun (d, dseed, r, _) -> { domain = d; seed_used = dseed; report = r }) results
+    List.map (fun (d, dseed, r, _, _) -> { domain = d; seed_used = dseed; report = r }) results
   in
   {
     domains;
     per_domain;
-    merged_corpus = List.rev !merged;
+    merged_corpus = List.concat_map (fun dr -> List.filter first dr.report.corpus) per_domain;
     merged_coverage = Coverage.cardinal merged_cov;
     merged_findings =
       List.concat_map (fun dr -> List.map (fun f -> (dr.domain, f)) dr.report.findings) per_domain;

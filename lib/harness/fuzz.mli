@@ -51,7 +51,6 @@ val run :
   ?max_findings:int ->
   ?max_events:int ->
   ?log:(string -> unit) ->
-  ?on_retain:(Scenario.t -> string list -> unit) ->
   seed:int64 ->
   unit ->
   report
@@ -61,11 +60,7 @@ val run :
     campaign blocked on trace I/O still stops on schedule) or
     [max_findings] findings accumulate.  [max_events] bounds each single execution (default 4M,
     well above any honest run at the capped workload sizes).  [log]
-    receives one line per notable step.  [on_retain] observes every
-    corpus retention: the retained scenario plus the coverage keys it
-    was first to reach (sorted) — the feed for {!run_parallel}'s merge
-    queue.  It must only observe; campaign decisions never depend on
-    it. *)
+    receives one line per notable step. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -75,11 +70,10 @@ val pp_report : Format.formatter -> report -> unit
     uses the caller's seed verbatim; domain [i] a fixed derivation
     {!domain_seed}.  Retention stays local to each domain (the per-seed
     determinism contract: a domain's campaign produces the byte
-    identical corpus it produces single-threaded), and the merge is a
-    deterministic fold over (domain, retention-order)-sorted batches of
-    interned coverage-key strings — so for fixed seeds the merged
-    corpus equals the union of the single-domain corpora, at any
-    domain count, on any scheduling. *)
+    identical corpus it produces single-threaded), and the merge runs
+    after every domain has joined, in domain order — so for fixed
+    seeds the merged corpus equals the union of the single-domain
+    corpora, at any domain count, on any scheduling. *)
 
 val domain_seed : seed:int64 -> int -> int64
 (** [domain_seed ~seed i] is the campaign seed of domain [i]:
@@ -91,8 +85,9 @@ type parallel_report = {
   domains : int;
   per_domain : domain_report list;  (** in domain order *)
   merged_corpus : Scenario.t list;
-      (** union of per-domain corpora, first-retainer order, duplicates
-          (same scenario retained by several domains) kept once *)
+      (** the per-domain corpora in domain order, each in retention
+          order, a scenario retained by several domains kept at its
+          first occurrence *)
   merged_coverage : int;  (** distinct coverage keys across all domains *)
   merged_findings : (int * finding) list;  (** tagged with their domain *)
   total_executed : int;

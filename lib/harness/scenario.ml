@@ -59,8 +59,9 @@ let to_header ?(fingerprint = "") ?(verdict = "") ?(note = "")
     ~clients:t.clients ~ops_per_client:t.ops_per_client ~write_ratio:t.write_ratio ()
 
 (* The first out-of-range parameter as (header field, flag, problem).
-   n <= 5f stays legal: the Theorem-1 demonstrations run below the
-   bound. *)
+   A write's commit needs 2f + 1 ACKs among the n - f replies it waits
+   for, so at n <= 3f no write completes.  3f < n <= 5f stays legal: the
+   Theorem-1 demonstrations run below the bound. *)
 let problem t =
   let check ok field flag want got =
     if ok then None else Some (field, flag, Printf.sprintf "must be %s (got %s)" want got)
@@ -72,6 +73,9 @@ let problem t =
     [
       at_least 1 "n" "-n" t.n;
       at_least 0 "f" "-f" t.f;
+      check (t.n > 3 * t.f) "n" "-n"
+        (Printf.sprintf "at least 3f + 1 = %d" ((3 * t.f) + 1))
+        (string_of_int t.n);
       at_least 1 "clients" "--clients" t.clients;
       at_least 0 "ops_per_client" "--ops" t.ops_per_client;
       check

@@ -55,9 +55,11 @@ val to_header :
 
 val validate : t -> (unit, string) result
 (** [Error] naming the [sbftreg run] flag of the first out-of-range
-    parameter: n < 1, f < 0, clients < 1, ops_per_client < 0, a write
-    ratio outside [0, 1], trace_cap < 1 or snapshot_every < 0.  n ≤ 5f
-    is legal: the Theorem-1 demonstrations run below the bound. *)
+    parameter: n < 1, f < 0, n ≤ 3f (no write can gather 2f + 1 ACKs
+    among n - f replies), clients < 1, ops_per_client < 0, a write
+    ratio outside [0, 1], trace_cap < 1 or snapshot_every < 0.
+    3f < n ≤ 5f is legal: the Theorem-1 demonstrations run below the
+    bound. *)
 
 val of_header : Sbft_analysis.Run_header.t -> (t, string) result
 (** [Error] when the header's fault plan does not parse (e.g. an event

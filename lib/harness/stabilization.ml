@@ -95,7 +95,7 @@ let fleet_time_to_stabilize t = Series.Detector.time_to_stabilize t.fleet
 
 (* End of run: count the fully elapsed silence as clean windows, then
    publish a live bank's verdicts as first-class metrics so they flow
-   into the artifact, the trends DB and the metric-trends gate. *)
+   into the artifact and CI's kv diff gate. *)
 let finalize t ~now =
   if not t.finalized then begin
     t.finalized <- true;

@@ -7,8 +7,8 @@
    Ids are private to the domain that minted them: two domains
    interning the same key strings in different orders assign different
    ids.  Every cross-domain exchange therefore goes through the key
-   {e strings} ([keys], [add_key], or the slow path of [absorb]), which
-   is exactly what the fuzzer's corpus-merge queue ships. *)
+   {e strings} ([keys], or the slow path of [absorb], which the
+   fuzzer's merge of its domains' coverage takes). *)
 
 type intern = {
   ids : (string, int) Hashtbl.t; (* key string -> id *)
@@ -236,13 +236,3 @@ let absorb ~into t =
     iter_ids t (fun id -> if add_key into t.st.names.(id) then incr fresh);
     !fresh
   end
-
-let absorb_keys ~into t =
-  let fresh = ref [] in
-  if into.st == t.st then
-    iter_ids t (fun id -> if add_id into id then fresh := t.st.names.(id) :: !fresh)
-  else
-    iter_ids t (fun id ->
-        let name = t.st.names.(id) in
-        if add_key into name then fresh := name :: !fresh);
-  List.sort String.compare !fresh

@@ -26,8 +26,7 @@
     cheap to build and merge within one domain, and safe to build
     concurrently from several domains.  Ids are not comparable across
     domains; [absorb] detects the cross-domain case and translates
-    through the key strings, and [add_key]/[keys] exchange strings
-    explicitly (the corpus-merge protocol). *)
+    through the key strings. *)
 
 type t
 (** Mutable key set, plus the last unigram for bigram formation.
@@ -58,11 +57,3 @@ val absorb : into:t -> t -> int
     we have not seen" test.  Same-domain absorbs are a bitset union;
     sets minted on different domains are translated through their key
     strings. *)
-
-val add_key : t -> string -> bool
-(** Add one key by name (interning it if needed); [true] if it was not
-    already present.  The receiving end of a cross-domain merge. *)
-
-val absorb_keys : into:t -> t -> string list
-(** Like {!absorb}, but returns the newly-added keys by name (sorted) —
-    what a fuzz domain ships through the corpus-merge queue. *)

@@ -153,6 +153,8 @@ let artifact ?(sent = 100) ?(violations = 0) ?(p95 = 40.0) () =
       ("histograms", J.Obj [ ("op.read.total_ticks", J.Obj [ ("p95", J.Float p95); ("bounds", J.List []) ]) ]);
       ("regularity", J.Obj [ ("checked", J.Int 20); ("violations", J.Int violations) ]);
       ("per_node", J.List [ J.Obj [ ("id", J.Int 0); ("sent", J.Int 50) ] ]);
+      ("kv", J.Obj [ ("put_ticks", J.Float 25.0); ("name", J.String "skipped") ]);
+      ("profile", J.Obj [ ("wall_s", J.Float 0.5) ]);
     ]
 
 let tol t = Result.get_ok (Diff.tolerance t)
@@ -164,6 +166,8 @@ let test_diff_verdicts () =
   Alcotest.(check bool) "10% within tolerance" true (near.worst = Diff.Ok);
   let warn = Diff.compare (artifact ()) (artifact ~sent:140 ()) in
   Alcotest.(check bool) "40% warns" true (warn.worst = Diff.Warn);
+  let row = List.find (fun (r : Diff.row) -> r.path = "counters.net.sent") warn.rows in
+  Alcotest.(check (float 1e-9)) "rel is |a - b| / max(|a|, |b|)" (40.0 /. 140.0) row.rel;
   let fail = Diff.compare (artifact ()) (artifact ~sent:500 ()) in
   Alcotest.(check bool) "5x fails" true (fail.worst = Diff.Fail);
   (* violations are exact: +1 fails even though relative diff is huge tolerance-wise *)
@@ -181,11 +185,17 @@ let test_diff_verdicts () =
 
 let test_diff_scope () =
   let rep = Diff.compare (artifact ()) (artifact ()) in
-  let paths = List.map (fun (r : Diff.row) -> r.path) rep.rows in
-  Alcotest.(check bool) "histogram p95 compared" true (List.mem "histograms.op.read.total_ticks.p95" paths);
-  (* per-node rows and histogram bounds arrays are shapes, not scalars *)
-  Alcotest.(check bool) "per_node not compared" true
-    (not (List.exists (fun p -> String.length p >= 8 && String.sub p 0 8 = "per_node") paths));
+  (* per-node rows and histogram bounds arrays are shapes, not
+     scalars; strings are not numbers; profile is wall-clock *)
+  Alcotest.(check (list string)) "every numeric leaf outside lists and profile, sorted"
+    [
+      "counters.net.sent";
+      "histograms.op.read.total_ticks.p95";
+      "kv.put_ticks";
+      "regularity.checked";
+      "regularity.violations";
+    ]
+    (List.map (fun (r : Diff.row) -> r.path) rep.rows);
   (* a key on one side only is a warning, not a crash, and is never dropped *)
   let missing = Diff.compare (artifact ()) (J.Obj [ ("counters", J.Obj []) ]) in
   Alcotest.(check bool) "one-sided keys warn" true (missing.worst = Diff.Warn);
@@ -193,7 +203,9 @@ let test_diff_scope () =
     (List.map (fun _ -> "GONE") rep.rows)
     (List.map Diff.label missing.rows);
   let added =
-    Diff.compare_flat ~tolerance:(tol 0.2) [ ("b", 1.0) ] [ ("a", 1.0); ("b", 1.0); ("c", 2.0) ]
+    Diff.compare
+      (J.Obj [ ("b", J.Int 1) ])
+      (J.Obj [ ("c", J.Int 2); ("a", J.Int 1); ("b", J.Int 1) ])
   in
   Alcotest.(check (list (pair string string))) "merge walk: sorted, NEW on either end"
     [ ("a", "NEW"); ("b", "ok"); ("c", "NEW") ]

@@ -41,33 +41,79 @@ let temp_dir name =
 
 let check_exit msg expected code = Alcotest.(check int) msg expected code
 
+(* The JSON artifact at [path] with the numbers at the dotted [paths]
+   multiplied by [k]. *)
+let scaled k paths path =
+  let module J = Sbft_sim.Json in
+  let rec go prefix (j : J.t) : J.t =
+    match j with
+    | Obj kvs ->
+        let under key = if prefix = "" then key else prefix ^ "." ^ key in
+        Obj (List.map (fun (key, v) -> (key, go (under key) v)) kvs)
+    | Int i when List.mem prefix paths -> Int (int_of_float (float_of_int i *. k))
+    | Float f when List.mem prefix paths -> Float (f *. k)
+    | j -> j
+  in
+  J.to_string (go "" (Result.get_ok (J.of_file path)))
+
 (* diff: identical artifacts exit 0; a warn-range drift exits 0 but is
-   printed; a beyond-3x drift exits 2; a nan tolerance or an unreadable
-   artifact (here a directory) is a typed error naming it, exit 1. *)
+   printed; a beyond-3x drift exits 2 and names each failing path with
+   the difference it gated on; a metric on one side only is printed but
+   does not fail; a nan tolerance or an unreadable artifact (here a
+   directory) is a typed error naming it, exit 1. *)
 let test_diff_exit_codes () =
   let m = temp "metrics" ".json" in
   check_exit "run produces metrics" 0
     (sh "%s run -n 6 --clients 2 --ops 6 --seed 7 --metrics-out %s >/dev/null 2>&1" exe m);
   check_exit "self diff is clean" 0 (sh "%s diff %s %s >/dev/null 2>&1" exe m m);
   let a = temp "base" ".json" and b = temp "cand" ".json" in
-  write_file a {|{"counters":{"x":100}}|};
+  write_file a {|{"counters":{"x":100},"kv":{"retired":1}}|};
   write_file b {|{"counters":{"x":140}}|};
   let out = temp "diffout" ".txt" in
-  check_exit "warn-range drift still exits 0" 0 (sh "%s diff %s %s > %s 2>&1" exe a b out);
-  Alcotest.(check bool) "warn is reported" true
-    (let low = String.lowercase_ascii (read_file out) in
-     replace_once low ~sub:"warn" ~by:"" <> low);
+  let printed needle =
+    let o = read_file out in
+    replace_once o ~sub:needle ~by:"" <> o
+  in
+  check_exit "warn-range drift (and a GONE metric) still exits 0" 0
+    (sh "%s diff %s %s > %s 2>&1" exe a b out);
+  Alcotest.(check bool) "warn is reported" true (printed "WARN counters.x");
+  Alcotest.(check bool) "metric only in the baseline printed as GONE" true
+    (printed "GONE kv.retired");
   write_file b {|{"counters":{"x":500}}|};
   check_exit "beyond 3x tolerance exits 2" 2 (sh "%s diff %s %s >/dev/null 2>&1" exe a b);
+  check_exit "wider tolerance accepts the same pair" 0
+    (sh "%s diff %s %s --tolerance 2.0 >/dev/null 2>&1" exe a b);
+  (* the committed kv artifact with two published numbers scaled, at the
+     CI gates' 10% tolerance: x1.5 is 33.3% apart and fails, x1.2 is
+     16.7% apart and warns *)
+  let kv = "../bench/sample-kv-metrics.json" in
+  let paths = [ "run.events_fired"; "histograms.kv.shard.0.get_ticks.sum" ] in
+  let copy k =
+    let f = temp "kvscaled" ".json" in
+    write_file f (scaled k paths kv);
+    f
+  in
+  check_exit "x1.5 on two kv numbers exits 2" 2
+    (sh "%s diff %s %s --tolerance 0.1 > %s 2>&1" exe kv (copy 1.5) out);
+  List.iter
+    (fun p ->
+      let line =
+        List.find_opt
+          (fun l -> replace_once l ~sub:("FAIL " ^ p ^ " ") ~by:"" <> l)
+          (String.split_on_char '\n' (read_file out))
+      in
+      Alcotest.(check bool) (p ^ " fails at 33.3%") true
+        (match line with Some l -> String.ends_with ~suffix:"33.3%" l | None -> false))
+    paths;
+  check_exit "x1.2 on two kv numbers exits 0" 0
+    (sh "%s diff %s %s --tolerance 0.1 > %s 2>&1" exe kv (copy 1.2) out);
+  List.iter (fun p -> Alcotest.(check bool) (p ^ " warns") true (printed ("WARN " ^ p))) paths;
   check_exit "nan tolerance exits 1" 1 (sh "%s diff %s %s --tolerance nan > %s 2>&1" exe a b out);
-  Alcotest.(check bool) "the error names the flag" true
-    (let o = read_file out in
-     replace_once o ~sub:"--tolerance" ~by:"" <> o);
+  Alcotest.(check bool) "the error names the flag" true (printed "--tolerance");
   let dir = temp_dir "diffdir" in
   check_exit "a directory artifact exits 1" 1 (sh "%s diff %s %s > %s 2>&1" exe dir b out);
   Alcotest.(check bool) "the error names the directory" true
-    (let o = read_file out in
-     replace_once o ~sub:dir ~by:"" <> o && replace_once o ~sub:"exception" ~by:"" = o)
+    (printed dir && not (printed "exception"))
 
 (* replay: a clean round trip is silent; a foreign fingerprint warns
    but still replays; a flipped verdict is a regression (exit 2). *)
@@ -185,61 +231,6 @@ let test_spans_exit_codes () =
   let header = List.hd (String.split_on_char '\n' (read_file t)) in
   write_file empty (header ^ "\n");
   check_exit "span-free trace exits 1" 1 (sh "%s spans %s >/dev/null 2>&1" exe empty)
-
-(* trends: identical runs are quiet; a >tolerance drift exits 1 and
-   prints the relative difference it gated on; a metric on one side
-   only is printed but does not fail; the database accumulates appended
-   runs.  Hostile inputs — a bad tolerance, a directory posing as a
-   .json artifact, a malformed or unwritable database — are typed
-   errors naming the flag or file (and line), exit 1. *)
-let test_trends_exit_codes () =
-  let a = temp "trenda" ".json" and b = temp "trendb" ".json" in
-  write_file a {|{"counters":{"ops":100},"kv":{"put_ticks":25.0,"retired":1}}|};
-  write_file b {|{"counters":{"ops":110},"kv":{"put_ticks":26.0}}|};
-  check_exit "within tolerance (and a GONE metric) exits 0" 0
-    (sh "%s trends %s %s >/dev/null 2>&1" exe a b);
-  write_file b {|{"counters":{"ops":100},"kv":{"put_ticks":60.0}}|};
-  let out = temp "trendsout" ".txt" in
-  check_exit "beyond-tolerance drift exits 1" 1 (sh "%s trends %s %s > %s 2>&1" exe a b out);
-  let printed needle =
-    let o = read_file out in
-    replace_once o ~sub:needle ~by:"" <> o
-  in
-  Alcotest.(check bool) "drifted metric named" true (printed "kv.put_ticks");
-  (* 25 -> 60 is printed as the symmetric difference the gate measured *)
-  Alcotest.(check bool) "gated percentage printed" true (printed "58.3%");
-  Alcotest.(check bool) "metric only in the older run printed as GONE" true
-    (printed "GONE kv.retired");
-  check_exit "wider tolerance accepts the same pair" 0
-    (sh "%s trends %s %s --tolerance 2.0 >/dev/null 2>&1" exe a b);
-  check_exit "nan tolerance exits 1" 1 (sh "%s trends %s %s --tolerance nan > %s 2>&1" exe a b out);
-  Alcotest.(check bool) "the error names the flag" true (printed "--tolerance");
-  (* database mode: appends accumulate, latest pair drives the verdict *)
-  let db = temp "trendsdb" ".jsonl" in
-  Sys.remove db;
-  check_exit "db append (first run)" 0 (sh "%s trends %s --db %s >/dev/null 2>&1" exe a db);
-  check_exit "db append (drifting run) exits 1" 1
-    (sh "%s trends %s --db %s >/dev/null 2>&1" exe b db);
-  Alcotest.(check int) "db holds both runs" 2
-    (List.length
-       (String.split_on_char '\n' (read_file db) |> List.filter (fun l -> l <> "")));
-  let names needle =
-    let o = read_file out in
-    replace_once o ~sub:needle ~by:"" <> o && replace_once o ~sub:"exception" ~by:"" = o
-  in
-  let d = temp_dir "trendsdir" in
-  Sys.mkdir (Filename.concat d "x.json") 0o755;
-  check_exit "a directory named x.json exits 1" 1 (sh "%s trends %s > %s 2>&1" exe d out);
-  Alcotest.(check bool) "the error names x.json" true (names "x.json");
-  let oc = open_out_gen [ Open_append ] 0o644 db in
-  output_string oc "{not json\n";
-  close_out oc;
-  check_exit "a malformed db line exits 1" 1 (sh "%s trends %s --db %s > %s 2>&1" exe a db out);
-  Alcotest.(check bool) "the error names the db line" true (names "line 3");
-  let unwritable = Filename.concat d "missing/runs.jsonl" in
-  check_exit "an unwritable db exits 1" 1
-    (sh "%s trends %s --db %s > %s 2>&1" exe a unwritable out);
-  Alcotest.(check bool) "the error names the db" true (names unwritable)
 
 (* kv -> report pipeline and the live dashboard: a faulted kv run
    writes a streaming artifact, report renders it to HTML, watch emits
@@ -402,6 +393,9 @@ let test_hostile_input () =
       ("watch --clients 0 --every 0", "--clients");
       ("run --clients 0", "--clients");
       ("run -n 0 -f 0", "-n");
+      ("run -n 3 -f 1", "-n");
+      ("fuzz -n 3 -f 1 --iters 1", "-n");
+      ("explore -n 2 -f 1 --seeds 1", "-n");
       ("run --write-ratio 2", "--write-ratio");
       ("run --trace-cap 0", "--trace-cap");
       ("run --ops=-3", "--ops");
@@ -438,7 +432,6 @@ let suite =
       test_watch_and_report_exit_codes;
     Alcotest.test_case "diff exit codes: ok / warn / fail" `Quick test_diff_exit_codes;
     Alcotest.test_case "spans exit codes and artifacts" `Quick test_spans_exit_codes;
-    Alcotest.test_case "trends drift gate and run database" `Quick test_trends_exit_codes;
     Alcotest.test_case "replay: fingerprint warning, verdict regression" `Quick
       test_replay_fingerprint_and_verdict;
     Alcotest.test_case "corpus directory exit codes" `Quick test_corpus_exit_codes;

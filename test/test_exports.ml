@@ -6,8 +6,10 @@
    (or of its submodule [M.Sub]) is read by
    - a path [M.v], [Lib.M.v] or [M.Sub.v];
    - [A.v], where the file binds [module A = [Lib.]M];
-   - an unqualified [v] in a file that opens [M] ([open M],
-     [let open M in] or [M.( ... )]).
+   - an unqualified [v] where [M] is open: anywhere in a file with a
+     plain [open M], inside the parentheses of [M.( ... )], and after
+     [let open M in] up to the end of the enclosing parentheses or
+     top-level definition (the next line that starts at column 0).
    Tests and examples are not readers.  The sources are the copies
    test/dune declares, under _build (the test runs from
    _build/default/test). *)
@@ -123,13 +125,20 @@ let blank src =
   done;
   Bytes.to_string out
 
-type token = Ident of string | Dot | Lparen | Other of char
+(* [Margin] comes before a token at column 0, where a top-level
+   definition starts. *)
+type token = Ident of string | Dot | Lparen | Other of char | Margin
 
 let tokens src =
   let n = String.length src in
   let rec go i acc =
     if i >= n then List.rev acc
     else
+      let acc =
+        if (i = 0 || src.[i - 1] = '\n') && not (String.contains " \t\n\r" src.[i]) then
+          Margin :: acc
+        else acc
+      in
       match src.[i] with
       | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
       | ('a' .. 'z' | 'A' .. 'Z' | '_') when i = 0 || not (is_ident_char src.[i - 1]) ->
@@ -178,11 +187,9 @@ let exports path =
 
 let is_library m = String.length m > 5 && String.sub m 0 5 = "Sbft_"
 
-(* The value paths a source file reads, each resolved through the
-   file's module aliases and library prefixes, plus the modules the file
-   opens and the unqualified lowercase names it uses. *)
-type reads = { qualified : string list list; opens : string list list; names : string list }
-
+(* The full value paths a source file reads, each resolved through the
+   file's module aliases and library prefixes.  A name read where
+   modules are open also stands for that name in each of them. *)
 let reads src =
   let toks = tokens (blank src) in
   let aliases = Hashtbl.create 8 in
@@ -192,40 +199,55 @@ let reads src =
     | m :: rest when Hashtbl.mem aliases m -> Hashtbl.find aliases m @ rest
     | _ -> path
   in
-  let rec go toks prev acc =
+  let file_opens = ref [] and qualified = ref [] and names = ref [] and in_scope = ref [] in
+  (* [local] holds the local opens in scope, each with the parenthesis
+     depth it closes below; a [Margin] closes them all. *)
+  let read path local =
+    List.iter (fun (o, _) -> in_scope := (o @ path) :: !in_scope) local
+  in
+  let rec go toks prev depth local =
     match toks with
-    | [] -> acc
+    | [] -> ()
+    | Margin :: rest -> go rest Margin 0 []
     | Ident "module" :: Ident a :: Other '=' :: rest when capitalized a -> (
         match module_path rest with
-        | [], _ -> go rest (Other ' ') acc
+        | [], _ -> go rest (Other ' ') depth local
         | path, rest' ->
             Hashtbl.replace aliases a (resolve path);
-            go rest' (Other ' ') acc)
+            go rest' (Other ' ') depth local)
     | Ident "open" :: rest -> (
         match module_path rest with
-        | [], _ -> go rest (Other ' ') acc
-        | path, rest' -> go rest' (Other ' ') { acc with opens = resolve path :: acc.opens })
+        | [], _ -> go rest (Other ' ') depth local
+        | path, rest' when prev = Ident "let" ->
+            go rest' (Other ' ') depth ((resolve path, depth) :: local)
+        | path, rest' ->
+            file_opens := resolve path :: !file_opens;
+            go rest' (Other ' ') depth local)
     | Ident m :: _ when capitalized m && prev <> Dot -> (
         let path, rest = module_path toks in
         match rest with
         | Dot :: Ident v :: rest' when not (capitalized v) ->
-            go rest' (Ident v) { acc with qualified = (resolve path @ [ v ]) :: acc.qualified }
-        | Dot :: Lparen :: rest' -> go rest' Lparen { acc with opens = resolve path :: acc.opens }
-        | _ -> go rest (Ident m) acc)
+            let q = resolve path @ [ v ] in
+            qualified := q :: !qualified;
+            read q local;
+            go rest' (Ident v) depth local
+        | Dot :: Lparen :: rest' -> go rest' Lparen (depth + 1) ((resolve path, depth + 1) :: local)
+        | _ -> go rest (Ident m) depth local)
     | (Ident v as t) :: rest when prev <> Dot && not (capitalized v) ->
-        go rest t { acc with names = v :: acc.names }
-    | t :: rest -> go rest t acc
+        names := v :: !names;
+        read [ v ] local;
+        go rest t depth local
+    | Lparen :: rest -> go rest Lparen (depth + 1) local
+    | (Other ')' as t) :: rest ->
+        go rest t (depth - 1) (List.filter (fun (_, d) -> d < depth) local)
+    | t :: rest -> go rest t depth local
   in
-  let r = go toks (Other ' ') { qualified = []; opens = []; names = [] } in
-  { r with names = List.sort_uniq compare r.names }
-
-(* Every full value path [reads] could stand for. *)
-let candidates r =
-  let opened =
-    List.concat_map (fun o -> List.map (fun n -> o @ [ n ]) r.names) r.opens
-    @ List.concat_map (fun o -> List.map (fun q -> o @ q) r.qualified) r.opens
-  in
-  r.qualified @ opened
+  go toks (Other ' ') 0 [];
+  let names = List.sort_uniq compare !names in
+  !qualified @ !in_scope
+  @ List.concat_map
+      (fun o -> List.map (fun n -> o @ [ n ]) names @ List.map (fun q -> o @ q) !qualified)
+      !file_opens
 
 (* The full paths of values with a reader among [files], keyed by path;
    a file is no reader of its own module's exports. *)
@@ -236,7 +258,7 @@ let read_paths files =
       let own = module_of_file file in
       List.iter
         (fun path -> if List.hd path <> own then Hashtbl.replace seen path ())
-        (candidates (reads (read_file file))))
+        (reads (read_file file)))
     files;
   seen
 
@@ -291,4 +313,35 @@ let test_every_export_read () =
       (String.concat "\n  " (List.map dotted unread))
       (if problems = [] then "" else "\n" ^ String.concat "\n" problems)
 
-let suite = [ Alcotest.test_case "every export has a reader" `Quick test_every_export_read ]
+(* A local open reaches only its scope: one [Series.Agg.( ... )] does
+   not make an unqualified [min] elsewhere in the file a read of
+   [Series.Agg.min]. *)
+let test_local_open_scope () =
+  let src =
+    {|let _ = Sbft_sim.Series.Agg.(merge)
+let x = min 1 2
+let y = Foo.(bar 1)
+let z =
+  let open Baz in
+  qux
+let w = quux
+|}
+  in
+  let read = reads src in
+  List.iter
+    (fun (path, expected) ->
+      Alcotest.(check bool) path expected (List.mem (String.split_on_char '.' path) read))
+    [
+      ("Series.Agg.merge", true);
+      ("Series.Agg.min", false);
+      ("Foo.bar", true);
+      ("Foo.min", false);
+      ("Baz.qux", true);
+      ("Baz.quux", false);
+    ]
+
+let suite =
+  [
+    Alcotest.test_case "every export has a reader" `Quick test_every_export_read;
+    Alcotest.test_case "a local open reaches only its scope" `Quick test_local_open_scope;
+  ]

@@ -1,12 +1,10 @@
 (* A generated mutation tier over the ingest paths: committed artifacts,
-   a trends run database, fault plans and arrival specs, truncated,
-   byte-flipped, digit-flipped and cut, must come back as a typed
-   result, never as an exception.  Every proper prefix of a JSON
-   artifact must be an [Error]. *)
+   fault plans and arrival specs, truncated, byte-flipped, digit-flipped
+   and cut, must come back as a typed result, never as an exception.
+   Every proper prefix of a JSON artifact must be an [Error]. *)
 
 module J = Sbft_sim.Json
 module Trace_file = Sbft_analysis.Trace_file
-module Trends = Sbft_analysis.Trends
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -82,30 +80,6 @@ let parse_trace text =
   | Ok { header = Some h; _ } -> typed (Sbft_harness.Scenario.of_header h)
   | r -> typed r
 
-(* [Trends.load_db] reads a file, so each database text goes through a
-   temporary one. *)
-let with_db text f =
-  let db = Filename.temp_file "sbft-trends" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove db)
-    (fun () ->
-      Out_channel.with_open_bin db (fun oc -> output_string oc text);
-      f db)
-
-(* A two-run database that [Trends.append] writes from the sample
-   metrics. *)
-let trends_db =
-  lazy
-    (with_db "" (fun db ->
-         let sample = Result.get_ok (J.of_string (Lazy.force sample_metrics)) in
-         List.iter
-           (fun label ->
-             Result.get_ok (Trends.append ~db (Trends.of_json ~source:"sample-metrics.json" ~label sample)))
-           [ "first"; "second" ];
-         read_file db))
-
-let load_db text = with_db text Trends.load_db
-
 let plan =
   "0:corrupt-server:2:heavy,5:corrupt-client:6,10:corrupt-channels:0.25,20:corrupt-all:light,\
    120:byz:4:equivocate,300:heal:4,310:crash:7,320:slow-node:1:8,330:slow-channel:0:5:4,\
@@ -122,9 +96,6 @@ let test_bases () =
   | Ok { header = Some h; _ } -> ok "sample header's scenario" (Sbft_harness.Scenario.of_header h)
   | _ -> Alcotest.fail "the sample trace's first line is not a header");
   ok "event lines" (Trace_file.parse_lines (String.split_on_char '\n' (Lazy.force trace_events)));
-  (match load_db (Lazy.force trends_db) with
-  | Ok runs -> Alcotest.(check int) "trends database runs" 2 (List.length runs)
-  | Error e -> Alcotest.fail e);
   ok "fault plan" (Sbft_byz.Fault_plan.of_string plan);
   List.iter
     (fun spec -> ok spec (Sbft_harness.Loadgen.arrival_of_string spec))
@@ -146,8 +117,6 @@ let suite =
     property ~name:"trace_file: mutated header never raises, nor does of_header" trace_header
       parse_trace;
     property ~name:"trace_file: mutated event lines never raise" trace_events parse_trace;
-    property ~name:"trends: a mutated run database never raises" trends_db (fun s ->
-        typed (load_db s));
     property ~name:"fault_plan: mutated plans never raise" (lazy plan) (fun s ->
         typed (Sbft_byz.Fault_plan.of_string s));
     property ~name:"loadgen: mutated arrival specs never raise" (lazy arrivals) (fun s ->

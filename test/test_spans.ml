@@ -1,10 +1,8 @@
-(* Span assembly, critical-path extraction and cross-run trends. *)
+(* Span assembly and critical-path extraction. *)
 
 module E = Sbft_sim.Event
 module Json = Sbft_sim.Json
 module Spans = Sbft_analysis.Spans
-module Trends = Sbft_analysis.Trends
-module Diff = Sbft_analysis.Diff
 module Scenario = Sbft_harness.Scenario
 
 (* ------------------------------------------------------------------ *)
@@ -197,79 +195,6 @@ let test_aggregate () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Trends. *)
-
-let metrics_json puts ticks =
-  Json.Obj
-    [
-      ("run", Json.Obj [ ("ops", Json.Int puts) ]);
-      ("kv", Json.Obj [ ("put_ticks", Json.Float ticks); ("name", Json.String "skipped") ]);
-      ("nodes", Json.List [ Json.Int 1; Json.Int 2 ]);
-    ]
-
-let test_trends_extract () =
-  let run = Trends.of_json ~source:"a" (metrics_json 100 25.0) in
-  Alcotest.(check (list (pair string (float 0.0001))))
-    "numeric leaves, dotted paths, lists and strings skipped"
-    [ ("run.ops", 100.0); ("kv.put_ticks", 25.0) ]
-    run.metrics
-
-let tol = Result.get_ok (Diff.tolerance 0.3)
-
-let drift prev cur =
-  match Trends.latest_drift ~tolerance:tol [ prev; cur ] with
-  | Some (_, _, rep) -> rep
-  | None -> Alcotest.fail "expected a comparison"
-
-let test_trends_drift () =
-  let prev = Trends.of_json ~source:"a" (metrics_json 100 25.0) in
-  (* 10% drift on ops: under a 30% tolerance *)
-  let cur = Trends.of_json ~source:"b" (metrics_json 110 25.0) in
-  Alcotest.(check int) "small drift passes" 0 (List.length (Diff.drifted (drift prev cur)));
-  (* 2x on put_ticks: flags *)
-  let cur = Trends.of_json ~source:"c" (metrics_json 100 50.0) in
-  (match Diff.drifted (drift prev cur) with
-  | [ d ] ->
-      Alcotest.(check string) "metric" "kv.put_ticks" d.path;
-      Alcotest.(check bool) "rel = 50%" true (Float.abs (d.rel -. 0.5) < 1e-9)
-  | ds -> Alcotest.failf "expected one drift, got %d" (List.length ds));
-  (* a metric only in cur is a NEW row: printed, but not drift *)
-  let cur =
-    { Trends.source = "d"; label = ""; metrics = [ ("run.ops", 100.0); ("new.thing", 9.0) ] }
-  in
-  let rep = drift prev cur in
-  Alcotest.(check int) "new metrics do not fail" 0 (List.length (Diff.drifted rep));
-  Alcotest.(check (list string)) "new and gone rows kept" [ "GONE"; "NEW" ]
-    (List.filter_map
-       (fun (r : Diff.row) ->
-         if r.path = "new.thing" || r.path = "kv.put_ticks" then Some (Diff.label r) else None)
-       rep.rows)
-
-let test_trends_db () =
-  let db = Filename.temp_file "sbft_trends" ".jsonl" in
-  Sys.remove db;
-  let load db = match Trends.load_db db with Ok runs -> runs | Error e -> Alcotest.fail e in
-  let append run = match Trends.append ~db run with Ok () -> () | Error e -> Alcotest.fail e in
-  Alcotest.(check int) "missing db is empty" 0 (List.length (load db));
-  let r1 = Trends.of_json ~source:"r1" (metrics_json 100 25.0) in
-  append r1;
-  append (Trends.of_json ~source:"r2" (metrics_json 100 60.0));
-  (match load db with
-  | [ r1'; _ ] -> Alcotest.(check bool) "run round-trips" true (r1 = r1')
-  | runs -> Alcotest.failf "expected two runs, got %d" (List.length runs));
-  (match Trends.latest_drift ~tolerance:tol (load db) with
-  | Some (prev, cur, rep) -> (
-      Alcotest.(check string) "prev" "r1" prev.Trends.source;
-      Alcotest.(check string) "cur" "r2" cur.Trends.source;
-      match Diff.drifted rep with
-      | [ d ] -> Alcotest.(check string) "drifted metric" "kv.put_ticks" d.path
-      | ds -> Alcotest.failf "expected one drift, got %d" (List.length ds))
-  | None -> Alcotest.fail "expected a comparison");
-  Sys.remove db;
-  Alcotest.(check bool) "unwritable db is an error" true
-    (Result.is_error (Trends.append ~db:(Filename.concat db "runs.jsonl") r1))
-
-(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -284,7 +209,4 @@ let suite =
     Alcotest.test_case "events survive the JSON round trip" `Quick test_json_roundtrip_stable;
     QCheck_alcotest.to_alcotest sampled_trees_prop;
     Alcotest.test_case "aggregate: percentiles and breakdown" `Quick test_aggregate;
-    Alcotest.test_case "trends: numeric-leaf extraction" `Quick test_trends_extract;
-    Alcotest.test_case "trends: drift tolerance and growth" `Quick test_trends_drift;
-    Alcotest.test_case "trends: append-only run database" `Quick test_trends_db;
   ]
