@@ -13,16 +13,6 @@ let histogram_json (h : Metrics.hist_snapshot) =
       (fun (name, sat) -> if sat then Some (J.String name) else None)
       [ ("p50", sat50); ("p95", sat95); ("p99", sat99) ]
   in
-  (* When any percentile clamped, surface the streaming-digest estimate
-     alongside the lower bound: stream.p99 is the digest's answer where
-     the bucket scheme could only say "≥ last bound". *)
-  let stream =
-    match (saturated, h.stream) with
-    | [], _ | _, None -> []
-    | _ :: _, Some q ->
-        let est p = J.Float (Sbft_sim.Series.Quantile.quantile q p) in
-        [ ("stream", J.Obj [ ("p50", est 50.0); ("p95", est 95.0); ("p99", est 99.0) ]) ]
-  in
   J.Obj
     ([
        ("count", J.Int h.count);
@@ -35,7 +25,6 @@ let histogram_json (h : Metrics.hist_snapshot) =
        ("p99", J.Float p99);
      ]
     @ (if saturated = [] then [] else [ ("saturated", J.List saturated) ])
-    @ stream
     @ [
         ("bounds", J.List (Array.to_list (Array.map (fun b -> J.Float b) h.bounds)));
         ("counts", J.List (Array.to_list (Array.map (fun c -> J.Int c) h.counts)));

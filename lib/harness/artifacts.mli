@@ -19,7 +19,7 @@
       "alerts":        { "fired", "active": [ ... ], "log": [ ... ] },
       "loadgen":       { "offered", "accepted", "rejected", ... },
       "series":        { "shards": [ { "shard", "flow", "lat", "queue" } ],
-                         "fleet": [ merged windows ] },
+                         "fleet": [ { "index", window aggregate } ] },
       "telemetry":     { "snapshots", "series", "summary" },
       "shards":        { "target", "ok", "shards": [ per-shard SLO rows ] },
       "profile":       { "wall_s", "phases", "top_events", "events_total" } }
@@ -27,10 +27,17 @@
     A detector verdict is [{window, k, after, dirty_windows,
     dirty_observations, stabilized_at, time_to_stabilize}]
     ({!Sbft_sim.Series.Detector.to_json}); [run] artifacts carry a
-    one-shard bank, [kv] artifacts one shard per store shard.
-    Metric names are the registry's ({!Sbft_sim.Metric_names});
-    histogram percentiles are nearest-rank over the fixed buckets
-    ({!Stats.hist_percentile_sat}). *)
+    one-shard bank, [kv] artifacts one shard per store shard.  A
+    series is [{name, window, windows_closed, t, count, sum, mean, max,
+    total}], one list entry per kept window and [total] a window
+    aggregate [{count, sum, mean, min, max}]
+    ({!Sbft_sim.Series.to_json}); a [lat] series' per-window [max] is
+    the window's nearest-rank p99 whenever it holds at most 100
+    samples.  Metric names are the registry's
+    ({!Sbft_sim.Metric_names}); histogram percentiles are nearest-rank
+    over the fixed buckets ({!Stats.hist_percentile_sat}), and a
+    histogram whose percentile landed past the last bound lists it in
+    a ["saturated"] member. *)
 
 val histogram_json : Sbft_sim.Metrics.hist_snapshot -> Sbft_sim.Json.t
 

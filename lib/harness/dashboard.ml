@@ -58,17 +58,21 @@ let render t =
        "stabilization");
   if all = [] then Buffer.add_string buf "  (series disabled: create the store with series_window)\n"
   else begin
+    (* The p99 column is the SLO's worst p99, the number kv's SLO table
+       gates on; it reads the same bucket histograms. *)
+    let slo =
+      Array.of_list
+        (Slo.evaluate ~shards (Sbft_sim.Engine.metrics (Store.engine t.store))).Slo.shards
+    in
     List.iteri
       (fun shard (s : Store.shard_series) ->
         let flow = Series.recent s.Store.flow ~n () in
         let total = Series.total s.Store.flow in
-        let lat = Series.total s.Store.lat in
         let spark = sparkline ~lo:0.0 ~hi:1.0 ~value:abort_rate flow in
         Buffer.add_string buf
           (Printf.sprintf "%5d %8d %8.0f %6.0f  %-*s %s\n" shard
              total.Series.Agg.count total.Series.Agg.sum
-             (Series.Agg.quantile lat 99.0)
-             n spark (stab_cell shard)))
+             slo.(shard).Slo.worst_p99 n spark (stab_cell shard)))
       all;
     (* Fleet rollup: the associative window merge in action. *)
     let flows = List.map (fun (s : Store.shard_series) -> s.Store.flow) all in

@@ -1,5 +1,7 @@
 (** Plain-text live dashboard over a running kv store's streaming
-    series: a per-shard sparkline of abort rate per closed window, a
+    series: per shard, its op and abort totals, its worst p99 latency
+    so far as {!Slo.evaluate} reports it ([worst_p99], from the bucket
+    histograms) and a sparkline of abort rate per closed window; then a
     fleet rollup row (the associative window merge), the stabilization
     verdicts and active alerts.
 

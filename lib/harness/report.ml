@@ -136,7 +136,7 @@ let jint = function Some (J.Int i) -> Some i | _ -> None
 let jlist = function Some (J.List l) -> l | _ -> []
 
 (* (virtual time, value) points of one series block, using [field] as
-   the value list ("mean", "p99", "count"); windows with zero count
+   the value list ("mean", "max", "count"); windows with zero count
    render as gaps. *)
 let series_points ~field sj =
   let ts = jlist (J.member "t" sj) and counts = jlist (J.member "count" sj) in
@@ -180,7 +180,7 @@ let series_page ?(title = "sbft streaming run") artifact =
       add "<section><h2>per-shard series</h2>\n";
       add
         "<table><thead><tr><th>shard</th><th>ops</th><th>abort rate / window</th>\
-         <th>p99 / window</th><th>stabilization</th></tr></thead><tbody>\n";
+         <th>max latency / window</th><th>stabilization</th></tr></thead><tbody>\n";
       List.iter
         (fun shard_block ->
           let shard = Option.value ~default:(-1) (jint (J.member "shard" shard_block)) in
@@ -210,7 +210,7 @@ let series_page ?(title = "sbft streaming run") artifact =
           in
           let lat_svg =
             match lat with
-            | Some l -> sparkline_svg ?marker (series_points ~field:"p99" l)
+            | Some l -> sparkline_svg ?marker (series_points ~field:"max" l)
             | None -> ""
           in
           add

@@ -14,8 +14,8 @@ val write_file : path:string -> ?title:string -> ?preamble:string -> Table.t lis
 
     [sbftreg report --html] renders a metrics artifact's streaming
     blocks ([series], [stabilization], [alerts]) into a
-    standalone page: per-shard sparklines (inline SVG, hand-rolled
-    like everything else here), red stabilization markers, and the
-    alert log. *)
+    standalone page: per-shard sparklines of abort rate and of max
+    latency per window (inline SVG, hand-rolled like everything else
+    here), red stabilization markers, and the alert log. *)
 
 val write_series_report : path:string -> ?title:string -> Sbft_sim.Json.t -> unit

@@ -47,17 +47,8 @@ let hist_percentile_sat ~bounds ~counts p =
     go 0 0
   end
 
-(* Bucket walk with the streaming digest as the saturation fallback: an
-   in-range percentile keeps the exact bucket answer, a clamped one is
-   replaced by the digest's estimate (still flagged, since it is an
-   estimate rather than a bucket-exact rank). *)
 let hist_percentile_resolved (h : Sbft_sim.Metrics.hist_snapshot) p =
-  let v, sat = hist_percentile_sat ~bounds:h.bounds ~counts:h.counts p in
-  if not sat then (v, false)
-  else
-    match h.stream with
-    | Some q -> (Sbft_sim.Series.Quantile.quantile q p, true)
-    | None -> (v, true)
+  hist_percentile_sat ~bounds:h.bounds ~counts:h.counts p
 
 let summarize xs =
   let n = Array.length xs in

@@ -34,17 +34,18 @@ val hist_percentile_sat : bounds:float array -> counts:int array -> float -> flo
 
     The boolean is the {e saturation} flag: [true] when the ranked
     sample landed in the overflow bucket, i.e. beyond every finite
-    bound.  The returned value is then the last bound — a lower bound
-    on the true percentile, not an estimate of it — and consumers
-    (e.g. the metrics JSON) must mark it as such instead of silently
-    under-reporting tail latency. *)
+    bound (2^19 ticks in the {!Sbft_sim.Metrics} layout).  The
+    returned value is then the last bound — a lower bound on the true
+    percentile, with no estimate beside it — and consumers (the
+    metrics JSON, {!Slo}) must mark it as such instead of silently
+    under-reporting tail latency.
+
+    This is the one percentile estimator of every latency histogram:
+    the artifacts, the SLO verdicts, [watch] and E24's table read
+    it. *)
 
 val hist_percentile_resolved : Sbft_sim.Metrics.hist_snapshot -> float -> float * bool
-(** Like {!hist_percentile_sat} but with the histogram's streaming
-    quantile digest as the saturation fallback: an in-range percentile
-    is the exact bucket answer ([false]), a clamped one is replaced by
-    the digest's estimate (still [true] — it is an estimate, not a
-    bucket-exact rank). *)
+(** {!hist_percentile_sat} over a snapshot's bounds and counts. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

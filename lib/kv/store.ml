@@ -64,7 +64,7 @@ let create ?(seed = 42L) ?(delay = Sbft_channel.Delay.uniform ~max:10) ?trace_le
                   ~name:(Names.kv_shard ~shard Names.Shard_flow)
                   ();
               lat =
-                Series.create ~keep:series_keep ~quantiles:true ~window:w
+                Series.create ~keep:series_keep ~window:w
                   ~name:(Names.kv_shard ~shard Names.Shard_op_ticks)
                   ();
             })

@@ -35,8 +35,9 @@ type shard_series = {
       (** one observation per completed op: 1.0 for an abort, 0.0 for a
           success — window count = op volume, window mean = abort rate *)
   lat : Sbft_sim.Series.t;
-      (** successful-op latency in virtual ticks, per-window quantile
-          digest armed *)
+      (** successful-op latency in virtual ticks: a window's max is
+          its worst latency, its count the [put_ticks] and [get_ticks]
+          samples the shard's histograms took in it *)
 }
 
 type observer = shard:int -> time:int -> ok:bool -> ticks:int -> unit

@@ -196,7 +196,7 @@ let all =
       "per-shard KV metrics, kv.shard.<i>.<field> with field one of puts/gets \
        (completed operations), aborts (reads that aborted), put_ticks/get_ticks \
        (latency histograms), flow/op_ticks (streaming series: per-window op \
-       flow with abort fraction, and op latency with quantile digest), \
+       flow with abort fraction, and op latency with its max), \
        offered/accepted/rejected (open-loop admission counters), queue \
        (streaming series of admission queue depth) and e2e_ticks (open-loop \
        end-to-end latency histogram: queue wait plus service); minted \

@@ -95,7 +95,7 @@ type shard_field =
   | Shard_put_ticks  (** put latency histogram, virtual ticks *)
   | Shard_get_ticks  (** get latency histogram, virtual ticks *)
   | Shard_flow  (** streaming series: ops per window, sum = aborts *)
-  | Shard_op_ticks  (** streaming series: op latency, per-window digest *)
+  | Shard_op_ticks  (** streaming series: successful-op latency, per-window max *)
   | Shard_offered  (** open-loop arrivals routed to the shard *)
   | Shard_accepted  (** arrivals admitted (queued or dispatched) *)
   | Shard_rejected  (** arrivals shed: the admission queue was full *)

@@ -1,14 +1,11 @@
+(* The float accumulators live in an all-float record, which OCaml
+   stores flat: updating them boxes nothing. *)
+type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type hist = {
-  bounds : float array; (* strictly increasing upper bounds; overflow bucket implicit *)
-  hcounts : int array; (* length = Array.length bounds + 1 *)
+  hcounts : int array; (* one per bound, then the overflow bucket *)
   mutable total : int;
-  mutable sum : float;
-  mutable hmin : float;
-  mutable hmax : float;
-  hq : Series.Quantile.t;
-      (* streaming digest alongside the buckets: where a percentile
-         saturates against the last bound, the digest still has an
-         estimate (rank error ~1/cap instead of a clamp) *)
+  m : moments;
 }
 
 type hist_snapshot = {
@@ -18,13 +15,12 @@ type hist_snapshot = {
   sum : float;
   min : float;
   max : float;
-  stream : Series.Quantile.t option;
 }
 
-(* Geometric tick buckets: 1, 2, 4, … 2^19 cover everything a
-   discrete-event run at delay ≤ tens of ticks can produce; the
-   overflow bucket catches the rest. *)
-let default_bounds = Array.init 20 (fun i -> Float.of_int (1 lsl i))
+(* Every histogram's upper bounds: geometric tick buckets 1, 2, 4, …
+   2^19 cover everything a discrete-event run at delay ≤ tens of ticks
+   can produce; the overflow bucket catches the rest. *)
+let bounds = Array.init 20 (fun i -> Float.of_int (1 lsl i))
 
 type t = { counters : (string, int ref) Hashtbl.t; histograms : (string, hist) Hashtbl.t }
 
@@ -51,57 +47,49 @@ let add t name v =
 
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-let hist_slot t ?(bounds = default_bounds) name =
+let hist t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
       let h =
         {
-          bounds;
           hcounts = Array.make (Array.length bounds + 1) 0;
           total = 0;
-          sum = 0.0;
-          hmin = Float.infinity;
-          hmax = Float.neg_infinity;
-          hq = Series.Quantile.create ();
+          m = { sum = 0.0; lo = Float.infinity; hi = Float.neg_infinity };
         }
       in
       Hashtbl.add t.histograms name h;
       h
 
-let bucket_of bounds v =
-  (* First bucket whose upper bound admits v; linear scan is fine for
-     ~20 buckets and keeps the hot path allocation-free. *)
+(* First bucket whose upper bound admits [v]: a linear scan over the
+   20 bounds, typed so that each step is an unboxed comparison. *)
+let bucket_of (v : float) =
   let n = Array.length bounds in
-  let rec go i = if i >= n then n else if v <= bounds.(i) then i else go (i + 1) in
-  go 0
-
-let hist ?bounds t name = hist_slot t ?bounds name
+  let i = ref 0 in
+  while !i < n && not (v <= bounds.(!i)) do
+    i := !i + 1
+  done;
+  !i
 
 let hist_record (h : hist) v =
-  let b = bucket_of h.bounds v in
+  let b = bucket_of v in
   h.hcounts.(b) <- h.hcounts.(b) + 1;
   h.total <- h.total + 1;
-  h.sum <- h.sum +. v;
-  if v < h.hmin then h.hmin <- v;
-  if v > h.hmax then h.hmax <- v;
-  Series.Quantile.add h.hq v
+  let m = h.m in
+  m.sum <- m.sum +. v;
+  if v < m.lo then m.lo <- v;
+  if v > m.hi then m.hi <- v
 
-let record ?bounds t name v = hist_record (hist_slot t ?bounds name) v
+let record t name v = hist_record (hist t name) v
 
 let snapshot (h : hist) =
   {
-    bounds = Array.copy h.bounds;
+    bounds = Array.copy bounds;
     counts = Array.copy h.hcounts;
     count = h.total;
-    sum = h.sum;
-    min = (if h.total = 0 then 0.0 else h.hmin);
-    max = (if h.total = 0 then 0.0 else h.hmax);
-    (* merge-with-empty yields a fresh compressed copy, so the snapshot
-       stays immutable while the live digest keeps growing *)
-    stream =
-      (if h.total = 0 then None
-       else Some (Series.Quantile.merge h.hq (Series.Quantile.create ())));
+    sum = h.m.sum;
+    min = (if h.total = 0 then 0.0 else h.m.lo);
+    max = (if h.total = 0 then 0.0 else h.m.hi);
   }
 
 let histogram t name = Option.map snapshot (Hashtbl.find_opt t.histograms name)

@@ -2,9 +2,10 @@
     simulation run.
 
     Cheap enough to leave enabled everywhere: counters are hashtable
-    slots, and histogram recording is a ~20-element scan with no
-    allocation.  Experiments read them back at the end of a run to
-    build tables; [--metrics-out] serializes the whole snapshot. *)
+    slots, and recording a histogram sample is a scan over 20 float
+    bounds that allocates nothing.  Experiments read them back at the
+    end of a run to build tables; [--metrics-out] serializes the whole
+    snapshot. *)
 
 type t
 
@@ -36,9 +37,12 @@ val counters : t -> (string * int) list
 (** {2 Histograms}
 
     Fixed buckets keep long runs O(1) memory however many samples
-    arrive — the per-operation phase latencies use these.
-    Percentiles are extracted from the bucket counts by
-    {!Sbft_harness.Stats.hist_percentile_sat}. *)
+    arrive — the per-operation phase latencies use these.  Every
+    histogram has the same geometric layout: upper bounds 1, 2, 4, …
+    2^19 virtual ticks, then an overflow bucket.  Percentiles are
+    extracted from the bucket counts by
+    {!Sbft_harness.Stats.hist_percentile_sat}; it is the only
+    percentile estimator a histogram has. *)
 
 type hist_snapshot = {
   bounds : float array;  (** bucket upper bounds, strictly increasing *)
@@ -47,15 +51,11 @@ type hist_snapshot = {
   sum : float;
   min : float;  (** 0 when empty *)
   max : float;  (** 0 when empty *)
-  stream : Series.Quantile.t option;
-      (** streaming quantile digest over the same samples — consult it
-          where a bucket percentile saturates; [None] when empty *)
 }
 
-val record : ?bounds:float array -> t -> string -> float -> unit
+val record : t -> string -> float -> unit
 (** [record t name v] adds [v] to histogram [name], creating it on
-    first use with [bounds] (default: geometric, 1, 2, 4, … 2^19
-    virtual ticks).  [bounds] is ignored on later calls. *)
+    first use. *)
 
 type hist
 (** A resolved histogram handle: the name lookup paid once instead of
@@ -63,8 +63,10 @@ type hist
     operation (the open-loop generator's queue-wait and end-to-end
     latencies).  Resolving a handle creates the (empty) histogram. *)
 
-val hist : ?bounds:float array -> t -> string -> hist
+val hist : t -> string -> hist
+
 val hist_record : hist -> float -> unit
+(** Allocates nothing. *)
 
 val histogram : t -> string -> hist_snapshot option
 

@@ -1,313 +1,27 @@
 (* Bounded-memory streaming time series.
 
    Everything here is O(1) memory in the length of the run: a window
-   aggregate is a handful of scalars plus a fixed-capacity quantile
-   digest, a series keeps one open window, a ring of the last [keep]
-   closed windows and one all-time rollup, and the stabilization
-   detector is three integers of state.  All of it feeds off the
+   aggregate is four scalars, a series keeps one open window, a ring
+   of the last [keep] closed windows and one all-time rollup, and the
+   stabilization detector is three integers of state.  All of it feeds off the
    virtual clock and op completions only — never the trace — so every
    number is bit-identical across trace levels and under replay. *)
-
-(* ------------------------------------------------------------------ *)
-(* Mergeable streaming quantile digest.
-
-   A P²-style marker digest: at most [cap] weighted markers (mean,
-   weight) kept sorted by mean.  New samples buffer as weight-1 markers
-   and are folded in by an equal-weight compression pass when the
-   buffer fills; merging two digests concatenates their markers and
-   compresses the union the same way.  Rank error is ~1/cap, memory is
-   2*cap floats, and every operation is deterministic — no randomness,
-   no wall clock — so digests agree across replays. *)
-
-module Quantile = struct
-  type t = {
-    cap : int;
-    mutable means : float array;  (* sorted, length [len] used *)
-    mutable weights : float array;
-    mutable len : int;
-    mutable pending : float array;  (* unsorted weight-1 samples *)
-    mutable npending : int;
-    mutable count : int;
-  }
-
-  let default_cap = 64
-
-  let create ?(cap = default_cap) () =
-    let cap = max 8 cap in
-    (* Everything is allocated lazily: a digest is created per window
-       per series, and most windows see a handful of samples, so the
-       marker arrays appear only at the first compression and the
-       pending buffer grows geometrically from 16 slots up to 4x the
-       marker budget.  This keeps the per-window cost proportional to
-       what the window actually observed (the bench gate holds the
-       whole series layer under 5%). *)
-    {
-      cap;
-      means = [||];
-      weights = [||];
-      len = 0;
-      pending = Array.make 16 0.0;
-      npending = 0;
-      count = 0;
-    }
-
-  let count t = t.count
-
-  (* Compress a sorted marker list down to ~cap markers of roughly
-     equal weight.  Deterministic greedy walk: close the current group
-     once it reaches total/cap. *)
-  let compress t (markers : (float * float) array) =
-    Array.sort (fun (a, _) (b, _) -> Float.compare a b) markers;
-    let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 markers in
-    let chunk = total /. float_of_int t.cap in
-    let out_m = Array.make t.cap 0.0 and out_w = Array.make t.cap 0.0 in
-    let oi = ref 0 in
-    let gm = ref 0.0 and gw = ref 0.0 in
-    let flush () =
-      if !gw > 0.0 && !oi < t.cap then begin
-        out_m.(!oi) <- !gm /. !gw;
-        out_w.(!oi) <- !gw;
-        incr oi;
-        gm := 0.0;
-        gw := 0.0
-      end
-    in
-    Array.iter
-      (fun (m, w) ->
-        gm := !gm +. (m *. w);
-        gw := !gw +. w;
-        (* Keep the last slot open for the tail so nothing is dropped. *)
-        if !gw >= chunk && !oi < t.cap - 1 then flush ())
-      markers;
-    flush ();
-    t.means <- out_m;
-    t.weights <- out_w;
-    t.len <- !oi
-
-  (* Index of the larger son of [i] in the ternary heap [a.(0 .. l-1)],
-     or -1 when [i] has none. *)
-  let maxson (a : float array) l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
-      if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
-    end
-    else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
-    else if i31 < l then i31
-    else -1
-
-  (* [Array.sort Float.compare] specialised to floats: the stdlib's
-     ternary heap sort step for step, so the output permutation — down
-     to the order of [0.0] and [-0.0], or of two NaNs — is identical,
-     but no element is boxed to be compared.  Loops instead of
-     recursion keep the moving element in a register. *)
-  let sort_floats (a : float array) =
-    let l = Array.length a in
-    for i0 = ((l + 1) / 3) - 1 downto 0 do
-      let e = a.(i0) in
-      let i = ref i0 and go = ref true in
-      while !go do
-        let j = maxson a l !i in
-        if j >= 0 && Float.compare a.(j) e > 0 then begin
-          a.(!i) <- a.(j);
-          i := j
-        end
-        else begin
-          a.(!i) <- e;
-          go := false
-        end
-      done
-    done;
-    for n = l - 1 downto 2 do
-      let e = a.(n) in
-      a.(n) <- a.(0);
-      let i = ref 0 and j = ref (maxson a n 0) in
-      while !j >= 0 do
-        a.(!i) <- a.(!j);
-        i := !j;
-        j := maxson a n !j
-      done;
-      let go = ref true in
-      while !go do
-        let father = (!i - 1) / 3 in
-        if Float.compare a.(father) e < 0 then begin
-          a.(!i) <- a.(father);
-          if father > 0 then i := father
-          else begin
-            a.(0) <- e;
-            go := false
-          end
-        end
-        else begin
-          a.(!i) <- e;
-          go := false
-        end
-      done
-    done;
-    if l > 1 then begin
-      let e = a.(1) in
-      a.(1) <- a.(0);
-      a.(0) <- e
-    end
-
-  (* Fold the pending weight-1 samples in without boxing: sort the
-     pending slice in place, then run the same greedy equal-weight
-     grouping as {!compress} over the merge-walk of the two sorted
-     sequences.  This is the per-sample hot path — [compress] with its
-     tuple array is kept for the rare digest-to-digest {!merge}.  The
-     group accumulators are local float refs that no closure captures,
-     so they stay unboxed.  Each sum puts the product first: when both
-     operands are NaNs, the first one's sign survives, and that is the
-     order the boxed accumulator's code used. *)
-  let fold_pending t =
-    if t.npending > 0 then begin
-      let np = t.npending in
-      let p = Array.sub t.pending 0 np in
-      sort_floats p;
-      let total = ref (float_of_int np) in
-      for i = 0 to t.len - 1 do
-        total := !total +. t.weights.(i)
-      done;
-      let chunk = !total /. float_of_int t.cap in
-      let out_m = Array.make t.cap 0.0 and out_w = Array.make t.cap 0.0 in
-      let oi = ref 0 in
-      let gm = ref 0.0 and gw = ref 0.0 in
-      let i = ref 0 and j = ref 0 in
-      while !i < t.len || !j < np do
-        if !j >= np || (!i < t.len && t.means.(!i) <= p.(!j)) then begin
-          gm := (t.means.(!i) *. t.weights.(!i)) +. !gm;
-          gw := !gw +. t.weights.(!i);
-          incr i
-        end
-        else begin
-          gm := (p.(!j) *. 1.0) +. !gm;
-          gw := !gw +. 1.0;
-          incr j
-        end;
-        (* Keep the last slot open for the tail so nothing is dropped. *)
-        if !gw >= chunk && !oi < t.cap - 1 && !gw > 0.0 then begin
-          out_m.(!oi) <- !gm /. !gw;
-          out_w.(!oi) <- !gw;
-          incr oi;
-          gm := 0.0;
-          gw := 0.0
-        end
-      done;
-      if !gw > 0.0 && !oi < t.cap then begin
-        out_m.(!oi) <- !gm /. !gw;
-        out_w.(!oi) <- !gw;
-        incr oi
-      end;
-      t.means <- out_m;
-      t.weights <- out_w;
-      t.len <- !oi;
-      t.npending <- 0
-    end
-
-  let add t v =
-    t.count <- t.count + 1;
-    if t.npending = Array.length t.pending then
-      if t.npending >= 4 * t.cap then fold_pending t
-      else begin
-        let bigger = Array.make (2 * t.npending) 0.0 in
-        Array.blit t.pending 0 bigger 0 t.npending;
-        t.pending <- bigger
-      end;
-    t.pending.(t.npending) <- v;
-    t.npending <- t.npending + 1
-
-  let merge a b =
-    let t = create ~cap:(max a.cap b.cap) () in
-    fold_pending a;
-    fold_pending b;
-    let markers =
-      Array.init (a.len + b.len) (fun i ->
-          if i < a.len then (a.means.(i), a.weights.(i))
-          else (b.means.(i - a.len), b.weights.(i - a.len)))
-    in
-    if Array.length markers > 0 then compress t markers;
-    t.count <- a.count + b.count;
-    t
-
-  (* Quantile by linear interpolation between marker midpoints, the
-     standard digest read-out: marker i's weight is centred on its
-     cumulative midpoint. *)
-  let quantile t p =
-    fold_pending t;
-    if t.len = 0 then 0.0
-    else if t.len = 1 then t.means.(0)
-    else begin
-      let total = ref 0.0 in
-      for i = 0 to t.len - 1 do
-        total := !total +. t.weights.(i)
-      done;
-      let rank = Float.max 0.0 (Float.min 1.0 (p /. 100.0)) *. !total in
-      let acc = ref 0.0 and i = ref 0 and res = ref t.means.(t.len - 1) and stop = ref false in
-      while (not !stop) && !i < t.len do
-        let mid = !acc +. (t.weights.(!i) /. 2.0) in
-        if rank <= mid then begin
-          (if !i = 0 then res := t.means.(0)
-           else begin
-             let prev_mid = !acc -. (t.weights.(!i - 1) /. 2.0) in
-             let span = mid -. prev_mid in
-             let frac = if span <= 0.0 then 0.0 else (rank -. prev_mid) /. span in
-             res := t.means.(!i - 1) +. (frac *. (t.means.(!i) -. t.means.(!i - 1)))
-           end);
-          stop := true
-        end
-        else begin
-          acc := !acc +. t.weights.(!i);
-          incr i
-        end
-      done;
-      !res
-    end
-
-  let markers t =
-    fold_pending t;
-    (Array.sub t.means 0 t.len, Array.sub t.weights 0 t.len)
-
-  let to_json t =
-    Json.Obj
-      [
-        ("count", Json.Int t.count);
-        ("p50", Json.Float (quantile t 50.0));
-        ("p95", Json.Float (quantile t 95.0));
-        ("p99", Json.Float (quantile t 99.0));
-      ]
-end
 
 (* ------------------------------------------------------------------ *)
 (* One window's aggregate. *)
 
 module Agg = struct
-  type t = {
-    mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-    mutable q : Quantile.t option;  (* allocated on first observation *)
-  }
+  type t = { mutable count : int; mutable sum : float; mutable min : float; mutable max : float }
 
-  let empty () = { count = 0; sum = 0.0; min = Float.infinity; max = Float.neg_infinity; q = None }
+  let empty () = { count = 0; sum = 0.0; min = Float.infinity; max = Float.neg_infinity }
 
   let is_empty a = a.count = 0
 
-  let observe ?(quantiles = false) a v =
+  let observe a v =
     a.count <- a.count + 1;
     a.sum <- a.sum +. v;
     if v < a.min then a.min <- v;
-    if v > a.max then a.max <- v;
-    if quantiles then begin
-      let q = match a.q with
-        | Some q -> q
-        | None ->
-            let q = Quantile.create () in
-            a.q <- Some q;
-            q
-      in
-      Quantile.add q v
-    end
+    if v > a.max then a.max <- v
 
   let mean a = if a.count = 0 then 0.0 else a.sum /. float_of_int a.count
 
@@ -315,34 +29,25 @@ module Agg = struct
 
   let max a = if a.count = 0 then 0.0 else a.max
 
-  let quantile a p = match a.q with None -> 0.0 | Some q -> Quantile.quantile q p
-
-  (* Associative, commutative: merging per-shard windows into a fleet
-     window loses nothing but quantile resolution (bounded by the
-     digest's rank error — qcheck holds this to tolerance). *)
+  (* Associative, commutative and exact: merging per-shard windows into
+     a fleet window loses nothing. *)
   let merge a b =
     {
       count = a.count + b.count;
       sum = a.sum +. b.sum;
       min = Float.min a.min b.min;
       max = Float.max a.max b.max;
-      q =
-        (match (a.q, b.q) with
-        | None, None -> None
-        | Some q, None | None, Some q -> Some (Quantile.merge q (Quantile.create ()))
-        | Some qa, Some qb -> Some (Quantile.merge qa qb));
     }
 
   let to_json a =
     Json.Obj
-      ([
-         ("count", Json.Int a.count);
-         ("sum", Json.Float a.sum);
-         ("mean", Json.Float (mean a));
-         ("min", Json.Float (min a));
-         ("max", Json.Float (max a));
-       ]
-      @ match a.q with None -> [] | Some q -> [ ("q", Quantile.to_json q) ])
+      [
+        ("count", Json.Int a.count);
+        ("sum", Json.Float a.sum);
+        ("mean", Json.Float (mean a));
+        ("min", Json.Float (min a));
+        ("max", Json.Float (max a));
+      ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -354,7 +59,6 @@ type t = {
   name : string;
   window : int;
   keep : int;
-  quantiles : bool;
   mutable cur_index : int;  (* window index of the open window *)
   mutable cur : Agg.t;
   ring : Agg.t option array;  (* slot i holds window (index mod keep) *)
@@ -363,14 +67,13 @@ type t = {
   mutable closed : int;  (* windows closed so far (including empty) *)
 }
 
-let create ?(keep = 64) ?(quantiles = false) ~window ~name () =
+let create ?(keep = 64) ~window ~name () =
   if window <= 0 then invalid_arg "Series.create: window must be positive";
   let keep = max 1 keep in
   {
     name;
     window;
     keep;
-    quantiles;
     cur_index = 0;
     cur = Agg.empty ();
     ring = Array.make keep None;
@@ -421,8 +124,8 @@ let roll_to t ~time =
 
 let observe t ~time v =
   roll_to t ~time;
-  Agg.observe ~quantiles:t.quantiles t.cur v;
-  Agg.observe ~quantiles:t.quantiles t.total v
+  Agg.observe t.cur v;
+  Agg.observe t.total v
 
 let total t = t.total
 
@@ -472,20 +175,19 @@ let merge_recent ?(n = max_int) series =
 
 let to_json t =
   let recent = recent t () in
+  let column f = Json.List (List.map (fun (_, a) -> f a) recent) in
   Json.Obj
-    ([
-       ("name", Json.String t.name);
-       ("window", Json.Int t.window);
-       ("windows_closed", Json.Int t.closed);
-       ("t", Json.List (List.map (fun (idx, _) -> Json.Int (idx * t.window)) recent));
-       ("count", Json.List (List.map (fun (_, a) -> Json.Int a.Agg.count) recent));
-       ("sum", Json.List (List.map (fun (_, a) -> Json.Float a.Agg.sum) recent));
-       ("mean", Json.List (List.map (fun (_, a) -> Json.Float (Agg.mean a)) recent));
-     ]
-    @ (if t.quantiles then
-         [ ("p99", Json.List (List.map (fun (_, a) -> Json.Float (Agg.quantile a 99.0)) recent)) ]
-       else [])
-    @ [ ("total", Agg.to_json t.total) ])
+    [
+      ("name", Json.String t.name);
+      ("window", Json.Int t.window);
+      ("windows_closed", Json.Int t.closed);
+      ("t", Json.List (List.map (fun (idx, _) -> Json.Int (idx * t.window)) recent));
+      ("count", column (fun a -> Json.Int a.Agg.count));
+      ("sum", column (fun a -> Json.Float a.Agg.sum));
+      ("mean", column (fun a -> Json.Float (Agg.mean a)));
+      ("max", column (fun a -> Json.Float (Agg.max a)));
+      ("total", Agg.to_json t.total);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Online pseudo-stabilization detector.

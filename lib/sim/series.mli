@@ -12,49 +12,23 @@
     completions, never by the trace, so every number is bit-identical
     across trace levels and under replay. *)
 
-(** Mergeable streaming quantile digest (P²-style weighted markers,
-    fixed capacity).  Rank error is ~1/cap; memory is 2·cap floats.
-    Unlike the fixed-bucket histograms, the digest adapts to the data,
-    so p99 never saturates against a bucket ceiling. *)
-module Quantile : sig
-  type t
-
-  val create : ?cap:int -> unit -> t
-  (** [cap] defaults to 64 markers: ≲2% rank error through a merge. *)
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val quantile : t -> float -> float
-  (** [quantile t p] estimates the [p]-th percentile ([p] in [0,100]).
-      0 on an empty digest. *)
-
-  val merge : t -> t -> t
-  (** A fresh digest summarizing both inputs' samples.  Associative and
-      commutative up to the digest's rank error (qcheck-held). *)
-
-  val markers : t -> float array * float array
-  (** The digest's markers, after folding in buffered samples: means
-      in increasing order and their weights. *)
-end
-
-(** One window's aggregate: count, sum, min, max and (optionally) a
-    quantile digest. *)
+(** One window's aggregate: count, sum, min and max.  There is no
+    percentile here: a window's exact max is its nearest-rank p99
+    whenever it holds at most 100 samples, and latency percentiles
+    come from the {!Metrics} bucket histograms. *)
 module Agg : sig
   type t = {
     mutable count : int;
     mutable sum : float;
     mutable min : float;  (** +inf when empty; read via {!min} *)
     mutable max : float;  (** -inf when empty; read via {!max} *)
-    mutable q : Quantile.t option;
   }
 
   val empty : unit -> t
 
   val is_empty : t -> bool
 
-  val observe : ?quantiles:bool -> t -> float -> unit
+  val observe : t -> float -> unit
 
   val mean : t -> float
 
@@ -64,12 +38,8 @@ module Agg : sig
   val max : t -> float
   (** 0 when empty. *)
 
-  val quantile : t -> float -> float
-  (** 0 when no digest was kept. *)
-
   val merge : t -> t -> t
-  (** Exact for count/sum/min/max, within digest rank error for
-      quantiles.  Associative — the window-merge law the fleet rollup
+  (** Exact and associative — the window-merge law the fleet rollup
       and the tests rely on. *)
 
   val to_json : t -> Json.t
@@ -79,11 +49,10 @@ type t
 (** A tumbling-window series: one open window, a ring of the last
     [keep] closed windows, one all-time rollup. *)
 
-val create : ?keep:int -> ?quantiles:bool -> window:int -> name:string -> unit -> t
+val create : ?keep:int -> window:int -> name:string -> unit -> t
 (** [create ~window ~name ()] makes a series with [window]-tick
     tumbling windows keeping the last [keep] (default 64) closed
-    windows.  [quantiles] arms the per-window digest (for value
-    series; pure event-rate series should leave it off). *)
+    windows. *)
 
 val name : t -> string
 
@@ -116,7 +85,9 @@ val merge_recent : ?n:int -> t list -> (int * Agg.t) list
     [Invalid_argument] when window widths differ. *)
 
 val to_json : t -> Json.t
-(** Every window the ring still holds, plus the running total. *)
+(** Every window the ring still holds, as parallel lists [t] (window
+    start), [count], [sum], [mean] and [max], plus the running
+    total. *)
 
 (** Online pseudo-stabilization detector: watches a dirty/clean signal
     per window and declares the stabilization point once [k]

@@ -127,6 +127,64 @@ let test_sample_artifact () =
   close_in ic;
   Alcotest.(check string) "bench/sample-kv-metrics.json" committed (artifact spec (run spec) ^ "\n")
 
+(* A faulted closed-loop session with the series on: shard 0 is
+   corrupted 300 ticks in and aborts reads while it recovers. *)
+let faulted = { closed with ops = 200; window = 40; fault_at = Some 300; fault_shards = 1 }
+
+(* The latency series takes a sample exactly where the put and get
+   histograms do (an aborted read enters neither), so its all-time
+   count and max are theirs. *)
+let test_lat_series_totals_histograms () =
+  let o = run faulted in
+  Alcotest.(check bool) "the fault aborted reads" true
+    (List.exists (fun (s : Slo.shard) -> s.aborts > 0) o.slo.shards);
+  let m = Sbft_sim.Engine.metrics (Store.engine o.session.store) in
+  for shard = 0 to faulted.shards - 1 do
+    let lat =
+      match Store.shard_series o.session.store shard with
+      | Some s -> Sbft_sim.Series.total s.Store.lat
+      | None -> Alcotest.fail "series off"
+    in
+    let count, max =
+      List.fold_left
+        (fun (count, max) field ->
+          match Sbft_sim.Metrics.histogram m (Sbft_sim.Metric_names.kv_shard ~shard field) with
+          | Some (h : Sbft_sim.Metrics.hist_snapshot) -> (count + h.count, Float.max max h.max)
+          | None -> (count, max))
+        (0, 0.0) [ Shard_put_ticks; Shard_get_ticks ]
+    in
+    Alcotest.(check int) (Printf.sprintf "shard %d: put + get samples" shard) count lat.count;
+    Alcotest.(check (float 0.0)) (Printf.sprintf "shard %d: worst latency" shard) max
+      (Sbft_sim.Series.Agg.max lat)
+  done
+
+(* watch's p99 column is each shard's worst p99 as the SLO report has
+   it — in an open-loop session that is the end-to-end p99, queue wait
+   included. *)
+let test_watch_p99_is_slo_worst () =
+  let spec =
+    { faulted with arrival = Some (Loadgen.Poisson 0.4); duration = 600; max_queue = 64 }
+  in
+  let o = run spec in
+  let frame =
+    Sbft_harness.Dashboard.render
+      (Sbft_harness.Dashboard.create ~stabilization:o.session.stabilization
+         ?alerts:o.session.alerts o.session.store)
+  in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | shard :: _ops :: _aborts :: p99 :: _ ->
+            Option.map (fun shard -> (shard, p99)) (int_of_string_opt shard)
+        | _ -> None)
+      (String.split_on_char '\n' frame)
+  in
+  Alcotest.(check (list (pair int string)))
+    "p99 column"
+    (List.map (fun (s : Slo.shard) -> (s.shard, Printf.sprintf "%.0f" s.worst_p99)) o.slo.shards)
+    rows
+
 let test_hostile_specs () =
   let d = Kv_session.default in
   List.iter
@@ -162,5 +220,9 @@ let suite =
     Alcotest.test_case "open-loop session" `Quick test_open_loop;
     Alcotest.test_case "--doom session: blast radius one shard" `Quick test_doom;
     Alcotest.test_case "sample flags rebuild the committed kv artifact" `Quick test_sample_artifact;
+    Alcotest.test_case "the latency series totals the put and get histograms" `Quick
+      test_lat_series_totals_histograms;
+    Alcotest.test_case "watch's p99 column is the SLO's worst p99" `Quick
+      test_watch_p99_is_slo_worst;
     Alcotest.test_case "hostile specs are typed errors naming the flag" `Quick test_hostile_specs;
   ]

@@ -33,6 +33,28 @@ let test_histograms () =
   Alcotest.(check int) "overflow bucket" 1 h.counts.(Array.length h.counts - 1);
   Alcotest.(check int) "listing" 1 (List.length (Metrics.histograms m))
 
+(* A sample on a resolved handle allocates nothing: the bucket scan
+   compares unboxed floats, and the sum, min and max sit in an
+   all-float record. *)
+let test_hist_record_allocates_nothing () =
+  let m = Metrics.create () in
+  let h = Metrics.hist m "h" in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let sample = 37.0 in
+  let record () =
+    for _ = 1 to 10_000 do
+      Metrics.hist_record h sample
+    done
+  in
+  Alcotest.(check (float 0.0)) "minor words of 10^4 samples" (words ignore) (words record);
+  let s = Option.get (Metrics.histogram m "h") in
+  Alcotest.(check int) "every sample recorded" 10_000 s.count;
+  Alcotest.(check (float 0.0)) "sum" 370_000.0 s.sum
+
 (* ------------------------------------------------------------------ *)
 (* trace dial and sinks *)
 
@@ -164,6 +186,8 @@ let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "histograms" `Quick test_histograms;
+    Alcotest.test_case "a histogram sample allocates nothing" `Quick
+      test_hist_record_allocates_nothing;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled_is_noop;
     Alcotest.test_case "trace admits only with a sink" `Quick test_trace_admits_needs_a_sink;
     Alcotest.test_case "trace head sampling per span" `Quick test_trace_head_sampling;

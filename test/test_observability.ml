@@ -94,7 +94,7 @@ let test_hist_percentile () =
     (Sbft_harness.Stats.hist_percentile_sat ~bounds ~counts:[| 0; 0; 0; 0; 4 |] 50.0);
   (* and the metrics JSON marks which percentiles were clamped *)
   let hist : Sbft_sim.Metrics.hist_snapshot =
-    { count = 5; sum = 30.0; min = 1.0; max = 16.0; bounds; counts; stream = None }
+    { count = 5; sum = 30.0; min = 1.0; max = 16.0; bounds; counts }
   in
   let j = Sbft_harness.Artifacts.histogram_json hist in
   (match Sbft_sim.Json.member "saturated" j with

@@ -1,88 +1,36 @@
-(* The streaming observability pipeline (PR 8): the mergeable quantile
-   digest, the associative window-merge law, tumbling-window series
-   bookkeeping, the online stabilization detector's semantics, and the
-   cross-check that the online verdict matches a post-hoc recompute
-   from the full trace — at every trace level, bit-identically. *)
+(* The streaming observability pipeline: the exact, associative
+   window-merge law, tumbling-window series bookkeeping, the online
+   stabilization detector's semantics, and the cross-check that the
+   online verdict matches a post-hoc recompute from the full trace —
+   at every trace level, bit-identically. *)
 
 open Sbft_sim
 module Series = Sbft_sim.Series
 
 (* ------------------------------------------------------------------ *)
-(* quantile digest *)
-
-let true_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-
-(* Rank of [v] within [sorted]: how many samples are <= v. *)
-let rank_of sorted v =
-  Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 sorted
-
-let check_rank_error ~msg sorted p estimate =
-  let n = Array.length sorted in
-  let target = p /. 100.0 *. float_of_int n in
-  let got = float_of_int (rank_of sorted estimate) in
-  let slack = Float.max 3.0 (0.06 *. float_of_int n) in
-  if Float.abs (got -. target) > slack then
-    Alcotest.failf "%s: p%.0f estimate %g has rank %.0f, want %.0f (±%.0f) of %d" msg p estimate
-      got target slack n
-
-let test_quantile_accuracy () =
-  let rng = Rng.create 5L in
-  let samples = Array.init 2000 (fun _ -> Rng.float rng *. 1000.0) in
-  let q = Series.Quantile.create () in
-  Array.iter (Series.Quantile.add q) samples;
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  List.iter
-    (fun p -> check_rank_error ~msg:"uniform" sorted p (Series.Quantile.quantile q p))
-    [ 10.0; 50.0; 90.0; 99.0 ];
-  Alcotest.(check int) "digest saw everything" 2000 (Series.Quantile.count q)
-
-let test_quantile_no_saturation () =
-  (* The fixed histogram buckets cap out at their top bound; the digest
-     must keep following the data into the tail. *)
-  let q = Series.Quantile.create () in
-  for i = 1 to 1000 do
-    Series.Quantile.add q (float_of_int (i * 1000))
-  done;
-  let p99 = Series.Quantile.quantile q 99.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "p99 %g tracks the tail" p99)
-    true
-    (p99 > 900_000.0 && p99 <= 1_000_000.0)
-
-(* ------------------------------------------------------------------ *)
 (* window-merge law (qcheck) *)
 
-let agg_of ?(quantiles = true) values =
+let agg_of values =
   let a = Series.Agg.empty () in
-  List.iter (Series.Agg.observe ~quantiles a) values;
+  List.iter (Series.Agg.observe a) values;
   a
 
-let floats_gen = QCheck.(list_of_size Gen.(int_range 0 200) (float_bound_exclusive 1000.0))
+(* Integer-valued samples, as the series record (virtual ticks, and 0
+   or 1 per op): their sums are exact in any association, so a merge
+   must match direct aggregation bit for bit. *)
+let floats_gen =
+  QCheck.(list_of_size Gen.(int_range 0 200) (map float_of_int (int_bound 1_000_000)))
+
+let same_agg a b =
+  a.Series.Agg.count = b.Series.Agg.count
+  && Float.equal a.Series.Agg.sum b.Series.Agg.sum
+  && Float.equal (Series.Agg.min a) (Series.Agg.min b)
+  && Float.equal (Series.Agg.max a) (Series.Agg.max b)
 
 let qcheck_merge_matches_direct =
   QCheck.Test.make ~name:"series: merged windows equal direct aggregation" ~count:200
     QCheck.(pair floats_gen floats_gen)
-    (fun (xs, ys) ->
-      let merged = Series.Agg.merge (agg_of xs) (agg_of ys) in
-      let direct = agg_of (xs @ ys) in
-      let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs b) in
-      merged.Series.Agg.count = direct.Series.Agg.count
-      && close merged.Series.Agg.sum direct.Series.Agg.sum
-      && close (Series.Agg.min merged) (Series.Agg.min direct)
-      && close (Series.Agg.max merged) (Series.Agg.max direct)
-      &&
-      let all = Array.of_list (xs @ ys) in
-      Array.sort compare all;
-      Array.length all = 0
-      ||
-      (check_rank_error ~msg:"merged digest" all 95.0 (Series.Agg.quantile merged 95.0);
-       true))
+    (fun (xs, ys) -> same_agg (Series.Agg.merge (agg_of xs) (agg_of ys)) (agg_of (xs @ ys)))
 
 let qcheck_merge_associative =
   QCheck.Test.make ~name:"series: window merge is associative" ~count:200
@@ -91,19 +39,7 @@ let qcheck_merge_associative =
       let a () = agg_of xs and b () = agg_of ys and c () = agg_of zs in
       let l = Series.Agg.merge (Series.Agg.merge (a ()) (b ())) (c ()) in
       let r = Series.Agg.merge (a ()) (Series.Agg.merge (b ()) (c ())) in
-      l.Series.Agg.count = r.Series.Agg.count
-      && Float.abs (l.Series.Agg.sum -. r.Series.Agg.sum) <= 1e-6
-      && Series.Agg.min l = Series.Agg.min r
-      && Series.Agg.max l = Series.Agg.max r
-      &&
-      (* both orders must agree with the pooled data within rank error *)
-      let all = Array.of_list (xs @ ys @ zs) in
-      Array.sort compare all;
-      Array.length all = 0
-      ||
-      (check_rank_error ~msg:"assoc-left" all 90.0 (Series.Agg.quantile l 90.0);
-       check_rank_error ~msg:"assoc-right" all 90.0 (Series.Agg.quantile r 90.0);
-       true))
+      same_agg l r && same_agg l (agg_of (xs @ ys @ zs)))
 
 (* ------------------------------------------------------------------ *)
 (* tumbling windows *)
@@ -339,166 +275,10 @@ let test_stabilization_metrics_registered () =
   Alcotest.(check bool) "some shard stabilized" true
     (Sbft_harness.Stabilization.stabilized_shards stab > 0)
 
-(* ------------------------------------------------------------------ *)
-
-(* The digest's sample fold as it was before it was specialised to
-   floats: a polymorphic [Array.sort Float.compare] over the pending
-   samples and closures over boxed accumulators.  The reference the
-   unboxed fold must match bit for bit. *)
-module Ref_quantile = struct
-  type t = {
-    cap : int;
-    mutable means : float array;
-    mutable weights : float array;
-    mutable len : int;
-    mutable pending : float array;
-    mutable npending : int;
-  }
-
-  let create cap = { cap = max 8 cap; means = [||]; weights = [||]; len = 0; pending = Array.make 16 0.0; npending = 0 }
-
-  let fold_pending t =
-    if t.npending > 0 then begin
-      let np = t.npending in
-      let p = Array.sub t.pending 0 np in
-      Array.sort Float.compare p;
-      let total = ref (float_of_int np) in
-      for i = 0 to t.len - 1 do
-        total := !total +. t.weights.(i)
-      done;
-      let chunk = !total /. float_of_int t.cap in
-      let out_m = Array.make t.cap 0.0 and out_w = Array.make t.cap 0.0 in
-      let oi = ref 0 in
-      let gm = ref 0.0 and gw = ref 0.0 in
-      let flush () =
-        if !gw > 0.0 && !oi < t.cap then begin
-          out_m.(!oi) <- !gm /. !gw;
-          out_w.(!oi) <- !gw;
-          incr oi;
-          gm := 0.0;
-          gw := 0.0
-        end
-      in
-      let push m w =
-        gm := !gm +. (m *. w);
-        gw := !gw +. w;
-        if !gw >= chunk && !oi < t.cap - 1 then flush ()
-      in
-      let i = ref 0 and j = ref 0 in
-      while !i < t.len || !j < np do
-        if !j >= np || (!i < t.len && t.means.(!i) <= p.(!j)) then begin
-          push t.means.(!i) t.weights.(!i);
-          incr i
-        end
-        else begin
-          push p.(!j) 1.0;
-          incr j
-        end
-      done;
-      flush ();
-      t.means <- out_m;
-      t.weights <- out_w;
-      t.len <- !oi;
-      t.npending <- 0
-    end
-
-  let add t v =
-    if t.npending = Array.length t.pending then
-      if t.npending >= 4 * t.cap then fold_pending t
-      else begin
-        let bigger = Array.make (2 * t.npending) 0.0 in
-        Array.blit t.pending 0 bigger 0 t.npending;
-        t.pending <- bigger
-      end;
-    t.pending.(t.npending) <- v;
-    t.npending <- t.npending + 1
-
-  let markers t =
-    fold_pending t;
-    (Array.sub t.means 0 t.len, Array.sub t.weights 0 t.len)
-
-  let quantile t p =
-    fold_pending t;
-    if t.len = 0 then 0.0
-    else if t.len = 1 then t.means.(0)
-    else begin
-      let total = ref 0.0 in
-      for i = 0 to t.len - 1 do
-        total := !total +. t.weights.(i)
-      done;
-      let rank = Float.max 0.0 (Float.min 1.0 (p /. 100.0)) *. !total in
-      let acc = ref 0.0 and i = ref 0 and res = ref t.means.(t.len - 1) and stop = ref false in
-      while (not !stop) && !i < t.len do
-        let mid = !acc +. (t.weights.(!i) /. 2.0) in
-        if rank <= mid then begin
-          (if !i = 0 then res := t.means.(0)
-           else begin
-             let prev_mid = !acc -. (t.weights.(!i - 1) /. 2.0) in
-             let span = mid -. prev_mid in
-             let frac = if span <= 0.0 then 0.0 else (rank -. prev_mid) /. span in
-             res := t.means.(!i - 1) +. (frac *. (t.means.(!i) -. t.means.(!i - 1)))
-           end);
-          stop := true
-        end
-        else begin
-          acc := !acc +. t.weights.(!i);
-          incr i
-        end
-      done;
-      !res
-    end
-end
-
-let bits a = Array.to_list (Array.map Int64.bits_of_float a)
-
-(* Samples are mostly tick counts, with signed zeros, NaNs, infinities
-   and arbitrary floats mixed in: the sort must order even values that
-   compare equal but differ in bits exactly as the stdlib sort does. *)
-let gen_sample =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, map float_of_int (int_bound 1000));
-        (2, float);
-        (1, oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ]);
-      ])
-
-let qcheck_fold_matches_reference =
-  QCheck.Test.make ~name:"quantile: unboxed fold is bit-identical to the boxed reference"
-    ~count:200
-    (QCheck.make
-       ~print:(fun (cap, chunks) ->
-         Printf.sprintf "cap=%d chunks=[%s]" cap
-           (String.concat "; " (List.map (fun c -> string_of_int (List.length c)) chunks)))
-       QCheck.Gen.(pair (int_range 8 64) (list_size (int_range 1 4) (list_size (int_bound 700) gen_sample))))
-    (fun (cap, chunks) ->
-      let q = Series.Quantile.create ~cap () and r = Ref_quantile.create cap in
-      (* Markers are read after every chunk, so folds start from both
-         empty and populated digests. *)
-      List.for_all
-        (fun chunk ->
-          List.iter
-            (fun v ->
-              Series.Quantile.add q v;
-              Ref_quantile.add r v)
-            chunk;
-          let qm, qw = Series.Quantile.markers q and rm, rw = Ref_quantile.markers r in
-          bits qm = bits rm
-          && bits qw = bits rw
-          && List.for_all
-               (fun p ->
-                 Int64.bits_of_float (Series.Quantile.quantile q p)
-                 = Int64.bits_of_float (Ref_quantile.quantile r p))
-               [ 0.0; 1.0; 25.0; 50.0; 95.0; 99.0; 99.9; 100.0 ])
-        chunks)
-
 let suite =
   [
-    Alcotest.test_case "quantile digest tracks uniform percentiles" `Quick test_quantile_accuracy;
-    Alcotest.test_case "quantile digest never saturates" `Quick test_quantile_no_saturation;
     QCheck_alcotest.to_alcotest qcheck_merge_matches_direct;
     QCheck_alcotest.to_alcotest qcheck_merge_associative;
-    QCheck_alcotest.to_alcotest qcheck_fold_matches_reference;
     Alcotest.test_case "tumbling windows materialize empties" `Quick test_series_windows;
     Alcotest.test_case "10^7-tick gaps fast-forward, read back empty" `Quick
       test_series_pathological_gap;
